@@ -45,11 +45,25 @@ class SubsetRankReport:
     general_position: bool
 
 
+class _Core:
+    """What the hyperplanes of an arrangement determine, whatever its
+    exponents.  Filled lazily, only ever appended to, and shared by every
+    re-weighting made with with_exponents."""
+
+    def __init__(self):
+        self.circuits = None
+        self.candidates = {}  # p -> general-position p-subsets, lex order
+        self.rows = {}        # p -> {candidate: its evaluation row}
+        self.bases = {}       # p -> validated basis of A^p
+        self.echelons = {}    # p -> Echelon of the basis rows (None if inexact)
+        self.coords = {}      # sorted monomial -> coordinates over its basis
+
+
 class WeightedArrangement:
     """An ordered weighted arrangement; immutable after construction.
 
-    Basis and straightening data are memoized lazily; the caches are only
-    ever appended to, so concurrent reads after construction are safe.
+    Combinatorial data (circuits, evaluation rows, bases, straightening)
+    lives in an exponent-free core that is filled lazily.
     """
 
     def __init__(self, ambient_dim: int, hyperplanes, exponents, check_vertex=True):
@@ -68,7 +82,7 @@ class WeightedArrangement:
         self._check_distinct()
         if check_vertex and not self.has_vertex():
             raise ValueError("arrangement has no vertex")
-        self._cache: dict = {}
+        self._core = _Core()
 
     # -- construction checks ------------------------------------------------
 
@@ -146,18 +160,17 @@ class WeightedArrangement:
 
     def circuits(self) -> list[tuple]:
         """Minimal dependent subsets, up to size k+1."""
-        if "circuits" in self._cache:
-            return self._cache["circuits"]
-        found: list[tuple] = []
-        for size in range(1, self.ambient_dim + 2):
-            for subset in itertools.combinations(range(self.n), size):
-                s = set(subset)
-                if any(set(c) <= s for c in found):
-                    continue
-                if not self.general_position(subset):
-                    found.append(subset)
-        self._cache["circuits"] = found
-        return found
+        if self._core.circuits is None:
+            found: list[tuple] = []
+            for size in range(1, self.ambient_dim + 2):
+                for subset in itertools.combinations(range(self.n), size):
+                    s = set(subset)
+                    if any(set(c) <= s for c in found):
+                        continue
+                    if not self.general_position(subset):
+                        found.append(subset)
+            self._core.circuits = found
+        return self._core.circuits
 
     def broken_circuits(self) -> list[tuple]:
         """Tails of circuits with nonempty intersection.  Circuits whose
@@ -212,84 +225,106 @@ class WeightedArrangement:
 
     def candidate_monomials(self, p: int) -> list[tuple]:
         """All general-position p-subsets, lex order (the monomial spanning set)."""
-        if p == 0:
-            return [()]
-        return [
-            s
-            for s in itertools.combinations(range(self.n), p)
-            if self.general_position(s)
-        ]
-
-    def _minor_columns(self, p: int) -> list[tuple]:
-        return list(itertools.combinations(range(self.ambient_dim), p))
-
-    def monomial_row(self, subset, t) -> list:
-        """Evaluation row of the p-form w_{j1}^...^w_{jp} at point t.
-
-        Component for columns (i1<...<ip) is det(b^{i}_{j}) over the minor,
-        divided by the product of the f_j(t).
-        """
-        p = len(subset)
-        if p == 0:
-            return [Fraction(1)]
-        denom = Fraction(1)
-        for j in subset:
-            denom = denom * self.hyperplanes[j].evaluate(t)
-        row = []
-        for cols in self._minor_columns(p):
-            minor = [[self.hyperplanes[j].b[c] for c in cols] for j in subset]
-            row.append(linalg.det(minor) / denom)
-        return row
+        if p not in self._core.candidates:
+            self._core.candidates[p] = [
+                s
+                for s in itertools.combinations(range(self.n), p)
+                if self.general_position(s)
+            ]
+        return self._core.candidates[p]
 
     def evaluation_matrix(self, p: int, points=None):
-        """Stacked evaluation rows (one long row per candidate monomial)."""
+        """Stacked evaluation rows, one long row per candidate monomial.
+
+        The row of w_{j1}^...^w_{jp} holds, for each point t and each column
+        set (i1<...<ip), the minor det(b^{i}_{j}) divided by the product of
+        the f_j(t).  Each minor is computed once per monomial.
+        """
         candidates = self.candidate_monomials(p)
         if points is None:
             points = self.sample_points(len(candidates) + 3)
+        values = [self.evaluate_all(t) for t in points]
+        columns = list(itertools.combinations(range(self.ambient_dim), p))
         rows = []
         for s in candidates:
+            minors = [
+                linalg.det([[self.hyperplanes[j].b[c] for c in cols] for j in s])
+                for cols in columns
+            ]
             row = []
-            for t in points:
-                row.extend(self.monomial_row(s, t))
+            for v in values:
+                denom = Fraction(1)
+                for j in s:
+                    denom = denom * v[j]
+                row.extend(m / denom for m in minors)
             rows.append(row)
         return candidates, rows
 
     def basis(self, p: int) -> list[tuple]:
         """Validated basis of A^p: nbc sets if the oracle confirms them,
-        otherwise a greedy lex-first independent subset of monomial rows."""
-        key = ("basis", p)
-        if key in self._cache:
-            return self._cache[key]
+        otherwise a greedy lex-first independent subset of monomial rows.
+
+        With exact coefficients one echelon takes the nbc rows first and then
+        the other candidate rows: the nbc sets are a basis iff their rows are
+        independent and no other row leaves their span.  The echelon of the
+        basis rows is kept for straightening.
+        """
+        core = self._core
+        if p in core.bases:
+            return core.bases[p]
         if not 0 <= p <= self.ambient_dim:
             raise ValueError(f"degree {p} out of range 0..{self.ambient_dim}")
-        if p == 0:
-            self._cache[key] = [()]
-            return [()]
         candidates, rows = self.evaluation_matrix(p)
-        idx = linalg.independent_rows(rows)
-        oracle_basis = [candidates[i] for i in idx]
+        row_of = core.rows[p] = dict(zip(candidates, rows))
         nbc = self.nbc_sets(p)
-        if len(nbc) == len(oracle_basis):
-            nbc_rows = [rows[candidates.index(s)] for s in nbc]
-            if linalg.rank(nbc_rows) == len(nbc):
-                self._cache[key] = nbc
-                self._cache[("rows", p)] = (candidates, rows)
-                return nbc
-        log.warning(
-            "degree %d: nbc count %d disagrees with evaluation rank %d; "
-            "using oracle basis", p, len(nbc), len(oracle_basis),
-        )
-        self._cache[key] = oracle_basis
-        self._cache[("rows", p)] = (candidates, rows)
-        return oracle_basis
+        nbc_rows = [row_of[s] for s in nbc]
+        echelon = None
+        if all(is_exact(h.b0) and all_exact(h.b) for h in self.hyperplanes):
+            echelon = linalg.Echelon()
+            others = [row for s, row in row_of.items() if s not in nbc]
+            confirmed = all(map(echelon.add, nbc_rows)) and not any(
+                map(echelon.add, others))
+        else:
+            confirmed = len(linalg.independent_rows(rows)) == len(nbc) == linalg.rank(nbc_rows)
+        basis = nbc
+        if not confirmed:
+            basis = [candidates[i] for i in linalg.independent_rows(rows)]
+            log.warning(
+                "degree %d: nbc count %d disagrees with evaluation rank %d; "
+                "using oracle basis", p, len(nbc), len(basis),
+            )
+            if echelon is not None:
+                echelon = linalg.Echelon(row_of[s] for s in basis)
+        core.echelons[p] = echelon
+        core.bases[p] = basis
+        return basis
 
     def evaluation_rows(self, p: int):
-        """(candidates, rows) pair used for basis selection, cached."""
+        """(candidates, rows) pair used for basis selection."""
         self.basis(p)
-        key = ("rows", p)
-        if key not in self._cache:
-            self._cache[key] = self.evaluation_matrix(p)
-        return self._cache[key]
+        return self._core.candidates[p], list(self._core.rows[p].values())
+
+    def basis_coords(self, subset) -> list:
+        """Coordinates of a sorted monomial over basis(p), p = len(subset):
+        zero unless the subset is in general position, otherwise one
+        reduction of its evaluation row against the factored basis rows.
+        Memoized; callers must not mutate the result."""
+        subset = tuple(subset)
+        core = self._core
+        if subset not in core.coords:
+            p = len(subset)
+            basis = self.basis(p)
+            row_of, echelon = core.rows[p], core.echelons[p]
+            if subset in basis:
+                coords = [Fraction(int(s == subset)) for s in basis]
+            elif subset not in row_of:
+                coords = [Fraction(0)] * len(basis)
+            elif echelon is not None:
+                coords = echelon.coords(row_of[subset])
+            else:
+                coords = linalg.solve_coords([row_of[s] for s in basis], row_of[subset])
+            core.coords[subset] = coords
+        return core.coords[subset]
 
     def dims(self) -> list[int]:
         return [len(self.basis(p)) for p in range(self.ambient_dim + 1)]
@@ -329,7 +364,10 @@ class WeightedArrangement:
 
 
 def with_exponents(arr: WeightedArrangement, exponents) -> WeightedArrangement:
-    """Same hyperplanes with different exponents; combinatorial caches are
-    rebuilt lazily (they do not depend on exponents, but sharing mutable
-    caches across instances is not worth the coupling)."""
-    return WeightedArrangement(arr.ambient_dim, arr.hyperplanes, exponents)
+    """Same hyperplanes with different exponents.  The result shares arr's
+    exponent-free core, so circuits, bases, evaluation rows and straightened
+    coordinates are computed once for both; data that depends on the
+    exponents, such as osflag.d_A_matrix, is computed per instance."""
+    out = WeightedArrangement(arr.ambient_dim, arr.hyperplanes, exponents)
+    out._core = arr._core
+    return out

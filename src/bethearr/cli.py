@@ -20,6 +20,7 @@ from . import gaudin as gd
 from .arrangement import WeightedArrangement
 from .master import (CriticalPoint, find_critical_points, group_orbits,
                      hess_det, symmetric_group)
+from .scalars import format_scalar
 from .special import verify_norm_identity, verify_orthogonality, verify_singular
 
 SCHEMA_VERSION = 1
@@ -40,16 +41,10 @@ class PreconditionError(Exception):
 
 def _render(value):
     """JSON-ready rendering: rationals as "p/q", complex as [re, im]."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, int, float)):
         return value
-    if isinstance(value, (int,)):
-        return value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, float):
-        return value
+    if isinstance(value, (Fraction, complex)):
+        return format_scalar(value)
     if isinstance(value, dict):
         return {str(k): _render(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -112,6 +107,11 @@ def _critical_points(arr, args):
     )
 
 
+def _check(name, lhs, rhs, abs_err, ok) -> dict:
+    """One row of a verification report."""
+    return {"name": name, "lhs": lhs, "rhs": rhs, "abs_err": abs_err, "pass": ok}
+
+
 def _point_report(cp: CriticalPoint) -> dict:
     return {
         "t": list(cp.t),
@@ -165,20 +165,14 @@ def cmd_verify(args) -> int:
 
     for idx, cp in enumerate(points):
         sing = verify_singular(arr, cp.t, tol=max(tol, 1e-8))
-        checks.append({
-            "name": f"singular_at_critical_{idx}",
-            "lhs": sing["delta_norm"], "rhs": 0.0,
-            "abs_err": sing["delta_norm"],
-            "pass": sing["is_critical"] and sing["delta_norm"] <= max(tol, 1e-8),
-        })
+        checks.append(_check(
+            f"singular_at_critical_{idx}", sing["delta_norm"], 0.0, sing["delta_norm"],
+            sing["is_critical"] and sing["delta_norm"] <= max(tol, 1e-8)))
         norm = verify_norm_identity(arr, cp.t)
         scale = max(abs(complex(norm["rhs"])), 1e-300)
-        checks.append({
-            "name": f"norm_identity_{idx}",
-            "lhs": complex(norm["lhs"]), "rhs": complex(norm["rhs"]),
-            "abs_err": norm["abs_err"],
-            "pass": norm["abs_err"] <= tol * scale,
-        })
+        checks.append(_check(
+            f"norm_identity_{idx}", complex(norm["lhs"]), complex(norm["rhs"]),
+            norm["abs_err"], norm["abs_err"] <= tol * scale))
 
     rng = np.random.default_rng(args.seed + 1)
     controls = 0
@@ -193,21 +187,13 @@ def cmd_verify(args) -> int:
             continue
         controls += 1
         sing = verify_singular(arr, t)
-        checks.append({
-            "name": f"control_point_{controls}",
-            "lhs": sing["delta_norm"], "rhs": sing["grad_norm"],
-            "abs_err": 0.0,
-            "pass": sing["pass"],
-        })
+        checks.append(_check(f"control_point_{controls}", sing["delta_norm"],
+                             sing["grad_norm"], 0.0, sing["pass"]))
 
     for i, j in itertools.combinations(range(len(points)), 2):
         orth = verify_orthogonality(arr, points[i].t, points[j].t, tol=max(tol, 1e-10))
-        checks.append({
-            "name": f"orthogonality_{i}_{j}",
-            "lhs": complex(orth["value"]), "rhs": 0.0,
-            "abs_err": abs(complex(orth["value"])),
-            "pass": orth["pass"],
-        })
+        checks.append(_check(f"orthogonality_{i}_{j}", complex(orth["value"]), 0.0,
+                             abs(complex(orth["value"])), orth["pass"]))
 
     ok = all(c["pass"] for c in checks)
     report = {
@@ -235,8 +221,8 @@ def cmd_gaudin(args) -> int:
     if k == 0:
         omega = gd.canonical_weight_function(problem, ())
         norm = gd.tensor_shapovalov(problem, omega, omega)
-        checks.append({"name": "trivial_norm", "lhs": norm, "rhs": Fraction(1),
-                       "abs_err": abs(complex(norm) - 1), "pass": norm == 1})
+        checks.append(_check("trivial_norm", norm, Fraction(1),
+                             abs(complex(norm) - 1), norm == 1))
         representatives = []
     else:
         arr = gd.build_discriminantal(problem)
@@ -258,29 +244,18 @@ def cmd_gaudin(args) -> int:
         for idx, cp in enumerate(representatives):
             others = [r.t for r in representatives if r is not cp]
             bethe = gd.verify_bethe(problem, cp.t, others=others, tol=args.tol_verify)
-            checks.append({
-                "name": f"bethe_singular_{idx}",
-                "lhs": bethe["singular_err"], "rhs": 0.0,
-                "abs_err": bethe["singular_err"], "pass": bethe["singular_pass"],
-            })
-            checks.append({
-                "name": f"bethe_norm_{idx}",
-                "lhs": bethe["norm_lhs"], "rhs": bethe["norm_rhs"],
-                "abs_err": abs(bethe["norm_lhs"] - bethe["norm_rhs"]),
-                "pass": bethe["norm_pass"],
-            })
+            checks.append(_check(f"bethe_singular_{idx}", bethe["singular_err"], 0.0,
+                                 bethe["singular_err"], bethe["singular_pass"]))
+            checks.append(_check(f"bethe_norm_{idx}", bethe["norm_lhs"], bethe["norm_rhs"],
+                                 abs(bethe["norm_lhs"] - bethe["norm_rhs"]),
+                                 bethe["norm_pass"]))
             for e in bethe["eigenvectors"]:
-                checks.append({
-                    "name": f"bethe_eigenvector_{idx}_K{e['i'] + 1}",
-                    "lhs": e["eigenvalue"], "rhs": e["eigenvalue"],
-                    "abs_err": e["rel_err"], "pass": e["pass"],
-                })
+                checks.append(_check(f"bethe_eigenvector_{idx}_K{e['i'] + 1}",
+                                     e["eigenvalue"], e["closed_form"], e["rel_err"],
+                                     e["pass"]))
             for o in bethe["orthogonality"]:
-                checks.append({
-                    "name": f"bethe_orthogonality_{idx}_{o['other']}",
-                    "lhs": o["value"], "rhs": 0.0,
-                    "abs_err": abs(o["value"]), "pass": o["pass"],
-                })
+                checks.append(_check(f"bethe_orthogonality_{idx}_{o['other']}",
+                                     o["value"], 0.0, abs(o["value"]), o["pass"]))
 
         if representatives:
             vectors = [gd.canonical_weight_function(problem, cp.t)
@@ -290,21 +265,16 @@ def cmd_gaudin(args) -> int:
                 for a in vectors
             ])
             rank = int(np.linalg.matrix_rank(gram))
-            checks.append({
-                "name": "gram_rank_vs_sing_dim",
-                "lhs": rank, "rhs": report["sing_dim"],
-                "abs_err": abs(rank - report["sing_dim"]),
-                "pass": rank == len(representatives) and rank <= report["sing_dim"],
-            })
+            checks.append(_check(
+                "gram_rank_vs_sing_dim", rank, report["sing_dim"],
+                abs(rank - report["sing_dim"]),
+                rank == len(representatives) and rank <= report["sing_dim"]))
 
         if k <= 3:
             shap = gd.verify_shap_correspondence(problem)
-            checks.append({
-                "name": "shapovalov_correspondence",
-                "lhs": shap["factor"], "rhs": shap["expected_factor"],
-                "abs_err": 0 if shap["pass"] else 1,
-                "pass": shap["pass"],
-            })
+            checks.append(_check("shapovalov_correspondence", shap["factor"],
+                                 shap["expected_factor"], 0 if shap["pass"] else 1,
+                                 shap["pass"]))
             if representatives:
                 canonical = gd.verify_canonical_element(
                     problem, representatives[0].t,
@@ -312,11 +282,8 @@ def cmd_gaudin(args) -> int:
                     tol=args.tol_verify,
                 )
                 for i, c in enumerate(canonical["checks"]):
-                    checks.append({
-                        "name": f"canonical_element_{i}",
-                        "lhs": c["lhs"], "rhs": c["rhs"],
-                        "abs_err": c["rel_err"], "pass": c["pass"],
-                    })
+                    checks.append(_check(f"canonical_element_{i}", c["lhs"], c["rhs"],
+                                         c["rel_err"], c["pass"]))
 
     ok = all(c["pass"] for c in checks)
     report["checks"] = checks

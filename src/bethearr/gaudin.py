@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .arrangement import Hyperplane, WeightedArrangement
-from .master import hess_det, log_grad
+from .master import hess_det
 from .osflag import flag_vector
 from .scalars import Scalar, format_scalar, parse_scalar, scalar_abs
 from .shapovalov import shapovalov_form
@@ -160,14 +160,6 @@ class GaudinProblem:
 def point_hyperplane_index(p: GaudinProblem, i: int, s: int) -> int:
     """Index of the hyperplane t_{i+1} - z_{s+1} in build_discriminantal."""
     return i * p.n + s
-
-
-def diagonal_hyperplane_index(p: GaudinProblem, i: int, j: int) -> int:
-    """Index of t_{i+1} - t_{j+1} (i < j) in build_discriminantal."""
-    if not 0 <= i < j < p.k:
-        raise ValueError("need 0 <= i < j < k")
-    pairs = list(itertools.combinations(range(p.k), 2))
-    return p.k * p.n + pairs.index((i, j))
 
 
 def build_discriminantal(p: GaudinProblem, diagonal_sign: int = 1) -> WeightedArrangement:
@@ -436,10 +428,22 @@ def composition_flag(p: GaudinProblem, arr: WeightedArrangement, comp):
 # -- verification reports -----------------------------------------------------
 
 
+def bethe_eigenvalue(p: GaudinProblem, t, s: int):
+    """Eigenvalue of K_s on the Bethe vector of a critical point t,
+    d log Phi / d z_s (Reshetikhin-Varchenko):
+    sum_{u != s} m_s m_u / (2 (z_s - z_u)) + sum_i m_s / (t_i - z_s)."""
+    m = p.sl2_highest_weights()
+    lam = sum((Fraction(m[s] * m[u], 2) / (p.z[s] - p.z[u])
+               for u in range(p.n) if u != s), start=Fraction(0))
+    return lam + sum(m[s] / (ti - p.z[s]) for ti in t)
+
+
 def verify_bethe(p: GaudinProblem, t, others=(), tol=1e-8) -> dict:
     """Checks at a critical point t: omega is singular, an eigenvector of
-    every Hamiltonian, has norm equal to the log-Hessian determinant of the
-    master function, and is orthogonal to the omega of each point in others."""
+    every Hamiltonian with the closed-form eigenvalue (each entry also
+    carries the Rayleigh quotient), has norm equal to the log-Hessian
+    determinant of the master function, and is orthogonal to the omega of
+    each point in others."""
     omega = canonical_weight_function(p, t)
     w = np.array([complex(x) for x in omega.coords])
     wnorm = float(np.linalg.norm(w))
@@ -457,9 +461,11 @@ def verify_bethe(p: GaudinProblem, t, others=(), tol=1e-8) -> dict:
             [[complex(x) for x in row] for row in gaudin_hamiltonian(p, i)]
         )
         kw = mat @ w
-        lam = complex(np.vdot(w, kw) / np.vdot(w, w))
-        err = float(np.linalg.norm(kw - lam * w)) / wnorm
-        eigen.append({"i": i, "eigenvalue": lam, "rel_err": err, "pass": err <= tol})
+        rayleigh = complex(np.vdot(w, kw) / np.vdot(w, w))
+        lam = bethe_eigenvalue(p, t, i)
+        err = float(np.linalg.norm(kw - complex(lam) * w)) / wnorm
+        eigen.append({"i": i, "eigenvalue": rayleigh, "closed_form": lam,
+                      "rel_err": err, "pass": err <= tol})
 
     if p.k:
         arr = build_discriminantal(p)

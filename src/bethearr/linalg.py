@@ -1,10 +1,13 @@
 """Small dense linear algebra over exact rationals or complex floats.
 
 Matrices are lists of row lists.  Every routine dispatches on the entry
-types: if all entries are exact rationals the computation is done with
-fraction-free Gaussian elimination and results are exact; otherwise numpy
-is used with a relative tolerance.  The exact path is the authoritative one
-for basis selection and straightening.
+types.  Exact input (ints and Fractions) goes through one engine, the
+incremental row echelon `Echelon`: rows are added one at a time, and the
+echelon answers whether a row is new and, if it is not, its coordinates over
+the rows kept so far.  `rank`, `independent_rows`, `solve_coords`,
+`nullspace` and `det` are thin uses of it, and their results are exact.  Any
+other input goes to numpy with a relative tolerance.  The exact path is the
+authoritative one for basis selection and straightening.
 """
 
 from __future__ import annotations
@@ -45,36 +48,70 @@ def mat_vec(a, v):
     return [dot(row, v) for row in a]
 
 
-def _eliminate(rows):
-    """Row-reduce a copy of rows over Fraction; returns (echelon, pivots)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+class Echelon:
+    """Forward row echelon over Fraction, grown one row at a time.
+
+    Kept row j is stored reduced against kept rows 0..j-1 and scaled so that
+    its pivot, its first nonzero entry, is 1; every later kept row is zero in
+    that column.  One pass over the kept rows in order therefore reduces any
+    row against their span.  Kept rows are never reduced against later ones.
+    The pivot columns are the leading columns of the row space, the same set
+    a fully reduced echelon form has.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: list[list[Fraction]] = []
+        self.pivots: list[int] = []
+        # kept row j, as added, == scales[j] * rows[j] + sum_{i<j} mults[j][i] * rows[i]
+        self._mults: list[list[Fraction]] = []
+        self._scales: list[Fraction] = []
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, row):
+        """(residual of row against the kept rows, multiplier of each)."""
+        v = [Fraction(x) for x in row]
+        mults = []
+        for e, c in zip(self.rows, self.pivots):
+            f = v[c]
+            mults.append(f)
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, e)]
+        return v, mults
+
+    def add(self, row) -> bool:
+        """Keep row if it is independent of the kept rows; True if kept."""
+        v, mults = self._reduce(row)
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        scale = v[c]
+        self.rows.append([x / scale for x in v])
+        self.pivots.append(c)
+        self._mults.append(mults)
+        self._scales.append(scale)
+        return True
+
+    def coords(self, row) -> list:
+        """Coefficients x with sum_j x_j * (kept row j as added) == row;
+        raises ValueError if row is not in their span."""
+        v, x = self._reduce(row)
+        if any(v):
+            raise ValueError("target not in span of basis rows")
+        for j in reversed(range(len(x))):
+            x[j] /= self._scales[j]
+            if x[j]:
+                for i, m in enumerate(self._mults[j]):
+                    x[i] -= x[j] * m
+        return x
 
 
 def rank(rows) -> int:
-    if not rows or not rows[0]:
-        return 0
     if _matrix_exact(rows):
-        _, pivots = _eliminate(rows)
-        return len(pivots)
+        return len(Echelon(rows))
     a = _to_ndarray(rows)
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0:
@@ -84,22 +121,9 @@ def rank(rows) -> int:
 
 def independent_rows(rows) -> list[int]:
     """Indices of a maximal independent subset of rows, greedy in order."""
-    if not rows:
-        return []
     if _matrix_exact(rows):
-        chosen: list[int] = []
-        kept: list[list[Fraction]] = []
-        r = 0
-        for i, row in enumerate(rows):
-            trial = kept + [[Fraction(x) for x in row]]
-            _, pivots = _eliminate(trial)
-            if len(pivots) > r:
-                chosen.append(i)
-                kept = trial
-                r += 1
-            if r == len(rows[0]):
-                break
-        return chosen
+        ech = Echelon()
+        return [i for i, row in enumerate(rows) if ech.add(row)]
     chosen = []
     basis: list[np.ndarray] = []
     for i, row in enumerate(rows):
@@ -116,26 +140,18 @@ def independent_rows(rows) -> list[int]:
 def solve_coords(basis_rows, target):
     """Coefficients x with sum_i x_i * basis_rows[i] == target.
 
-    basis_rows must be linearly independent; raises ValueError if target is
-    not in their span.
+    basis_rows must be linearly independent (ValueError otherwise, on exact
+    input); raises ValueError if target is not in their span.
     """
     if not basis_rows:
         if any(x != 0 for x in target):
             raise ValueError("target not in span of empty basis")
         return []
-    exact = _matrix_exact(basis_rows) and all(is_exact(x) for x in target)
-    if exact:
-        # Solve B^T x = target by eliminating the augmented system.
-        ncols = len(basis_rows)
-        aug = [[Fraction(basis_rows[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-               for i in range(len(target))]
-        m, pivots = _eliminate(aug)
-        if ncols in pivots:
-            raise ValueError("target not in span of basis rows")
-        x = [Fraction(0)] * ncols
-        for r, c in enumerate(pivots):
-            x[c] = m[r][ncols]
-        return x
+    if _matrix_exact(basis_rows) and all(is_exact(x) for x in target):
+        ech = Echelon()
+        if not all(map(ech.add, basis_rows)):
+            raise ValueError("basis rows are linearly dependent")
+        return ech.coords(target)
     a = _to_ndarray(basis_rows).T
     b = np.array([complex(x) for x in target])
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
@@ -146,23 +162,22 @@ def solve_coords(basis_rows, target):
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right kernel {v : A v = 0} of the matrix with given rows."""
+    """Basis of the right kernel {v : A v = 0} of the matrix with given rows:
+    one vector per non-pivot column, 1 there and 0 in the other non-pivot
+    columns."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if not rows or ncols == 0:
-        return [] if ncols == 0 else [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
     if _matrix_exact(rows):
-        m, pivots = _eliminate(rows)
-        free = [c for c in range(ncols) if c not in pivots]
+        ech = Echelon(rows)
         basis = []
-        for fc in free:
+        for fc in sorted(set(range(ncols)) - set(ech.pivots)):
             v = [Fraction(0)] * ncols
             v[fc] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -m[r][fc]
+            solved = [fc]
+            # kept row j is zero at earlier pivots: solve from the last row up
+            for e, c in reversed(list(zip(ech.rows, ech.pivots))):
+                v[c] = -dot((e[i] for i in solved), (v[i] for i in solved))
+                solved.append(c)
             basis.append(v)
         return basis
     a = _to_ndarray(rows, ncols)
@@ -174,25 +189,16 @@ def nullspace(rows, ncols=None):
 
 def det(rows):
     """Determinant; exact for rational entries."""
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return Fraction(1)
     if _matrix_exact(rows):
-        m = [[Fraction(x) for x in row] for row in rows]
-        sign = 1
-        d = Fraction(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            d *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return sign * d
+        ech = Echelon()
+        if not all(map(ech.add, rows)):
+            return Fraction(0)
+        # the kept rows times the pivot permutation are unit upper triangular
+        p = ech.pivots
+        d = Fraction((-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:]))
+        for scale in ech._scales:
+            d *= scale
+        return d
     return complex(np.linalg.det(_to_ndarray(rows)))

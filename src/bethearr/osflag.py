@@ -3,9 +3,9 @@ flag space.
 
 Elements of A^p are stored as coordinates over the validated monomial basis
 of the arrangement; flag vectors live in the dual coordinates.  Straightening
-an arbitrary monomial is done by exact linear algebra on evaluation rows, so
-the sign rule, the general-position vanishing rule and the three-term circuit
-relation all hold automatically.
+an arbitrary monomial is one exact reduction of its evaluation row against the
+arrangement's factored basis rows, so the sign rule, the general-position
+vanishing rule and the three-term circuit relation all hold automatically.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ class FlagVector:
         return FlagVector(self.degree, tuple(c * x for x in self.coords))
 
 
-def zero_flag(arr: WeightedArrangement, p: int) -> FlagVector:
-    return FlagVector(p, (Fraction(0),) * len(arr.basis(p)))
-
-
 def straighten_coords(arr: WeightedArrangement, monomial) -> list:
     """Coordinates of an ordered monomial over the validated basis of A^p."""
     p = len(monomial)
@@ -80,20 +76,7 @@ def straighten_coords(arr: WeightedArrangement, monomial) -> list:
     if len(set(monomial)) != p:
         return [Fraction(0)] * len(arr.basis(p))
     sorted_m, sign = _sort_with_sign(monomial)
-    basis = arr.basis(p)
-    key = ("straighten", sorted_m)
-    if key not in arr._cache:
-        if not arr.general_position(sorted_m):
-            coords = [Fraction(0)] * len(basis)
-        elif sorted_m in basis:
-            coords = [Fraction(1) if s == sorted_m else Fraction(0) for s in basis]
-        else:
-            candidates, rows = arr.evaluation_rows(p)
-            basis_rows = [rows[candidates.index(s)] for s in basis]
-            target = rows[candidates.index(sorted_m)]
-            coords = linalg.solve_coords(basis_rows, target)
-        arr._cache[key] = coords
-    coords = arr._cache[key]
+    coords = arr.basis_coords(sorted_m)
     if sign == 1:
         return list(coords)
     return [-c for c in coords]
@@ -111,9 +94,6 @@ def d_A_matrix(arr: WeightedArrangement, p: int):
     in validated bases (rows indexed by the degree p+1 basis)."""
     if not 0 <= p < arr.ambient_dim:
         raise ValueError(f"degree {p} out of range 0..{arr.ambient_dim - 1}")
-    key = ("dA", p)
-    if key in arr._cache:
-        return arr._cache[key]
     src = arr.basis(p)
     dst = arr.basis(p + 1)
     matrix = [[Fraction(0)] * len(src) for _ in dst]
@@ -125,7 +105,6 @@ def d_A_matrix(arr: WeightedArrangement, p: int):
             for row in range(len(dst)):
                 if coords[row] != 0:
                     matrix[row][col] = matrix[row][col] + a * coords[row]
-    arr._cache[key] = matrix
     return matrix
 
 

@@ -23,12 +23,6 @@ def all_exact(values) -> bool:
     return all(is_exact(x) for x in values)
 
 
-def to_complex(x) -> complex:
-    if isinstance(x, Rational):
-        return complex(float(x))
-    return complex(x)
-
-
 def parse_scalar(obj) -> Scalar:
     """Parse a JSON scalar: "p/q" string, integer, float, or [re, im] pair."""
     if isinstance(obj, str):

@@ -8,21 +8,19 @@ from fractions import Fraction
 
 from . import linalg
 from .arrangement import WeightedArrangement
-from .osflag import FlagVector, OSElement, straighten_coords
+from .osflag import FlagVector, OSElement
 from .scalars import Scalar
 
 
-def _top_subsets(arr: WeightedArrangement):
-    """General-position k-subsets with their straightened coordinates."""
-    key = "shap_subsets"
-    if key not in arr._cache:
-        k = arr.ambient_dim
-        subsets = []
-        for s in itertools.combinations(range(arr.n), k):
-            if arr.general_position(s):
-                subsets.append((s, straighten_coords(arr, s)))
-        arr._cache[key] = subsets
-    return arr._cache[key]
+def _weighted_top(arr: WeightedArrangement):
+    """(exponent product, coordinates over the top basis) of each
+    general-position k-subset whose exponent product is nonzero."""
+    for subset in arr.candidate_monomials(arr.ambient_dim):
+        prod = Fraction(1)
+        for j in subset:
+            prod = prod * arr.exponents[j]
+        if prod != 0:
+            yield prod, arr.basis_coords(subset)
 
 
 def shapovalov_form(arr: WeightedArrangement, f1: FlagVector, f2: FlagVector) -> Scalar:
@@ -32,15 +30,8 @@ def shapovalov_form(arr: WeightedArrangement, f1: FlagVector, f2: FlagVector) ->
     if f1.degree != k or f2.degree != k:
         raise ValueError("Shapovalov form is defined on top-degree flags")
     total = Fraction(0)
-    for subset, coords in _top_subsets(arr):
-        prod = Fraction(1)
-        for j in subset:
-            prod = prod * arr.exponents[j]
-        if prod == 0:
-            continue
-        p1 = sum((c * x for c, x in zip(coords, f1.coords)), start=Fraction(0))
-        p2 = sum((c * x for c, x in zip(coords, f2.coords)), start=Fraction(0))
-        total = total + prod * p1 * p2
+    for prod, coords in _weighted_top(arr):
+        total = total + prod * linalg.dot(coords, f1.coords) * linalg.dot(coords, f2.coords)
     return total
 
 
@@ -51,13 +42,8 @@ def shapovalov_map(arr: WeightedArrangement, flag: FlagVector) -> OSElement:
         raise ValueError("Shapovalov map is implemented on top-degree flags")
     basis = arr.basis(k)
     out = [Fraction(0)] * len(basis)
-    for subset, coords in _top_subsets(arr):
-        prod = Fraction(1)
-        for j in subset:
-            prod = prod * arr.exponents[j]
-        if prod == 0:
-            continue
-        p = sum((c * x for c, x in zip(coords, flag.coords)), start=Fraction(0))
+    for prod, coords in _weighted_top(arr):
+        p = linalg.dot(coords, flag.coords)
         if p == 0:
             continue
         for i, c in enumerate(coords):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import linalg
-from .arrangement import WeightedArrangement
+from bethearr import linalg
+from bethearr.arrangement import WeightedArrangement
 
 
 def is_generic(arr: WeightedArrangement) -> bool:

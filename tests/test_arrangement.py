@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
+from bethearr.osflag import d_A_matrix
 from conftest import line, point_arrangement
 
 F = Fraction
@@ -140,6 +141,14 @@ def test_with_exponents_keeps_geometry(generic3):
     assert arr.hyperplanes == generic3.hyperplanes
     assert arr.exponents == (F(2), F(3), F(5))
     assert arr.dims() == generic3.dims()
+
+
+def test_with_exponents_shares_the_exponent_free_core(concurrent3):
+    arr = with_exponents(concurrent3, [F(2), F(3), F(5)])
+    for p in range(3):
+        assert arr.basis(p) is concurrent3.basis(p)
+    assert arr.basis_coords((1, 2)) is concurrent3.basis_coords((1, 2))
+    assert d_A_matrix(arr, 1) != d_A_matrix(concurrent3, 1)
 
 
 @settings(max_examples=25, deadline=None)

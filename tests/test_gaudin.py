@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethearr import linalg
-from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_residual,
-                             build_discriminantal, canonical_weight_function,
-                             composition_flag, gaudin_hamiltonian,
-                             module_shapovalov_value, point_hyperplane_index,
-                             raising_matrix, singular_dimension,
-                             sl2_shapovalov_diagonal, tensor_shapovalov,
-                             verify_bethe, verify_canonical_element,
+from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
+                             bethe_residual, build_discriminantal,
+                             canonical_weight_function, composition_flag,
+                             gaudin_hamiltonian, module_shapovalov_value,
+                             point_hyperplane_index, raising_matrix,
+                             singular_dimension, sl2_shapovalov_diagonal,
+                             tensor_shapovalov, verify_bethe,
+                             verify_canonical_element,
                              verify_shap_correspondence, weight_basis)
 from bethearr.master import find_critical_points, log_grad
 from bethearr.shapovalov import shapovalov_form
@@ -227,6 +228,18 @@ class TestVerifyBethe:
         eigs = {e["i"]: e["eigenvalue"] for e in r["eigenvectors"]}
         assert abs(eigs[0] - 1.5) < 1e-12
         assert abs(eigs[1] + 1.5) < 1e-12
+
+    def test_closed_form_eigenvalues(self, gaudin_2x1):
+        t = (F(1, 2),)
+        assert bethe_eigenvalue(gaudin_2x1, t, 0) == F(3, 2)
+        assert bethe_eigenvalue(gaudin_2x1, t, 1) == F(-3, 2)
+        r = verify_bethe(gaudin_2x1, t)
+        assert [e["closed_form"] for e in r["eigenvectors"]] == [F(3, 2), F(-3, 2)]
+        assert all(e["rel_err"] <= 1e-12 for e in r["eigenvectors"])
+
+    def test_eigenvector_check_fails_off_critical_points(self, gaudin_2x1):
+        r = verify_bethe(gaudin_2x1, (F(1, 3),))
+        assert not any(e["pass"] for e in r["eigenvectors"])
 
     def test_two_orbits_orthogonal(self, gaudin_3x1):
         arr = build_discriminantal(gaudin_3x1)

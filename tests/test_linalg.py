@@ -1,0 +1,134 @@
+"""The exact elimination engine checked against independent oracles: the
+Leibniz expansion for determinants and the largest nonzero minor for rank."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bethearr import linalg
+
+F = Fraction
+
+entries = st.one_of(
+    st.sampled_from([0, 0, 1, -1, 2]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=4, square=False):
+    """Small rational matrices; half are products through a narrow inner
+    dimension, so rank deficiency is common."""
+    nrows = draw(st.integers(0 if square else 1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    if draw(st.booleans()):
+        return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    inner = draw(st.integers(0, max(nrows, ncols)))
+    left = [[draw(entries) for _ in range(inner)] for _ in range(nrows)]
+    right = [[draw(entries) for _ in range(ncols)] for _ in range(inner)]
+    return [[sum((left[i][t] * right[t][j] for t in range(inner)), F(0))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = F((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def minor_rank(m):
+    """Size of the largest square submatrix with nonzero determinant."""
+    if not m:
+        return 0
+    for r in range(min(len(m), len(m[0])), 0, -1):
+        for rows in itertools.combinations(m, r):
+            for cols in itertools.combinations(range(len(m[0])), r):
+                if leibniz_det([[row[c] for c in cols] for row in rows]) != 0:
+                    return r
+    return 0
+
+
+def combine(coeffs, rows):
+    return [sum((c * row[j] for c, row in zip(coeffs, rows)), F(0))
+            for j in range(len(rows[0]))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_leibniz(m):
+    assert linalg.det(m) == leibniz_det(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rank_is_largest_nonzero_minor(m):
+    assert linalg.rank(m) == minor_rank(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_cols=5))
+def test_nullspace_is_the_kernel_in_reduced_form(m):
+    ncols = len(m[0])
+    kernel = linalg.nullspace(m)
+    assert len(kernel) == ncols - minor_rank(m)
+    for v in kernel:
+        assert linalg.mat_vec(m, v) == [0] * len(m)
+    # one vector per column that is a combination of the columns before it,
+    # 1 there and 0 at the other such columns: the fully reduced echelon basis
+    free = [c for c in range(ncols)
+            if minor_rank([row[:c + 1] for row in m]) == minor_rank([row[:c] for row in m])]
+    assert [[v[c] for c in free] for v in kernel] == [
+        [int(a == b) for b in free] for a in free]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_rows=5))
+def test_independent_rows_skip_only_dependent_rows(m):
+    chosen = linalg.independent_rows(m)
+    assert len(chosen) == minor_rank(m)
+    for i in range(len(m)):
+        before = [m[j] for j in chosen if j < i]
+        if i in chosen:
+            assert minor_rank(before + [m[i]]) == len(before) + 1
+        else:
+            assert minor_rank(before + [m[i]]) == len(before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(max_rows=4, max_cols=4), st.data())
+def test_solve_coords_rebuilds_the_target(m, data):
+    basis = [m[i] for i in linalg.independent_rows(m)]
+    if not basis:
+        return
+    coeffs = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+    assert linalg.solve_coords(basis, combine(coeffs, basis)) == coeffs
+    ncols = len(basis[0])
+    for j in range(ncols):
+        unit = [F(int(c == j)) for c in range(ncols)]
+        if minor_rank(basis + [unit]) > len(basis):
+            with pytest.raises(ValueError):
+                linalg.solve_coords(basis, unit)
+
+
+def test_solve_coords_rejects_dependent_basis_rows():
+    with pytest.raises(ValueError):
+        linalg.solve_coords([[1, 2], [2, 4]], [1, 2])
+
+
+def test_echelon_coords_are_over_the_kept_rows():
+    ech = linalg.Echelon()
+    assert ech.add([0, 2, 1])
+    assert ech.add([1, 1, 0])
+    assert not ech.add([2, 4, 1])
+    assert ech.coords([3, 1, -1]) == [F(-1), F(3)]
+    with pytest.raises(ValueError):
+        ech.coords([0, 0, 1])

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from bethearr import linalg
 from bethearr.arrangement import with_exponents
-from bethearr.generic_ops import (dependency_constant, is_generic, k_operator,
-                                  l_operator, standard_basis)
 from bethearr.osflag import FlagVector, pairing
 from bethearr.shapovalov import (shapovalov_form, shapovalov_map,
                                  special_pairing)
 from bethearr.special import specialize
+from generic_ops import (dependency_constant, is_generic, k_operator,
+                         l_operator, standard_basis)
 
 F = Fraction
 
