@@ -1,9 +1,9 @@
 """Weighted affine hyperplane arrangements and their combinatorics.
 
 An arrangement is a finite ordered list of affine hyperplanes in C^k with
-an exponent attached to each hyperplane.  All combinatorial questions
-(ranks, circuits, bases) are answered by exact rational linear algebra when
-the coefficients are rational; basis dimensions are cross-checked against
+rational coefficients and an exponent attached to each hyperplane.  All
+combinatorial questions (ranks, circuits, bases, straightening) are answered
+by exact rational linear algebra; basis dimensions are cross-checked against
 the evaluation-rank oracle built from the logarithmic-form realization.
 """
 
@@ -15,23 +15,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .scalars import Scalar, all_exact, format_scalar, is_exact, parse_scalar
+from .scalars import Scalar, format_scalar, is_exact, parse_scalar, to_rational
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Affine hyperplane b0 + b[0]*t_1 + ... + b[k-1]*t_k = 0."""
+    """Affine hyperplane b0 + b[0]*t_1 + ... + b[k-1]*t_k = 0 with rational
+    coefficients; floats are taken at their exact binary value
+    (scalars.to_rational), and complex or non-finite ones raise ValueError."""
 
     b0: Scalar
     b: tuple
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "b0", to_rational(self.b0))
+        object.__setattr__(self, "b", tuple(map(to_rational, self.b)))
         if all(x == 0 for x in self.b):
             raise ValueError(f"hyperplane {self.label!r}: coefficient vector is zero")
-        object.__setattr__(self, "b", tuple(self.b))
 
     def evaluate(self, t):
         return self.b0 + sum(bi * ti for bi, ti in zip(self.b, t))
@@ -55,7 +58,7 @@ class _Core:
         self.candidates = {}  # p -> general-position p-subsets, lex order
         self.rows = {}        # p -> {candidate: its evaluation row}
         self.bases = {}       # p -> validated basis of A^p
-        self.echelons = {}    # p -> Echelon of the basis rows (None if inexact)
+        self.echelons = {}    # p -> Echelon of the basis rows
         self.coords = {}      # sorted monomial -> coordinates over its basis
 
 
@@ -109,17 +112,11 @@ class WeightedArrangement:
     def n(self) -> int:
         return len(self.hyperplanes)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(
-            is_exact(h.b0) and all_exact(h.b) for h in self.hyperplanes
-        ) and all_exact(self.exponents)
-
     def evaluate_all(self, t):
         return [h.evaluate(t) for h in self.hyperplanes]
 
     def contains_point(self, t, tol=1e-12) -> bool:
-        """True if t lies on some hyperplane (within tol in float mode)."""
+        """True if t lies on some hyperplane (within tol at an inexact point)."""
         for v in self.evaluate_all(t):
             if is_exact(v):
                 if v == 0:
@@ -264,10 +261,10 @@ class WeightedArrangement:
         """Validated basis of A^p: nbc sets if the oracle confirms them,
         otherwise a greedy lex-first independent subset of monomial rows.
 
-        With exact coefficients one echelon takes the nbc rows first and then
-        the other candidate rows: the nbc sets are a basis iff their rows are
-        independent and no other row leaves their span.  The echelon of the
-        basis rows is kept for straightening.
+        One echelon takes the nbc rows first and then the other candidate
+        rows: the nbc sets are a basis iff their rows are independent and no
+        other row leaves their span.  The echelon of the basis rows is kept
+        for straightening.
         """
         core = self._core
         if p in core.bases:
@@ -277,15 +274,10 @@ class WeightedArrangement:
         candidates, rows = self.evaluation_matrix(p)
         row_of = core.rows[p] = dict(zip(candidates, rows))
         nbc = self.nbc_sets(p)
-        nbc_rows = [row_of[s] for s in nbc]
-        echelon = None
-        if all(is_exact(h.b0) and all_exact(h.b) for h in self.hyperplanes):
-            echelon = linalg.Echelon()
-            others = [row for s, row in row_of.items() if s not in nbc]
-            confirmed = all(map(echelon.add, nbc_rows)) and not any(
-                map(echelon.add, others))
-        else:
-            confirmed = len(linalg.independent_rows(rows)) == len(nbc) == linalg.rank(nbc_rows)
+        echelon = linalg.Echelon()
+        others = [row for s, row in row_of.items() if s not in nbc]
+        confirmed = all(echelon.add(row_of[s]) for s in nbc) and not any(
+            map(echelon.add, others))
         basis = nbc
         if not confirmed:
             basis = [candidates[i] for i in linalg.independent_rows(rows)]
@@ -293,8 +285,7 @@ class WeightedArrangement:
                 "degree %d: nbc count %d disagrees with evaluation rank %d; "
                 "using oracle basis", p, len(nbc), len(basis),
             )
-            if echelon is not None:
-                echelon = linalg.Echelon(row_of[s] for s in basis)
+            echelon = linalg.Echelon(row_of[s] for s in basis)
         core.echelons[p] = echelon
         core.bases[p] = basis
         return basis
@@ -319,10 +310,8 @@ class WeightedArrangement:
                 coords = [Fraction(int(s == subset)) for s in basis]
             elif subset not in row_of:
                 coords = [Fraction(0)] * len(basis)
-            elif echelon is not None:
-                coords = echelon.coords(row_of[subset])
             else:
-                coords = linalg.solve_coords([row_of[s] for s in basis], row_of[subset])
+                coords = echelon.coords(row_of[subset])
             core.coords[subset] = coords
         return core.coords[subset]
 

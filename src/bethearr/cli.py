@@ -82,23 +82,13 @@ def _emit(report: dict, args) -> None:
     report = {"schema_version": SCHEMA_VERSION, **report}
     text = json.dumps(_render(report), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report to {args.out}: {exc}") from exc
     else:
         print(text)
-
-
-def _to_float_arrangement(arr: WeightedArrangement, args) -> WeightedArrangement:
-    if args.mode == "exact":
-        return arr
-    from .arrangement import Hyperplane
-    hyperplanes = [
-        Hyperplane(complex(h.b0), tuple(complex(x) for x in h.b), h.label)
-        for h in arr.hyperplanes
-    ]
-    return WeightedArrangement(
-        arr.ambient_dim, hyperplanes, [complex(a) for a in arr.exponents]
-    )
 
 
 def _critical_points(arr, args):
@@ -126,7 +116,7 @@ def _point_report(cp: CriticalPoint) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    arr = _to_float_arrangement(_load_arrangement(args.file), args)
+    arr = _load_arrangement(args.file)
     report = {
         "command": "analyze",
         "n_hyperplanes": arr.n,
@@ -142,7 +132,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    arr = _to_float_arrangement(_load_arrangement(args.file), args)
+    arr = _load_arrangement(args.file)
     points = _critical_points(arr, args)
     report = {
         "command": "critical",
@@ -158,7 +148,7 @@ def cmd_critical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    arr = _to_float_arrangement(_load_arrangement(args.file), args)
+    arr = _load_arrangement(args.file)
     points = _critical_points(arr, args)
     tol = args.tol_verify
     checks = []
@@ -213,6 +203,10 @@ def cmd_gaudin(args) -> int:
     problem = _load_gaudin(args.file)
     if not problem.is_sl2:
         raise PreconditionError("module-level checks require sl2 data")
+    if not gd.weight_basis(problem):
+        raise PreconditionError(
+            f"the weight space is zero: k = {problem.k} exceeds the sum of the "
+            "highest weights")
     k = problem.k
     report = {"command": "gaudin", "seed": args.seed, "k": k,
               "sing_dim": gd.singular_dimension(problem)}
@@ -316,11 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--starts", type=int, default=100)
         p.add_argument("--tol-newton", type=float, default=1e-12)
         p.add_argument("--tol-verify", type=float, default=1e-8)
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--exact", dest="mode", action="store_const",
-                          const="exact", default="exact")
-        mode.add_argument("--float", dest="mode", action="store_const",
-                          const="float")
         p.add_argument("--out", default=None, help="write the report here")
         p.set_defaults(func=func)
     return parser
@@ -330,6 +319,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.tol_newton <= 0 or args.tol_verify <= 0:
         print("error: tolerances must be positive", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.seed < 0 or args.starts < 0:
+        print("error: --seed and --starts must be nonnegative", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)

@@ -19,7 +19,7 @@ from . import linalg
 from .arrangement import Hyperplane, WeightedArrangement
 from .master import hess_det
 from .osflag import flag_vector
-from .scalars import Scalar, format_scalar, parse_scalar, scalar_abs
+from .scalars import Scalar, format_scalar, parse_scalar, scalar_abs, to_rational
 from .shapovalov import shapovalov_form
 from .special import build_action, isotypic_project, permutation_sign, specialize
 
@@ -66,7 +66,9 @@ class GaudinProblem:
     """Weights at marked points plus a root multiplicity vector.
 
     weights[s] lists the coroot values of Lambda_s; kvec[i] counts the
-    variables attached to simple root alpha_{i+1}.
+    variables attached to simple root alpha_{i+1}.  The marked points z are
+    rational (scalars.to_rational), since they are coefficients of the
+    discriminantal arrangement.
     """
 
     cartan: CartanDatum
@@ -77,7 +79,7 @@ class GaudinProblem:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(tuple(w) for w in self.weights))
         object.__setattr__(self, "kvec", tuple(self.kvec))
-        object.__setattr__(self, "z", tuple(self.z))
+        object.__setattr__(self, "z", tuple(map(to_rational, self.z)))
         for w in self.weights:
             if len(w) != self.cartan.rank:
                 raise ValueError("each weight needs one coroot value per simple root")
@@ -87,12 +89,8 @@ class GaudinProblem:
             raise ValueError("k entries must be nonnegative integers")
         if len(self.z) != len(self.weights):
             raise ValueError("need one marked point per weight")
-        for i, j in itertools.combinations(range(len(self.z)), 2):
-            zi, zj = self.z[i], self.z[j]
-            if zi == zj or (
-                not isinstance(zi - zj, (int, Fraction)) and abs(complex(zi - zj)) < 1e-12
-            ):
-                raise ValueError("marked points must be distinct")
+        if len(set(self.z)) != len(self.z):
+            raise ValueError("marked points must be distinct")
 
     @property
     def n(self) -> int:

@@ -1,13 +1,16 @@
-"""Small dense linear algebra over exact rationals or complex floats.
+"""Small dense linear algebra over exact rationals, and over complex floats
+where values at points need it.
 
-Matrices are lists of row lists.  Every routine dispatches on the entry
-types.  Exact input (ints and Fractions) goes through one engine, the
-incremental row echelon `Echelon`: rows are added one at a time, and the
+Matrices are lists of row lists.  Exact arithmetic goes through one engine,
+the incremental row echelon `Echelon`: rows are added one at a time, and the
 echelon answers whether a row is new and, if it is not, its coordinates over
-the rows kept so far.  `rank`, `independent_rows`, `solve_coords`,
-`nullspace` and `det` are thin uses of it, and their results are exact.  Any
-other input goes to numpy with a relative tolerance.  The exact path is the
-authoritative one for basis selection and straightening.
+the rows kept so far.  `rank`, `independent_rows` and `solve_coords` use
+only the echelon (a float entry is read at its exact binary value; a complex
+one raises TypeError): they serve the combinatorics (ranks, circuits, bases,
+straightening), which the rational coefficients of an arrangement fix.
+`nullspace` and `det` use the echelon on rational input and numpy, with a
+relative tolerance, on anything else, such as a log-Hessian at a complex
+point or a matrix built from complex exponents.
 """
 
 from __future__ import annotations
@@ -110,55 +113,26 @@ class Echelon:
 
 
 def rank(rows) -> int:
-    if _matrix_exact(rows):
-        return len(Echelon(rows))
-    a = _to_ndarray(rows)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > _FLOAT_TOL * max(1.0, s[0])))
+    """Exact rank of a rational matrix."""
+    return len(Echelon(rows))
 
 
 def independent_rows(rows) -> list[int]:
     """Indices of a maximal independent subset of rows, greedy in order."""
-    if _matrix_exact(rows):
-        ech = Echelon()
-        return [i for i, row in enumerate(rows) if ech.add(row)]
-    chosen = []
-    basis: list[np.ndarray] = []
-    for i, row in enumerate(rows):
-        v = np.array([complex(x) for x in row])
-        scale = max(1.0, float(np.linalg.norm(v)))
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        if np.linalg.norm(v) > _FLOAT_TOL * scale:
-            basis.append(v / np.linalg.norm(v))
-            chosen.append(i)
-    return chosen
+    ech = Echelon()
+    return [i for i, row in enumerate(rows) if ech.add(row)]
 
 
 def solve_coords(basis_rows, target):
-    """Coefficients x with sum_i x_i * basis_rows[i] == target.
+    """Coefficients x with sum_i x_i * basis_rows[i] == target, exactly.
 
-    basis_rows must be linearly independent (ValueError otherwise, on exact
-    input); raises ValueError if target is not in their span.
+    Raises ValueError if basis_rows are linearly dependent or target is not
+    in their span.
     """
-    if not basis_rows:
-        if any(x != 0 for x in target):
-            raise ValueError("target not in span of empty basis")
-        return []
-    if _matrix_exact(basis_rows) and all(is_exact(x) for x in target):
-        ech = Echelon()
-        if not all(map(ech.add, basis_rows)):
-            raise ValueError("basis rows are linearly dependent")
-        return ech.coords(target)
-    a = _to_ndarray(basis_rows).T
-    b = np.array([complex(x) for x in target])
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    resid = np.linalg.norm(a @ x - b)
-    if resid > 1e-6 * max(1.0, float(np.linalg.norm(b))):
-        raise ValueError(f"target not in span of basis rows (residual {resid:.3e})")
-    return list(x)
+    ech = Echelon()
+    if not all(map(ech.add, basis_rows)):
+        raise ValueError("basis rows are linearly dependent")
+    return ech.coords(target)
 
 
 def nullspace(rows, ncols=None):

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import linalg
 from .arrangement import WeightedArrangement
-from .scalars import is_exact
 
 
 @dataclass

@@ -1,14 +1,16 @@
 """Scalar helpers: exact rationals, complex numbers, JSON round-tripping.
 
-Exact mode uses ``fractions.Fraction``; anything else is coerced to complex.
-Mixed arithmetic (Fraction with complex) degrades to complex automatically,
+Hyperplane coefficients and marked points are exact: `to_rational` turns
+them into ints or Fractions.  Exponents and points may also be complex;
+mixed arithmetic (Fraction with complex) degrades to complex automatically,
 which is what every caller in this package relies on.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 from typing import Union
 
 Scalar = Union[int, Fraction, float, complex]
@@ -19,24 +21,41 @@ def is_exact(x) -> bool:
     return isinstance(x, Rational)
 
 
-def all_exact(values) -> bool:
-    return all(is_exact(x) for x in values)
+def to_rational(x):
+    """x as an exact rational.  Ints and Fractions are returned unchanged; a
+    float, or a complex number with zero imaginary part, becomes its exact
+    binary value.  Raises ValueError on anything non-real or non-finite."""
+    if isinstance(x, Rational):
+        return x
+    if isinstance(x, complex) and x.imag == 0:
+        x = x.real
+    if isinstance(x, Real) and cmath.isfinite(x):
+        return Fraction(float(x))
+    raise ValueError(f"not a finite real number: {x!r}")
 
 
 def parse_scalar(obj) -> Scalar:
-    """Parse a JSON scalar: "p/q" string, integer, float, or [re, im] pair."""
+    """Parse a JSON scalar: "p/q" string, integer, float, or [re, im] pair.
+    NaN and infinities are rejected."""
     if isinstance(obj, str):
-        return Fraction(obj)
+        try:
+            return Fraction(obj)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"not a finite number: {obj!r}") from exc
     if isinstance(obj, bool):
         raise ValueError(f"not a scalar: {obj!r}")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        value = obj
+    elif isinstance(obj, (list, tuple)) and len(obj) == 2:
         re, im = obj
-        return complex(float(re), float(im))
-    raise ValueError(f"cannot parse scalar from {obj!r}")
+        value = complex(float(re), float(im))
+    else:
+        raise ValueError(f"cannot parse scalar from {obj!r}")
+    if not cmath.isfinite(value):
+        raise ValueError(f"not a finite number: {obj!r}")
+    return value
 
 
 def format_scalar(x):

@@ -3,7 +3,6 @@ closed-form pairing of special vectors."""
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -52,18 +51,17 @@ def shapovalov_map(arr: WeightedArrangement, flag: FlagVector) -> OSElement:
 
 
 def special_pairing(arr: WeightedArrangement, t1, t2) -> Scalar:
-    """S^(a)(v(t1), v(t2)) by the direct k-subset formula:
-    sum over k-subsets of D^2 * prod a(H) / (f(t1) f(t2))."""
+    """S^(a)(v(t1), v(t2)) by the direct k-subset formula: sum over
+    general-position k-subsets of D^2 * prod a(H) / (f(t1) f(t2)), where D is
+    the (nonzero) determinant of their coefficient vectors."""
     k = arr.ambient_dim
     if arr.contains_point(t1) or arr.contains_point(t2):
         raise ValueError("point on arrangement")
     values1 = arr.evaluate_all(t1)
     values2 = arr.evaluate_all(t2)
     total = Fraction(0)
-    for subset in itertools.combinations(range(arr.n), k):
+    for subset in arr.candidate_monomials(k):
         d = linalg.det([list(arr.hyperplanes[j].b) for j in subset])
-        if d == 0:
-            continue
         term = d * d
         for j in subset:
             term = term * arr.exponents[j] / (values1[j] * values2[j])

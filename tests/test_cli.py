@@ -84,6 +84,44 @@ class TestAnalyze:
         code, _, _ = run_main(["analyze", str(path)], capsys)
         assert code == 2
 
+    def test_float_coefficients_are_read_exactly(self, tmp_path, capsys):
+        """A generic k=2, n=7 arrangement spelled with JSON floats has the
+        generic dims C(7, p) and chi = 15 (Orlik-Terao)."""
+        lines = [(-8, 4, -8), (9, -3, -3), (6, 3, -8), (-6, -6, 1),
+                 (-4, 7, -1), (-4, 8, -9), (4, -7, -9)]
+        path = tmp_path / "float7.json"
+        path.write_text(json.dumps({
+            "dim": 2,
+            "hyperplanes": [{"b0": float(b0), "b": [float(b1), float(b2)]}
+                            for b0, b1, b2 in lines],
+            "exponents": [1.0] * 7,
+        }))
+        code, out, _ = run_main(["analyze", str(path)], capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["dims"] == [1, 7, 21]
+        assert report["chi"] == 15
+
+    @pytest.mark.parametrize("field, value", [
+        ("b0", [1.0, 0.5]),
+        ("b0", float("nan")),
+        ("b", [float("inf"), 1.0]),
+        ("b0", "1/0"),
+        ("exponent", float("nan")),
+    ], ids=["complex-b0", "nan-b0", "inf-b", "zero-denominator-b0", "nan-exponent"])
+    def test_non_rational_or_non_finite_input_exits_2(
+            self, generic4, tmp_path, capsys, field, value):
+        data = generic4.to_json()
+        if field == "exponent":
+            data["exponents"][0] = value
+        else:
+            data["hyperplanes"][0][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_main(["verify", str(path)], capsys)
+        assert code == 2
+        assert "input error" in err
+
 
 class TestCritical:
     def test_finds_three_points(self, gen4_file, capsys):
@@ -153,6 +191,27 @@ class TestGaudin:
         assert code == 3
         assert "sl2" in err
 
+    def test_empty_weight_space_exits_3(self, tmp_path, capsys, gaudin_2x1):
+        data = gaudin_2x1.to_json()
+        data["k"] = [3]   # k > m_1 + m_2 = 2
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_main(["gaudin", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "weight space is zero" in err
+
+    @pytest.mark.parametrize("z", [[1.0, 1.0], float("nan")], ids=["complex", "nan"])
+    def test_non_rational_marked_point_exits_2(self, gaudin_file, capsys, z):
+        with open(gaudin_file) as fh:
+            data = json.load(fh)
+        data["z"][1] = z
+        with open(gaudin_file, "w") as fh:
+            json.dump(data, fh)
+        code, _, err = run_main(["gaudin", gaudin_file], capsys)
+        assert code == 2
+        assert "input error" in err
+
 
 class TestFlags:
     def test_bad_tolerance_exits_2(self, gen4_file, capsys):
@@ -160,6 +219,25 @@ class TestFlags:
             ["critical", gen4_file, "--tol-newton", "-1"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--starts", "-1"],
+        ["--out", "missing-dir/report.json"],
+    ], ids=["seed", "starts", "out"])
+    def test_bad_flag_exits_2(self, gen4_file, tmp_path, capsys, flags):
+        if flags[0] == "--out":
+            flags = ["--out", str(tmp_path / flags[1])]
+        code, out, err = run_main(["critical", gen4_file, "--starts", "5", *flags],
+                                  capsys)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_float_switch_is_gone(self, gen4_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", gen4_file, "--float"])
+        assert exc.value.code == 2
 
     def test_console_script_entry_point(self, gen4_file):
         result = subprocess.run(
