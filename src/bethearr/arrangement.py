@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .scalars import Scalar, format_scalar, is_exact, parse_scalar, to_rational
+from .scalars import Scalar, format_scalar, is_exact, parse_scalar, to_int, to_rational
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +69,7 @@ class WeightedArrangement:
     lives in an exponent-free core that is filled lazily.
     """
 
-    def __init__(self, ambient_dim: int, hyperplanes, exponents, check_vertex=True):
+    def __init__(self, ambient_dim: int, hyperplanes, exponents):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         hyperplanes = list(hyperplanes)
@@ -83,7 +83,7 @@ class WeightedArrangement:
         self.hyperplanes = tuple(hyperplanes)
         self.exponents = tuple(exponents)
         self._check_distinct()
-        if check_vertex and not self.has_vertex():
+        if not self.has_vertex():
             raise ValueError("arrangement has no vertex")
         self._core = _Core()
 
@@ -337,7 +337,7 @@ class WeightedArrangement:
     @classmethod
     def from_json(cls, data: dict) -> "WeightedArrangement":
         try:
-            k = int(data["dim"])
+            k = to_int(data["dim"])
             hyperplanes = [
                 Hyperplane(
                     b0=parse_scalar(h["b0"]),

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import gaudin as gd
 from .arrangement import WeightedArrangement
-from .master import (CriticalPoint, find_critical_points, group_orbits,
-                     hess_det, symmetric_group)
+from .master import CriticalPoint, find_critical_points, group_orbits, symmetric_group
 from .scalars import format_scalar
-from .special import verify_norm_identity, verify_orthogonality, verify_singular
+from .special import (verify_norm_identity, verify_orthogonality, verify_singular,
+                      verify_singular_at_critical)
 
 SCHEMA_VERSION = 1
 
@@ -97,11 +97,6 @@ def _critical_points(arr, args):
     )
 
 
-def _check(name, lhs, rhs, abs_err, ok) -> dict:
-    """One row of a verification report."""
-    return {"name": name, "lhs": lhs, "rhs": rhs, "abs_err": abs_err, "pass": ok}
-
-
 def _point_report(cp: CriticalPoint) -> dict:
     return {
         "t": list(cp.t),
@@ -154,15 +149,9 @@ def cmd_verify(args) -> int:
     checks = []
 
     for idx, cp in enumerate(points):
-        sing = verify_singular(arr, cp.t, tol=max(tol, 1e-8))
-        checks.append(_check(
-            f"singular_at_critical_{idx}", sing["delta_norm"], 0.0, sing["delta_norm"],
-            sing["is_critical"] and sing["delta_norm"] <= max(tol, 1e-8)))
-        norm = verify_norm_identity(arr, cp.t)
-        scale = max(abs(complex(norm["rhs"])), 1e-300)
-        checks.append(_check(
-            f"norm_identity_{idx}", complex(norm["lhs"]), complex(norm["rhs"]),
-            norm["abs_err"], norm["abs_err"] <= tol * scale))
+        checks.append(verify_singular_at_critical(
+            arr, cp.t, tol=max(tol, 1e-8), name=f"singular_at_critical_{idx}"))
+        checks.append(verify_norm_identity(arr, cp.t, tol=tol, name=f"norm_identity_{idx}"))
 
     rng = np.random.default_rng(args.seed + 1)
     controls = 0
@@ -176,14 +165,11 @@ def cmd_verify(args) -> int:
         if arr.contains_point(t):
             continue
         controls += 1
-        sing = verify_singular(arr, t)
-        checks.append(_check(f"control_point_{controls}", sing["delta_norm"],
-                             sing["grad_norm"], 0.0, sing["pass"]))
+        checks.append(verify_singular(arr, t, name=f"control_point_{controls}"))
 
     for i, j in itertools.combinations(range(len(points)), 2):
-        orth = verify_orthogonality(arr, points[i].t, points[j].t, tol=max(tol, 1e-10))
-        checks.append(_check(f"orthogonality_{i}_{j}", complex(orth["value"]), 0.0,
-                             abs(complex(orth["value"])), orth["pass"]))
+        checks.append(verify_orthogonality(arr, points[i].t, points[j].t,
+                                           tol=max(tol, 1e-10), name=f"orthogonality_{i}_{j}"))
 
     ok = all(c["pass"] for c in checks)
     report = {
@@ -210,20 +196,11 @@ def cmd_gaudin(args) -> int:
     k = problem.k
     report = {"command": "gaudin", "seed": args.seed, "k": k,
               "sing_dim": gd.singular_dimension(problem)}
-    checks = []
-
-    if k == 0:
-        omega = gd.canonical_weight_function(problem, ())
-        norm = gd.tensor_shapovalov(problem, omega, omega)
-        checks.append(_check("trivial_norm", norm, Fraction(1),
-                             abs(complex(norm) - 1), norm == 1))
-        representatives = []
-    else:
-        arr = gd.build_discriminantal(problem)
-        points = _critical_points(arr, args)
-        points = group_orbits(points, symmetric_group(k))
+    representatives = []
+    if k:
+        points = group_orbits(_critical_points(gd.build_discriminantal(problem), args),
+                              symmetric_group(k))
         seen = set()
-        representatives = []
         for cp in points:
             if cp.orbit_id in seen or not cp.nondegenerate:
                 continue
@@ -235,49 +212,15 @@ def cmd_gaudin(args) -> int:
         report["n_points"] = len(points)
         report["n_orbits"] = len(representatives)
 
-        for idx, cp in enumerate(representatives):
-            others = [r.t for r in representatives if r is not cp]
-            bethe = gd.verify_bethe(problem, cp.t, others=others, tol=args.tol_verify)
-            checks.append(_check(f"bethe_singular_{idx}", bethe["singular_err"], 0.0,
-                                 bethe["singular_err"], bethe["singular_pass"]))
-            checks.append(_check(f"bethe_norm_{idx}", bethe["norm_lhs"], bethe["norm_rhs"],
-                                 abs(bethe["norm_lhs"] - bethe["norm_rhs"]),
-                                 bethe["norm_pass"]))
-            for e in bethe["eigenvectors"]:
-                checks.append(_check(f"bethe_eigenvector_{idx}_K{e['i'] + 1}",
-                                     e["eigenvalue"], e["closed_form"], e["rel_err"],
-                                     e["pass"]))
-            for o in bethe["orthogonality"]:
-                checks.append(_check(f"bethe_orthogonality_{idx}_{o['other']}",
-                                     o["value"], 0.0, abs(o["value"]), o["pass"]))
-
+    checks = gd.verify_bethe(problem, [cp.t for cp in representatives], tol=args.tol_verify)
+    if 0 < k <= 3:
+        checks.append(gd.verify_shap_correspondence(problem))
         if representatives:
-            vectors = [gd.canonical_weight_function(problem, cp.t)
-                       for cp in representatives]
-            gram = np.array([
-                [complex(gd.tensor_shapovalov(problem, a, b)) for b in vectors]
-                for a in vectors
-            ])
-            rank = int(np.linalg.matrix_rank(gram))
-            checks.append(_check(
-                "gram_rank_vs_sing_dim", rank, report["sing_dim"],
-                abs(rank - report["sing_dim"]),
-                rank == len(representatives) and rank <= report["sing_dim"]))
-
-        if k <= 3:
-            shap = gd.verify_shap_correspondence(problem)
-            checks.append(_check("shapovalov_correspondence", shap["factor"],
-                                 shap["expected_factor"], 0 if shap["pass"] else 1,
-                                 shap["pass"]))
-            if representatives:
-                canonical = gd.verify_canonical_element(
-                    problem, representatives[0].t,
-                    representatives[1].t if len(representatives) > 1 else None,
-                    tol=args.tol_verify,
-                )
-                for i, c in enumerate(canonical["checks"]):
-                    checks.append(_check(f"canonical_element_{i}", c["lhs"], c["rhs"],
-                                         c["rel_err"], c["pass"]))
+            checks.extend(gd.verify_canonical_element(
+                problem, representatives[0].t,
+                representatives[1].t if len(representatives) > 1 else None,
+                tol=args.tol_verify,
+            ))
 
     ok = all(c["pass"] for c in checks)
     report["checks"] = checks

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -19,9 +20,11 @@ from . import linalg
 from .arrangement import Hyperplane, WeightedArrangement
 from .master import hess_det
 from .osflag import flag_vector
-from .scalars import Scalar, format_scalar, parse_scalar, scalar_abs, to_rational
+from .scalars import (Scalar, format_scalar, parse_scalar, scalar_abs, to_int,
+                      to_rational)
 from .shapovalov import shapovalov_form
-from .special import build_action, isotypic_project, permutation_sign, specialize
+from .special import (build_action, check, isotypic_project, permutation_sign,
+                      specialize)
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,11 @@ class GaudinProblem:
 
     @property
     def is_sl2(self) -> bool:
+        """Rank one with every highest weight a nonnegative integer; a
+        complex weight is not sl2 data, even with zero imaginary part."""
         return self.cartan.rank == 1 and all(
-            w[0] == int(w[0]) and w[0] >= 0 for w in self.weights
+            isinstance(w[0], Real) and w[0] >= 0 and w[0] == int(w[0])
+            for w in self.weights
         )
 
     def sl2_highest_weights(self) -> tuple:
@@ -139,13 +145,14 @@ class GaudinProblem:
     def from_json(cls, data: dict) -> "GaudinProblem":
         try:
             c = data["cartan"]
+            rank = to_int(c["rank"])
             cartan = CartanDatum(
-                rank=int(c["rank"]),
-                a=tuple(tuple(int(x) for x in row) for row in c["A"]),
-                d=tuple(parse_scalar(x) for x in c.get("d", [1] * int(c["rank"]))),
+                rank=rank,
+                a=tuple(tuple(to_int(x) for x in row) for row in c["A"]),
+                d=tuple(parse_scalar(x) for x in c.get("d", [1] * rank)),
             )
             weights = tuple(tuple(parse_scalar(x) for x in w) for w in data["weights"])
-            kvec = tuple(int(x) for x in data["k"])
+            kvec = tuple(to_int(x) for x in data["k"])
             z = tuple(parse_scalar(x) for x in data["z"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed Gaudin problem JSON: {exc}") from exc
@@ -353,13 +360,6 @@ def singular_dimension(p: GaudinProblem) -> int:
     return len(basis) - linalg.rank(mat)
 
 
-def apply_raising(p: GaudinProblem, x: TensorVector):
-    """Coordinates of e_total x in the degree-(k-1) weight basis."""
-    if p.k == 0:
-        return []
-    return linalg.mat_vec(raising_matrix(p), list(x.coords))
-
-
 def gaudin_hamiltonian(p: GaudinProblem, i: int):
     """Matrix of K_i = sum_{j != i} Omega^(i,j) / (z_i - z_j) on the weight
     basis, with Omega = e x f + f x e + h x h / 2."""
@@ -436,107 +436,87 @@ def bethe_eigenvalue(p: GaudinProblem, t, s: int):
     return lam + sum(m[s] / (ti - p.z[s]) for ti in t)
 
 
-def verify_bethe(p: GaudinProblem, t, others=(), tol=1e-8) -> dict:
-    """Checks at a critical point t: omega is singular, an eigenvector of
-    every Hamiltonian with the closed-form eigenvalue (each entry also
-    carries the Rayleigh quotient), has norm equal to the log-Hessian
-    determinant of the master function, and is orthogonal to the omega of
-    each point in others."""
-    omega = canonical_weight_function(p, t)
-    w = np.array([complex(x) for x in omega.coords])
-    wnorm = float(np.linalg.norm(w))
-    if wnorm == 0.0:
-        raise ValueError("weight function vanished at the given point")
-
-    ew = apply_raising(p, omega)
-    singular_err = (
-        float(np.linalg.norm([complex(x) for x in ew])) / wnorm if p.k else 0.0
-    )
-
-    eigen = []
-    for i in range(p.n):
-        mat = np.array(
-            [[complex(x) for x in row] for row in gaudin_hamiltonian(p, i)]
-        )
-        kw = mat @ w
-        rayleigh = complex(np.vdot(w, kw) / np.vdot(w, w))
-        lam = bethe_eigenvalue(p, t, i)
-        err = float(np.linalg.norm(kw - complex(lam) * w)) / wnorm
-        eigen.append({"i": i, "eigenvalue": rayleigh, "closed_form": lam,
-                      "rel_err": err, "pass": err <= tol})
-
-    if p.k:
-        arr = build_discriminantal(p)
-        rhs = complex(hess_det(arr, tuple(t)))
-    else:
-        rhs = complex(1)
-    lhs = complex(tensor_shapovalov(p, omega, omega))
-    norm_err = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-
-    orth = []
-    for idx, t2 in enumerate(others):
-        omega2 = canonical_weight_function(p, t2)
-        value = complex(tensor_shapovalov(p, omega, omega2))
-        scale = math.sqrt(
-            abs(complex(tensor_shapovalov(p, omega, omega)))
-            * abs(complex(tensor_shapovalov(p, omega2, omega2)))
-        )
-        orth.append({
-            "other": idx,
-            "value": value,
-            "rel": abs(value) / max(scale, 1e-300),
-            "pass": abs(value) <= tol * max(scale, 1e-300),
-        })
-
-    return {
-        "singular_err": singular_err,
-        "singular_pass": singular_err <= tol,
-        "eigenvectors": eigen,
-        "norm_lhs": lhs,
-        "norm_rhs": rhs,
-        "norm_rel_err": norm_err,
-        "norm_pass": norm_err <= tol,
-        "orthogonality": orth,
-        "pass": (
-            singular_err <= tol
-            and all(e["pass"] for e in eigen)
-            and norm_err <= tol
-            and all(o["pass"] for o in orth)
-        ),
-    }
+def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
+    """Report rows for the Bethe vectors omega(t) of critical points t, one
+    point per orbit.  For each point: omega is singular, has norm equal to
+    the log-Hessian determinant of the master function, is an eigenvector
+    of every Hamiltonian with the closed-form eigenvalue (lhs is the
+    Rayleigh quotient) and is orthogonal to the omega of every other point.
+    A last row compares the rank of their Gram matrix with dim Sing V.  For
+    k = 0 the only Bethe vector is omega = v, and the one row checks
+    S(v, v) = 1."""
+    if p.k == 0:
+        omega = canonical_weight_function(p, ())
+        norm = tensor_shapovalov(p, omega, omega)
+        return [check("trivial_norm", norm, Fraction(1), abs(complex(norm) - 1), norm == 1)]
+    arr = build_discriminantal(p)
+    raising = raising_matrix(p)
+    hamiltonians = [np.array([[complex(x) for x in row] for row in gaudin_hamiltonian(p, s)])
+                    for s in range(p.n)]
+    omegas = [canonical_weight_function(p, t) for t in points]
+    gram = [[complex(tensor_shapovalov(p, a, b)) for b in omegas] for a in omegas]
+    rows = []
+    for idx, (t, omega) in enumerate(zip(points, omegas)):
+        w = np.array([complex(x) for x in omega.coords])
+        wnorm = float(np.linalg.norm(w))
+        if wnorm == 0.0:
+            raise ValueError("weight function vanished at the given point")
+        ew = linalg.mat_vec(raising, list(omega.coords))
+        singular_err = float(np.linalg.norm([complex(x) for x in ew])) / wnorm
+        rows.append(check(f"bethe_singular_{idx}", singular_err, 0.0, singular_err,
+                          singular_err <= tol))
+        lhs, rhs = gram[idx][idx], complex(hess_det(arr, tuple(t)))
+        rows.append(check(f"bethe_norm_{idx}", lhs, rhs, abs(lhs - rhs),
+                          abs(lhs - rhs) / max(abs(rhs), 1e-300) <= tol))
+        for s, mat in enumerate(hamiltonians):
+            kw = mat @ w
+            rayleigh = complex(np.vdot(w, kw) / np.vdot(w, w))
+            lam = bethe_eigenvalue(p, t, s)
+            err = float(np.linalg.norm(kw - complex(lam) * w)) / wnorm
+            rows.append(check(f"bethe_eigenvector_{idx}_K{s + 1}", rayleigh, lam, err,
+                              err <= tol))
+        others = [j for j in range(len(points)) if j != idx]
+        for o, j in enumerate(others):
+            value = gram[idx][j]
+            scale = math.sqrt(abs(gram[idx][idx]) * abs(gram[j][j]))
+            rows.append(check(f"bethe_orthogonality_{idx}_{o}", value, 0.0, abs(value),
+                              abs(value) <= tol * max(scale, 1e-300)))
+    if points:
+        rank = int(np.linalg.matrix_rank(np.array(gram)))
+        sing_dim = singular_dimension(p)
+        rows.append(check("gram_rank_vs_sing_dim", rank, sing_dim, abs(rank - sing_dim),
+                          rank == len(points) and rank <= sing_dim))
+    return rows
 
 
 def verify_shap_correspondence(p: GaudinProblem) -> dict:
     """Module Shapovalov values against arrangement flag values:
-    S_V(F_I v, F_J v) = (-1)^k factor * S^(a)(f_I, f_J), with the factor
-    determined empirically from the diagonal entries."""
+    S_V(F_I v, F_J v) = (-1)^k factor * S^(a)(f_I, f_J).  lhs is the factor
+    read off the first pair where either side is nonzero, rhs the expected
+    k_1!...k_r!; every such pair must give exactly that factor."""
     arr = build_discriminantal(p)
     basis = weight_basis(p)
     flags = {comp: composition_flag(p, arr, comp) for comp in basis}
     ratios = []
-    entries = []
     for a, b in itertools.combinations_with_replacement(basis, 2):
         module_side = module_shapovalov_value(p, a) if a == b else Fraction(0)
         arr_side = (-1) ** p.k * shapovalov_form(arr, flags[a], flags[b])
-        entries.append({"I": a, "J": b, "module": module_side, "flag": arr_side})
         if arr_side != 0 and module_side != 0:
             ratios.append(module_side / arr_side)
         elif (arr_side == 0) != (module_side == 0):
             ratios.append(None)
     expected = Fraction(_factorial_product(p.kvec))
-    ok = all(r == expected for r in ratios) and ratios
-    return {
-        "entries": entries,
-        "factor": ratios[0] if ratios and ratios[0] is not None else None,
-        "expected_factor": expected,
-        "pass": bool(ok),
-    }
+    ok = bool(ratios) and all(r == expected for r in ratios)
+    return check("shapovalov_correspondence", ratios[0] if ratios else None, expected,
+                 0 if ok else 1, ok)
 
 
-def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> dict:
+def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> list[dict]:
     """The coordinates of omega over F_I v against the flag-space pairing
     chain: S_V(omega(t), omega(t')) = (-1)^k k_1!...k_r! S^(a)(v-(t), v-(t'))
-    with v- the sign-isotypic projection of the specialization."""
+    with v- the sign-isotypic projection of the specialization.  One row
+    per pair of the points t and t2; abs_err is relative to
+    max(|lhs|, |rhs|, 1)."""
     arr = build_discriminantal(p)
     action = build_action(
         arr, list(itertools.permutations(range(p.k))), character="sign"
@@ -547,17 +527,12 @@ def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> dict:
     omegas = [canonical_weight_function(p, pt) for pt in points]
     projections = [isotypic_project(arr, action, specialize(arr, pt)) for pt in points]
 
-    checks = []
-    for (i1, i2) in itertools.combinations_with_replacement(range(len(points)), 2):
+    rows = []
+    pairs = itertools.combinations_with_replacement(range(len(points)), 2)
+    for i, (i1, i2) in enumerate(pairs):
         lhs = tensor_shapovalov(p, omegas[i1], omegas[i2])
         rhs = factor * shapovalov_form(arr, projections[i1], projections[i2])
         err = scalar_abs(lhs - rhs)
         scale = max(scalar_abs(lhs), scalar_abs(rhs), 1.0)
-        checks.append({
-            "pair": (i1, i2),
-            "lhs": lhs,
-            "rhs": rhs,
-            "rel_err": err / scale,
-            "pass": err <= tol * scale,
-        })
-    return {"checks": checks, "pass": all(c["pass"] for c in checks)}
+        rows.append(check(f"canonical_element_{i}", lhs, rhs, err / scale, err <= tol * scale))
+    return rows

@@ -19,6 +19,8 @@ import numpy as np
 from . import linalg
 from .arrangement import WeightedArrangement
 
+MAX_ITER = 50  # Newton steps per start
+
 
 @dataclass
 class CriticalPoint:
@@ -85,9 +87,10 @@ def _degeneracy_threshold(arr, t) -> float:
     return 1e-8 * scale ** arr.ambient_dim
 
 
-def newton_solve(arr: WeightedArrangement, t0, tol=1e-12, max_iter=50):
+def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
     """Newton iteration on the logarithmic gradient with the log-Hessian as
-    Jacobian.  Returns a CriticalPoint or a DivergenceReport.
+    Jacobian, at most MAX_ITER steps.  Returns a CriticalPoint or a
+    DivergenceReport.
 
     Iterates escaping far outside the arrangement's data are rejected: the
     gradient also decays to zero at infinity, so a plain norm test would
@@ -110,7 +113,7 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12, max_iter=50):
             return -np.inf
         return float(np.sum(np.log(np.abs(vals))) + np.log(gn))
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if np.max(np.abs(t)) > escape:
             return DivergenceReport(tuple(map(complex, t0)), "escaped to infinity", it)
         values = np.array([complex(v) for v in arr.evaluate_all(tuple(t))])
@@ -152,7 +155,7 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12, max_iter=50):
             lam *= 0.5
         if not accepted:
             return DivergenceReport(tuple(map(complex, t0)), "line search failed", it)
-    return DivergenceReport(tuple(map(complex, t0)), "max iterations exceeded", max_iter)
+    return DivergenceReport(tuple(map(complex, t0)), "max iterations exceeded", MAX_ITER)
 
 
 def _start_box_radius(arr: WeightedArrangement) -> float:
@@ -164,12 +167,12 @@ def _start_box_radius(arr: WeightedArrangement) -> float:
 
 
 def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
-                         box=None, tol=1e-12, max_iter=50) -> list[CriticalPoint]:
+                         tol=1e-12) -> list[CriticalPoint]:
     """Multi-start Newton search; deduplicated, deterministically ordered.
 
     May return fewer points than |chi(U)|; the caller compares counts.
     """
-    radius = box if box is not None else _start_box_radius(arr)
+    radius = _start_box_radius(arr)
     rng = np.random.default_rng(seed)
     k = arr.ambient_dim
     found: list[CriticalPoint] = []
@@ -179,7 +182,7 @@ def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
         t0 = re + 1j * im
         if arr.contains_point(tuple(t0)):
             continue
-        result = newton_solve(arr, tuple(t0), tol=tol, max_iter=max_iter)
+        result = newton_solve(arr, tuple(t0), tol=tol)
         if isinstance(result, CriticalPoint):
             found.append(result)
     found.sort(key=lambda cp: tuple((round(z.real, 9), round(z.imag, 9)) for z in cp.t))

@@ -58,6 +58,16 @@ def parse_scalar(obj) -> Scalar:
     return value
 
 
+def to_int(obj) -> int:
+    """A JSON integer field as an int: 2, 2.0 and "2" give 2.  A value that
+    is not integral, such as 1.5, raises ValueError rather than being
+    truncated."""
+    x = parse_scalar(obj)
+    if isinstance(x, complex) or x != int(x):
+        raise ValueError(f"not an integer: {obj!r}")
+    return int(x)
+
+
 def format_scalar(x):
     """Serialize a scalar: rationals as "p/q" strings, others as [re, im]."""
     if isinstance(x, Rational):

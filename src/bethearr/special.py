@@ -28,42 +28,56 @@ def _norm(coords) -> float:
     return math.sqrt(sum(scalar_abs(x) ** 2 for x in coords))
 
 
-def verify_singular(arr: WeightedArrangement, t, tol=1e-8) -> dict:
-    """Criticality of t vs singularity of v(t): both norms small or both
-    large is a pass; a mixed outcome is a counterexample."""
+def check(name, lhs, rhs, abs_err, ok) -> dict:
+    """One row of a verification report; every verify_* function returns
+    such rows, and the CLI serializes them as they are."""
+    return {"name": name, "lhs": lhs, "rhs": rhs, "abs_err": abs_err, "pass": ok}
+
+
+def verify_singular(arr: WeightedArrangement, t, tol=1e-8, name="singular") -> dict:
+    """Criticality of t vs singularity of v(t): lhs is |delta v(t)| / max(1,
+    |v(t)|), rhs is |grad ln Phi(t)|.  Both within tol or both above it is a
+    pass; a mixed outcome is a counterexample."""
     v = specialize(arr, t)
-    dv = apply_delta(arr, v)
-    scale = max(1.0, _norm(v.coords))
-    delta_norm = _norm(dv.coords) / scale
+    delta_norm = _norm(apply_delta(arr, v).coords) / max(1.0, _norm(v.coords))
     grad_norm = _norm(log_grad(arr, t))
-    is_critical = grad_norm <= tol
-    is_singular = delta_norm <= tol
-    return {
-        "is_critical": is_critical,
-        "delta_norm": delta_norm,
-        "grad_norm": grad_norm,
-        "pass": is_critical == is_singular,
-    }
+    return check(name, delta_norm, grad_norm, 0.0,
+                 (grad_norm <= tol) == (delta_norm <= tol))
 
 
-def verify_norm_identity(arr: WeightedArrangement, t) -> dict:
-    """S^(a)(v(t), v(t)) against (-1)^k Hess^(a)(t)."""
+def verify_singular_at_critical(arr: WeightedArrangement, t, tol=1e-8,
+                                name="singular_at_critical") -> dict:
+    """v(t) is singular at a critical point t: a pass needs both
+    |grad ln Phi(t)| and |delta v(t)| / max(1, |v(t)|) within tol."""
+    row = verify_singular(arr, t, tol)
+    delta_norm = row["lhs"]
+    return check(name, delta_norm, 0.0, delta_norm,
+                 row["rhs"] <= tol and delta_norm <= tol)
+
+
+def verify_norm_identity(arr: WeightedArrangement, t, tol=1e-8,
+                         name="norm_identity") -> dict:
+    """S^(a)(v(t), v(t)) against (-1)^k Hess^(a)(t), within tol relative to
+    |rhs|."""
     v = specialize(arr, t)
     lhs = shapovalov_form(arr, v, v)
     rhs = (-1) ** arr.ambient_dim * hess_det(arr, t)
     abs_err = scalar_abs(lhs - rhs)
-    return {"lhs": lhs, "rhs": rhs, "abs_err": abs_err}
+    return check(name, lhs, rhs, abs_err,
+                 abs_err <= tol * max(scalar_abs(rhs), 1e-300))
 
 
-def verify_orthogonality(arr: WeightedArrangement, t1, t2, tol=1e-10) -> dict:
-    """S^(a)(v(t1), v(t2)) relative to the geometric mean of the two
-    self-pairings; the tolerance is scale-free in the exponents."""
+def verify_orthogonality(arr: WeightedArrangement, t1, t2, tol=1e-10,
+                         name="orthogonality") -> dict:
+    """S^(a)(v(t1), v(t2)) against 0, within tol relative to the geometric
+    mean of the two self-pairings; the tolerance is scale-free in the
+    exponents."""
     value = special_pairing(arr, t1, t2)
     n1 = scalar_abs(special_pairing(arr, t1, t1))
     n2 = scalar_abs(special_pairing(arr, t2, t2))
-    scale = math.sqrt(n1 * n2)
-    ok = scalar_abs(value) <= tol * max(scale, 1e-300)
-    return {"value": value, "scale": scale, "pass": ok}
+    abs_err = scalar_abs(value)
+    return check(name, value, 0.0, abs_err,
+                 abs_err <= tol * max(math.sqrt(n1 * n2), 1e-300))
 
 
 # -- symmetry actions ------------------------------------------------------
@@ -195,17 +209,20 @@ def isotypic_project(arr: WeightedArrangement, action: SymmetryAction,
     return FlagVector(flag.degree, tuple(inv * x for x in acc))
 
 
-def verify_isotypic_norm(arr: WeightedArrangement, action: SymmetryAction, t) -> dict:
+def verify_isotypic_norm(arr: WeightedArrangement, action: SymmetryAction, t,
+                         tol=1e-8) -> dict:
     """S^(a)(v_j(t), v_j(t)) against c (-1)^k Hess^(a)(t) with c = 1/|G| for
-    a real one-dimensional character.  Requires a free orbit."""
+    a real one-dimensional character, within tol relative to |rhs|.
+    Requires a free orbit."""
     orbit = {tuple(complex(x) for x in apply_permutation(p, t)) for p in action.perms}
     if len(orbit) != len(action):
         raise ValueError("orbit smaller than the group; identity not applicable")
     vj = isotypic_project(arr, action, specialize(arr, t))
     lhs = shapovalov_form(arr, vj, vj)
-    c = Fraction(1, len(action))
-    rhs = c * (-1) ** arr.ambient_dim * hess_det(arr, t)
-    return {"lhs": lhs, "rhs": rhs, "c_factor": c, "abs_err": scalar_abs(lhs - rhs)}
+    rhs = Fraction(1, len(action)) * (-1) ** arr.ambient_dim * hess_det(arr, t)
+    abs_err = scalar_abs(lhs - rhs)
+    return check("isotypic_norm", lhs, rhs, abs_err,
+                 abs_err <= tol * max(scalar_abs(rhs), 1e-300))
 
 
 def full_symmetric_action(arr: WeightedArrangement, k: int, character="trivial"):

@@ -158,11 +158,28 @@ class TestVerify:
         assert code == 0
         assert report["pass"]
         assert all(c["pass"] for c in report["checks"])
-        names = {c["name"] for c in report["checks"]}
-        assert any(n.startswith("singular_at_critical") for n in names)
-        assert any(n.startswith("norm_identity") for n in names)
-        assert any(n.startswith("orthogonality") for n in names)
-        assert any(n.startswith("control_point") for n in names)
+        names = [c["name"] for c in report["checks"]]
+        assert names == [
+            "singular_at_critical_0", "norm_identity_0",
+            "singular_at_critical_1", "norm_identity_1",
+            "singular_at_critical_2", "norm_identity_2",
+            *[f"control_point_{i}" for i in range(1, 21)],
+            "orthogonality_0_1", "orthogonality_0_2", "orthogonality_1_2",
+        ]
+
+    def test_unconverged_points_fail_the_singularity_rows(self, gen4_file, capsys):
+        """Points accepted at a loose Newton tolerance are not critical at
+        the verify tolerance, so every singular_at_critical row fails, also
+        where v(t) is not singular either."""
+        code, out, _ = run_main(
+            ["verify", gen4_file, "--tol-newton", "1e-4", "--starts", "30"], capsys
+        )
+        report = json.loads(out)
+        assert code == 1
+        rows = [c for c in report["checks"] if c["name"].startswith("singular_at_critical_")]
+        assert rows
+        assert not any(c["pass"] for c in rows)
+        assert any(c["lhs"] > 1e-8 for c in rows)
 
 
 class TestGaudin:
@@ -175,9 +192,15 @@ class TestGaudin:
         assert report["pass"]
         assert report["sing_dim"] == 2
         assert report["n_orbits"] == 2
-        names = {c["name"] for c in report["checks"]}
-        assert "gram_rank_vs_sing_dim" in names
-        assert "shapovalov_correspondence" in names
+        names = [c["name"] for c in report["checks"]]
+        assert names == [
+            "bethe_singular_0", "bethe_norm_0", "bethe_eigenvector_0_K1",
+            "bethe_eigenvector_0_K2", "bethe_eigenvector_0_K3", "bethe_orthogonality_0_0",
+            "bethe_singular_1", "bethe_norm_1", "bethe_eigenvector_1_K1",
+            "bethe_eigenvector_1_K2", "bethe_eigenvector_1_K3", "bethe_orthogonality_1_0",
+            "gram_rank_vs_sing_dim", "shapovalov_correspondence",
+            "canonical_element_0", "canonical_element_1", "canonical_element_2",
+        ]
 
     def test_non_sl2_exits_3(self, tmp_path, capsys):
         path = tmp_path / "rank2.json"
@@ -190,6 +213,19 @@ class TestGaudin:
         code, _, err = run_main(["gaudin", str(path)], capsys)
         assert code == 3
         assert "sl2" in err
+
+    def test_complex_weight_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "complex_weight.json"
+        path.write_text(json.dumps({
+            "cartan": {"rank": 1, "A": [[2]]},
+            "weights": [[[1, 0]], ["1"]],
+            "k": [1],
+            "z": ["0/1", "1/1"],
+        }))
+        code, out, err = run_main(["gaudin", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "module-level checks require sl2 data" in err
 
     def test_empty_weight_space_exits_3(self, tmp_path, capsys, gaudin_2x1):
         data = gaudin_2x1.to_json()
@@ -211,6 +247,28 @@ class TestGaudin:
         code, _, err = run_main(["gaudin", gaudin_file], capsys)
         assert code == 2
         assert "input error" in err
+
+
+@pytest.mark.parametrize("field", ["k", "cartan.rank", "cartan.A", "dim"])
+def test_non_integral_integer_field_exits_2(field, gaudin_2x1, generic4, tmp_path, capsys):
+    """Integer fields are not truncated: 1.5 is an input error, not 1."""
+    if field == "dim":
+        command, data = "analyze", generic4.to_json()
+        data["dim"] = 2.9
+    else:
+        command, data = "gaudin", gaudin_2x1.to_json()
+        if field == "k":
+            data["k"] = [1.5]
+        elif field == "cartan.rank":
+            data["cartan"]["rank"] = 1.7
+        else:
+            data["cartan"]["A"] = [[2.5]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_main([command, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
 
 
 class TestFlags:

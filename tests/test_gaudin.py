@@ -4,6 +4,7 @@ correspondence."""
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -220,34 +221,42 @@ class TestHamiltonians:
             assert linalg.mat_mul(e, k_big) == linalg.mat_mul(k_small, e)
 
 
+def _rows(rows):
+    return {r["name"]: r for r in rows}
+
+
+def _eigenvector_rows(rows):
+    return [r for r in rows if r["name"].startswith("bethe_eigenvector_")]
+
+
 class TestVerifyBethe:
     def test_hand_solved_singlet(self, gaudin_2x1):
-        r = verify_bethe(gaudin_2x1, (F(1, 2),))
-        assert r["pass"]
-        assert abs(r["norm_lhs"] - 8) < 1e-12
-        eigs = {e["i"]: e["eigenvalue"] for e in r["eigenvectors"]}
-        assert abs(eigs[0] - 1.5) < 1e-12
-        assert abs(eigs[1] + 1.5) < 1e-12
+        rows = _rows(verify_bethe(gaudin_2x1, [(F(1, 2),)]))
+        assert all(r["pass"] for r in rows.values())
+        assert abs(rows["bethe_norm_0"]["lhs"] - 8) < 1e-12
+        assert abs(rows["bethe_eigenvector_0_K1"]["lhs"] - 1.5) < 1e-12
+        assert abs(rows["bethe_eigenvector_0_K2"]["lhs"] + 1.5) < 1e-12
 
     def test_closed_form_eigenvalues(self, gaudin_2x1):
         t = (F(1, 2),)
         assert bethe_eigenvalue(gaudin_2x1, t, 0) == F(3, 2)
         assert bethe_eigenvalue(gaudin_2x1, t, 1) == F(-3, 2)
-        r = verify_bethe(gaudin_2x1, t)
-        assert [e["closed_form"] for e in r["eigenvectors"]] == [F(3, 2), F(-3, 2)]
-        assert all(e["rel_err"] <= 1e-12 for e in r["eigenvectors"])
+        eigen = _eigenvector_rows(verify_bethe(gaudin_2x1, [t]))
+        assert [e["rhs"] for e in eigen] == [F(3, 2), F(-3, 2)]
+        assert all(e["abs_err"] <= 1e-12 for e in eigen)
 
     def test_eigenvector_check_fails_off_critical_points(self, gaudin_2x1):
-        r = verify_bethe(gaudin_2x1, (F(1, 3),))
-        assert not any(e["pass"] for e in r["eigenvectors"])
+        eigen = _eigenvector_rows(verify_bethe(gaudin_2x1, [(F(1, 3),)]))
+        assert eigen and not any(e["pass"] for e in eigen)
 
     def test_two_orbits_orthogonal(self, gaudin_3x1):
         arr = build_discriminantal(gaudin_3x1)
         points = find_critical_points(arr, seed=0, n_starts=60)
         assert len(points) == 2
-        r = verify_bethe(gaudin_3x1, points[0].t, others=[points[1].t])
-        assert r["pass"]
-        assert r["orthogonality"][0]["rel"] <= 1e-10
+        rows = _rows(verify_bethe(gaudin_3x1, [points[0].t, points[1].t]))
+        assert all(r["pass"] for r in rows.values())
+        scale = math.sqrt(abs(rows["bethe_norm_0"]["lhs"]) * abs(rows["bethe_norm_1"]["lhs"]))
+        assert rows["bethe_orthogonality_0_0"]["abs_err"] / scale <= 1e-10
 
     def test_gram_determinant_is_product_of_hessians(self, gaudin_3x1):
         arr = build_discriminantal(gaudin_3x1)
@@ -262,21 +271,27 @@ class TestVerifyBethe:
 
     def test_k0_trivial(self, sl2):
         p = GaudinProblem(sl2, ((1,), (2,)), (0,), (F(0), F(1)))
-        r = verify_bethe(p, ())
-        assert r["pass"]
-        assert r["norm_lhs"] == 1
+        rows = verify_bethe(p, [])
+        assert [r["name"] for r in rows] == ["trivial_norm"]
+        assert rows[0]["pass"]
+        assert rows[0]["lhs"] == 1
+        # omega = v is an eigenvector of every K_s with the closed-form eigenvalue
+        omega = canonical_weight_function(p, ())
+        for s in range(p.n):
+            image = linalg.mat_vec(gaudin_hamiltonian(p, s), list(omega.coords))
+            assert image == [bethe_eigenvalue(p, (), s) * x for x in omega.coords]
 
 
 class TestShapCorrespondence:
     def test_k1_reduces_to_highest_weights(self, gaudin_2x1):
         r = verify_shap_correspondence(gaudin_2x1)
         assert r["pass"]
-        assert r["factor"] == 1
+        assert r["lhs"] == 1
 
     def test_k2_exact_with_factor(self, gaudin_2x2):
         r = verify_shap_correspondence(gaudin_2x2)
         assert r["pass"]
-        assert r["factor"] == 2  # k_1! ... k_r! with k = (2)
+        assert r["lhs"] == 2  # k_1! ... k_r! with k = (2)
 
     def test_k2_off_diagonal_flags_orthogonal(self, gaudin_2x2):
         arr = build_discriminantal(gaudin_2x2)
@@ -297,18 +312,18 @@ class TestShapCorrespondence:
 
 class TestCanonicalElement:
     def test_trivial_group_k1(self, gaudin_2x1):
-        r = verify_canonical_element(gaudin_2x1, (F(1, 3),), (F(5, 2),))
-        assert r["pass"]
+        rows = verify_canonical_element(gaudin_2x1, (F(1, 3),), (F(5, 2),))
+        assert all(r["pass"] for r in rows)
 
     def test_skew_projection_k2(self, sl2):
         p = GaudinProblem(sl2, ((2,),), (2,), (F(0),))
-        r = verify_canonical_element(
+        rows = verify_canonical_element(
             p, (F(1, 2), F(1, 5)), (F(7, 3), F(-1, 4))
         )
-        assert r["pass"]
+        assert all(r["pass"] for r in rows)
 
     def test_cross_module_norm_chain(self, gaudin_2x2):
-        r = verify_canonical_element(
+        rows = verify_canonical_element(
             gaudin_2x2, (F(1, 3), F(5, 2)), (F(9, 4), F(-3, 7))
         )
-        assert r["pass"]
+        assert all(r["pass"] for r in rows)
