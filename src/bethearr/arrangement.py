@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,6 +58,7 @@ class _Core:
         self.circuits = None
         self.candidates = {}  # p -> general-position p-subsets, lex order
         self.rows = {}        # p -> {candidate: its evaluation row}
+        self.top_minors = None  # general-position k-subset -> det of its b-rows
         self.bases = {}       # p -> validated basis of A^p
         self.echelons = {}    # p -> Echelon of the basis rows
         self.coords = {}      # sorted monomial -> coordinates over its basis
@@ -230,12 +232,23 @@ class WeightedArrangement:
             ]
         return self._core.candidates[p]
 
+    def top_minors(self) -> dict:
+        """det of the b-rows of each general-position k-subset (every other
+        k-subset's is zero).  Memoized; callers must not mutate the result."""
+        core = self._core
+        if core.top_minors is None:
+            core.top_minors = {
+                s: linalg.det([list(self.hyperplanes[j].b) for j in s])
+                for s in self.candidate_monomials(self.ambient_dim)
+            }
+        return core.top_minors
+
     def evaluation_matrix(self, p: int, points=None):
         """Stacked evaluation rows, one long row per candidate monomial.
 
         The row of w_{j1}^...^w_{jp} holds, for each point t and each column
         set (i1<...<ip), the minor det(b^{i}_{j}) divided by the product of
-        the f_j(t).  Each minor is computed once per monomial.
+        the f_j(t).  Each minor is computed once (top_minors at p = k).
         """
         candidates = self.candidate_monomials(p)
         if points is None:
@@ -244,15 +257,13 @@ class WeightedArrangement:
         columns = list(itertools.combinations(range(self.ambient_dim), p))
         rows = []
         for s in candidates:
-            minors = [
+            minors = [self.top_minors()[s]] if p == self.ambient_dim else [
                 linalg.det([[self.hyperplanes[j].b[c] for c in cols] for j in s])
                 for cols in columns
             ]
             row = []
             for v in values:
-                denom = Fraction(1)
-                for j in s:
-                    denom = denom * v[j]
+                denom = math.prod((v[j] for j in s), start=Fraction(1))
                 row.extend(m / denom for m in minors)
             rows.append(row)
         return candidates, rows

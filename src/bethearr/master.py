@@ -3,8 +3,10 @@ Hessian, Newton search for critical points, non-degeneracy classification,
 symmetry-orbit grouping.
 
 Everything works with ln Phi only; the multivalued master function itself is
-never exponentiated.  Gradient and Hessian accept exact rational input and
-then return exact values; the solver works in complex doubles.
+never exponentiated.  log_grad, log_hessian and hess_det accept exact
+rational input and then return exact values; they serve the verifiers.  The
+Newton solver works on complex numpy arrays read from the arrangement once
+per start and calls none of them.
 """
 
 from __future__ import annotations
@@ -81,10 +83,11 @@ def hess_det(arr: WeightedArrangement, t):
     return linalg.det(log_hessian(arr, t))
 
 
-def _degeneracy_threshold(arr, t) -> float:
-    scales = sorted(abs(complex(v)) ** -2 for v in arr.evaluate_all(t))
-    scale = scales[len(scales) // 2]
-    return 1e-8 * scale ** arr.ambient_dim
+def _log_residual(f, g) -> float:
+    """log(|prod f| |g|): the cleared-denominator residual, in log scale to
+    avoid overflow."""
+    gn = np.linalg.norm(g)
+    return -np.inf if gn == 0.0 else float(np.sum(np.log(np.abs(f))) + np.log(gn))
 
 
 def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
@@ -92,78 +95,67 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
     Jacobian, at most MAX_ITER steps.  Returns a CriticalPoint or a
     DivergenceReport.
 
+    The arrangement is read once into complex arrays b0, B and a; each
+    iterate and line-search candidate t is evaluated once, as f = b0 + B t
+    and g = B^T (a/f), and each iterate's Hessian is -B^T diag(a/f^2) B.
+
     Iterates escaping far outside the arrangement's data are rejected: the
     gradient also decays to zero at infinity, so a plain norm test would
     accept bogus points there.
     """
+    start = tuple(map(complex, t0))
     escape = 1e6 * _start_box_radius(arr)
-    t = np.array([complex(x) for x in t0], dtype=complex)
-    if arr.contains_point(tuple(t)):
+    rows = np.array([[h.b0, *h.b] for h in arr.hyperplanes], dtype=complex)
+    b0, B = rows[:, 0], rows[:, 1:]
+    a = np.array(arr.exponents, dtype=complex)
+    t = np.array(start)
+    f = b0 + B @ t
+    if np.min(np.abs(f)) < 1e-12:
         raise ValueError("start point lies on the arrangement")
-
-    b_rows = np.array([[complex(x) for x in h.b] for h in arr.hyperplanes])
-
-    def log_merit(point):
-        # log of |prod f| * |grad|: the cleared-denominator residual, kept
-        # in log scale to avoid overflow
-        vals = np.array([complex(v) for v in arr.evaluate_all(tuple(point))])
-        g = np.array([complex(x) for x in log_grad(arr, tuple(point))])
-        gn = np.linalg.norm(g)
-        if gn == 0.0:
-            return -np.inf
-        return float(np.sum(np.log(np.abs(vals))) + np.log(gn))
+    g = B.T @ (a / f)
+    merit = _log_residual(f, g)
 
     for it in range(MAX_ITER):
         if np.max(np.abs(t)) > escape:
-            return DivergenceReport(tuple(map(complex, t0)), "escaped to infinity", it)
-        values = np.array([complex(v) for v in arr.evaluate_all(tuple(t))])
-        if np.min(np.abs(values)) < 1e-12:
-            return DivergenceReport(tuple(map(complex, t0)), "hyperplane collision", it)
-        g = np.array([complex(x) for x in log_grad(arr, tuple(t))])
+            return DivergenceReport(start, "escaped to infinity", it)
+        if np.min(np.abs(f)) < 1e-12:
+            return DivergenceReport(start, "hyperplane collision", it)
+        h = -(B.T * (a / f ** 2)) @ B
         if np.linalg.norm(g) <= tol:
-            h = np.array([[complex(x) for x in row] for row in log_hessian(arr, tuple(t))])
             hd = complex(np.linalg.det(h))
-            return CriticalPoint(
-                t=tuple(map(complex, t)),
-                grad_residual=float(np.linalg.norm(g)),
-                hess_det=hd,
-                nondegenerate=abs(hd) > _degeneracy_threshold(arr, tuple(t)),
-            )
+            # degenerate: |det H| tiny against the median |f|^-2 scale
+            scale = np.sort(np.abs(f) ** -2)[len(f) // 2] ** arr.ambient_dim
+            return CriticalPoint(tuple(map(complex, t)), float(np.linalg.norm(g)), hd,
+                                 abs(hd) > 1e-8 * scale)
         # Newton step for the cleared-denominator system (prod f) * grad:
         # the Jacobian is (prod f) (H + g s^T) with s_m = sum_l b^m_l / f_l,
         # and the polynomial prefactor cancels in the step.  Unlike a raw
         # Newton step on the gradient this does not diverge to infinity,
         # where the gradient itself also vanishes.
-        h = np.array([[complex(x) for x in row] for row in log_hessian(arr, tuple(t))])
-        s = (b_rows / values[:, None]).sum(axis=0)
         try:
-            step = np.linalg.solve(h + np.outer(g, s), g)
+            step = np.linalg.solve(h + np.outer(g, B.T @ (1.0 / f)), g)
         except np.linalg.LinAlgError:
-            return DivergenceReport(tuple(map(complex, t0)), "singular Jacobian", it)
+            return DivergenceReport(start, "singular Jacobian", it)
         if not np.all(np.isfinite(step)):
-            return DivergenceReport(tuple(map(complex, t0)), "non-finite step", it)
-        merit = log_merit(t)
+            return DivergenceReport(start, "non-finite step", it)
         lam = 1.0
-        accepted = False
         for _ in range(20):
             cand = t - lam * step
-            vals = [complex(v) for v in arr.evaluate_all(tuple(cand))]
-            if min(abs(v) for v in vals) > 1e-12 and log_merit(cand) < merit:
-                t = cand
-                accepted = True
-                break
+            fc = b0 + B @ cand
+            if np.min(np.abs(fc)) > 1e-12:  # before a / fc can divide by zero
+                gc = B.T @ (a / fc)
+                mc = _log_residual(fc, gc)
+                if mc < merit:
+                    t, f, g, merit = cand, fc, gc, mc
+                    break
             lam *= 0.5
-        if not accepted:
-            return DivergenceReport(tuple(map(complex, t0)), "line search failed", it)
-    return DivergenceReport(tuple(map(complex, t0)), "max iterations exceeded", MAX_ITER)
+        else:
+            return DivergenceReport(start, "line search failed", it)
+    return DivergenceReport(start, "max iterations exceeded", MAX_ITER)
 
 
 def _start_box_radius(arr: WeightedArrangement) -> float:
-    mags = [1.0]
-    for h in arr.hyperplanes:
-        mags.append(abs(complex(h.b0)))
-        mags.extend(abs(complex(x)) for x in h.b)
-    return 2.0 * max(mags)
+    return 2.0 * float(max(1, *(abs(x) for h in arr.hyperplanes for x in (h.b0, *h.b))))
 
 
 def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
@@ -185,12 +177,11 @@ def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
         result = newton_solve(arr, tuple(t0), tol=tol)
         if isinstance(result, CriticalPoint):
             found.append(result)
+    merge = max(1e-6, tol ** 0.5)  # copies found at a loose tol lie further apart
     found.sort(key=lambda cp: tuple((round(z.real, 9), round(z.imag, 9)) for z in cp.t))
     unique: list[CriticalPoint] = []
     for cp in found:
-        if all(
-            max(abs(a - b) for a, b in zip(cp.t, u.t)) >= 1e-6 for u in unique
-        ):
+        if all(max(abs(a - b) for a, b in zip(cp.t, u.t)) >= merge for u in unique):
             unique.append(cp)
     return unique
 

@@ -11,6 +11,7 @@ vanishing rule and the three-term circuit relation all hold automatically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,11 +181,9 @@ def evaluate_form(arr: WeightedArrangement, subset, t) -> Scalar:
     for v in values:
         if (v == 0) if isinstance(v, (int, Fraction)) else abs(complex(v)) < 1e-14:
             raise ValueError("point on arrangement")
-    d = linalg.det([list(arr.hyperplanes[j].b) for j in subset])
-    denom = Fraction(1)
-    for v in values:
-        denom = denom * v
-    return d / denom
+    ordered, sign = _sort_with_sign(subset)
+    d = sign * arr.top_minors().get(ordered, Fraction(0))
+    return d / math.prod(values, start=Fraction(1))
 
 
 def singular_basis(arr: WeightedArrangement) -> list[FlagVector]:

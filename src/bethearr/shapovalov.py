@@ -54,14 +54,12 @@ def special_pairing(arr: WeightedArrangement, t1, t2) -> Scalar:
     """S^(a)(v(t1), v(t2)) by the direct k-subset formula: sum over
     general-position k-subsets of D^2 * prod a(H) / (f(t1) f(t2)), where D is
     the (nonzero) determinant of their coefficient vectors."""
-    k = arr.ambient_dim
     if arr.contains_point(t1) or arr.contains_point(t2):
         raise ValueError("point on arrangement")
     values1 = arr.evaluate_all(t1)
     values2 = arr.evaluate_all(t2)
     total = Fraction(0)
-    for subset in arr.candidate_monomials(k):
-        d = linalg.det([list(arr.hyperplanes[j].b) for j in subset])
+    for subset, d in arr.top_minors().items():
         term = d * d
         for j in subset:
             term = term * arr.exponents[j] / (values1[j] * values2[j])

@@ -182,6 +182,18 @@ class TestVerify:
         assert any(c["lhs"] > 1e-8 for c in rows)
 
 
+    def test_loose_newton_tolerance_reports_each_point_once(self, gen4_file, capsys):
+        """Duplicates merge at a radius that grows with --tol-newton, so the
+        three points are not reported again as their nearby copies."""
+        _, out, _ = run_main(
+            ["verify", gen4_file, "--tol-newton", "1e-4", "--starts", "30"], capsys
+        )
+        report = json.loads(out)
+        assert report["n_points"] == 3
+        rows = [c for c in report["checks"] if c["name"].startswith("orthogonality_")]
+        assert len(rows) == 3
+
+
 class TestGaudin:
     def test_end_to_end(self, gaudin_file, capsys):
         code, out, _ = run_main(

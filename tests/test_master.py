@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bethearr.arrangement import Hyperplane, WeightedArrangement
+from bethearr.gaudin import build_discriminantal
 from bethearr.master import (CriticalPoint, DivergenceReport,
                              find_critical_points, group_orbits, hess_det,
                              log_grad, log_hessian, newton_solve,
@@ -122,6 +124,35 @@ class TestFindCriticalPoints:
             assert len(points) == len(zs) - 1
             for cp, root in zip(points, roots):
                 assert abs(cp.t[0] - root) < 1e-10
+
+
+def generic_k3():
+    """Five generic planes in C^3: the coordinate planes, t1 + t2 + t3 - 1
+    and t1 + 2 t2 + 3 t3 - 5; |chi| = 4."""
+    rows = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 1, 1, 1), (-5, 1, 2, 3)]
+    return WeightedArrangement(
+        3, [Hyperplane(F(r[0]), tuple(map(F, r[1:]))) for r in rows], [F(1)] * 5)
+
+
+class TestKernelAgainstExactCalculus:
+    """Every point the numeric Newton kernel returns, rechecked with the
+    exact-capable log_grad and hess_det, which share no code with it."""
+
+    @pytest.mark.parametrize("instance", ["points3", "generic4", "generic_k3", "gaudin_2x2"])
+    def test_hess_det_and_gradient(self, instance, request):
+        if instance == "generic_k3":
+            arr = generic_k3()
+        elif instance == "gaudin_2x2":
+            # negative point exponents and diagonal hyperplanes
+            arr = build_discriminantal(request.getfixturevalue("gaudin_2x2"))
+        else:
+            arr = request.getfixturevalue(instance)
+        points = find_critical_points(arr)
+        assert points
+        for cp in points:
+            exact = complex(hess_det(arr, cp.t))
+            assert abs(cp.hess_det - exact) <= 1e-9 * abs(exact)
+            assert np.linalg.norm([complex(x) for x in log_grad(arr, cp.t)]) <= 1e-10
 
 
 class TestOrbits:
