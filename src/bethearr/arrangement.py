@@ -1,16 +1,18 @@
 """Weighted affine hyperplane arrangements and their combinatorics.
 
 An arrangement is a finite ordered list of affine hyperplanes in C^k with
-rational coefficients and an exponent attached to each hyperplane.  All
-combinatorial questions (ranks, circuits, bases, straightening) are answered
-by exact rational linear algebra; basis dimensions are cross-checked against
-the evaluation-rank oracle built from the logarithmic-form realization.
+rational coefficients and an exponent attached to each hyperplane.  Ranks
+and circuits come from exact rational linear algebra.  The basis of each
+degree A^p of the Orlik-Solomon algebra is the set of nbc monomials, and any
+other monomial straightens onto it by the circuit relations, with integer
+coefficients.  The values of the logarithmic forms at sample points only
+certify that basis: the nbc rows are independent modulo a large prime or,
+failing that, exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +20,11 @@ from fractions import Fraction
 from . import linalg
 from .scalars import Scalar, format_scalar, is_exact, parse_scalar, to_int, to_rational
 
-log = logging.getLogger(__name__)
+
+def sort_with_sign(indices):
+    """(sorted tuple, (-1)^(number of inversions)) of a tuple of indices."""
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+    return tuple(sorted(indices)), (-1) ** inversions
 
 
 @dataclass(frozen=True)
@@ -57,18 +63,16 @@ class _Core:
     def __init__(self):
         self.circuits = None
         self.candidates = {}  # p -> general-position p-subsets, lex order
-        self.rows = {}        # p -> {candidate: its evaluation row}
         self.top_minors = None  # general-position k-subset -> det of its b-rows
-        self.bases = {}       # p -> validated basis of A^p
-        self.echelons = {}    # p -> Echelon of the basis rows
+        self.bases = {}       # p -> certified nbc basis of A^p
         self.coords = {}      # sorted monomial -> coordinates over its basis
 
 
 class WeightedArrangement:
     """An ordered weighted arrangement; immutable after construction.
 
-    Combinatorial data (circuits, evaluation rows, bases, straightening)
-    lives in an exponent-free core that is filled lazily.
+    Combinatorial data (circuits, bases, straightening) lives in an
+    exponent-free core that is filled lazily.
     """
 
     def __init__(self, ambient_dim: int, hyperplanes, exponents):
@@ -197,7 +201,7 @@ class WeightedArrangement:
                 out.append(subset)
         return out
 
-    # -- evaluation-rank oracle and validated basis ---------------------------
+    # -- certified basis and straightening -------------------------------------
 
     def sample_points(self, count: int) -> list[tuple]:
         """Deterministic rational points in U, skipping any that land on a
@@ -244,19 +248,21 @@ class WeightedArrangement:
         return core.top_minors
 
     def evaluation_matrix(self, p: int, points=None):
-        """Stacked evaluation rows, one long row per candidate monomial.
+        """(nbc_sets(p), their stacked evaluation rows), the rows basis(p)
+        certifies.
 
-        The row of w_{j1}^...^w_{jp} holds, for each point t and each column
-        set (i1<...<ip), the minor det(b^{i}_{j}) divided by the product of
-        the f_j(t).  Each minor is computed once (top_minors at p = k).
+        The row of w_{j1}^...^w_{jp} holds, for each point t (by default
+        len(nbc) + 3 sample points) and each column set (i1<...<ip), the
+        minor det(b^{i}_{j}) divided by the product of the f_j(t).  Each
+        minor is computed once (top_minors at p = k).
         """
-        candidates = self.candidate_monomials(p)
+        nbc = self.nbc_sets(p)
         if points is None:
-            points = self.sample_points(len(candidates) + 3)
+            points = self.sample_points(len(nbc) + 3)
         values = [self.evaluate_all(t) for t in points]
         columns = list(itertools.combinations(range(self.ambient_dim), p))
         rows = []
-        for s in candidates:
+        for s in nbc:
             minors = [self.top_minors()[s]] if p == self.ambient_dim else [
                 linalg.det([[self.hyperplanes[j].b[c] for c in cols] for j in s])
                 for cols in columns
@@ -266,63 +272,57 @@ class WeightedArrangement:
                 denom = math.prod((v[j] for j in s), start=Fraction(1))
                 row.extend(m / denom for m in minors)
             rows.append(row)
-        return candidates, rows
+        return nbc, rows
 
     def basis(self, p: int) -> list[tuple]:
-        """Validated basis of A^p: nbc sets if the oracle confirms them,
-        otherwise a greedy lex-first independent subset of monomial rows.
+        """The nbc sets of degree p, certified to be a basis of A^p.
 
-        One echelon takes the nbc rows first and then the other candidate
-        rows: the nbc sets are a basis iff their rows are independent and no
-        other row leaves their span.  The echelon of the basis rows is kept
-        for straightening.
+        Straightening (basis_coords) shows that they span.  Independence is
+        certified by their evaluation rows: full rank modulo a prime proves
+        full rank over Q; if that falls short, or an entry has no residue,
+        the exact rank decides.  Dependent rows contradict the nbc basis
+        theorem, so they raise RuntimeError.
         """
         core = self._core
-        if p in core.bases:
-            return core.bases[p]
-        if not 0 <= p <= self.ambient_dim:
-            raise ValueError(f"degree {p} out of range 0..{self.ambient_dim}")
-        candidates, rows = self.evaluation_matrix(p)
-        row_of = core.rows[p] = dict(zip(candidates, rows))
-        nbc = self.nbc_sets(p)
-        echelon = linalg.Echelon()
-        others = [row for s, row in row_of.items() if s not in nbc]
-        confirmed = all(echelon.add(row_of[s]) for s in nbc) and not any(
-            map(echelon.add, others))
-        basis = nbc
-        if not confirmed:
-            basis = [candidates[i] for i in linalg.independent_rows(rows)]
-            log.warning(
-                "degree %d: nbc count %d disagrees with evaluation rank %d; "
-                "using oracle basis", p, len(nbc), len(basis),
-            )
-            echelon = linalg.Echelon(row_of[s] for s in basis)
-        core.echelons[p] = echelon
-        core.bases[p] = basis
-        return basis
-
-    def evaluation_rows(self, p: int):
-        """(candidates, rows) pair used for basis selection."""
-        self.basis(p)
-        return self._core.candidates[p], list(self._core.rows[p].values())
+        if p not in core.bases:
+            nbc, rows = self.evaluation_matrix(p)
+            try:
+                certified = linalg.rank_mod_p(rows) == len(nbc)
+            except ValueError:  # a denominator divisible by the prime
+                certified = False
+            if not certified and linalg.rank(rows) < len(nbc):
+                raise RuntimeError(f"degree {p}: the nbc monomials have dependent "
+                                   "evaluation rows")
+            core.bases[p] = nbc
+        return core.bases[p]
 
     def basis_coords(self, subset) -> list:
-        """Coordinates of a sorted monomial over basis(p), p = len(subset):
-        zero unless the subset is in general position, otherwise one
-        reduction of its evaluation row against the factored basis rows.
+        """Coordinates of a sorted monomial e_S over basis(p), p = len(S).
+
+        A basis monomial gives a unit vector, and one not in general position
+        gives zero.  Any other S contains a broken circuit B = C[1:] of a
+        consistent circuit C = (c_0, ..., c_m); then e_S = +-e_B e_R with
+        R = S - B, and the relation sum_i (-1)^i e_{C - c_i} = 0 gives
+        e_B = sum_{i>=1} (-1)^(i+1) e_{C - c_i}.  Each resulting monomial
+        is S with some c_i replaced by c_0 < c_i, so the index sum falls and
+        the recursion is less than p * n deep.
         Memoized; callers must not mutate the result."""
         subset = tuple(subset)
         core = self._core
         if subset not in core.coords:
-            p = len(subset)
-            basis = self.basis(p)
-            row_of, echelon = core.rows[p], core.echelons[p]
+            basis = self.basis(len(subset))
+            coords = [Fraction(0)] * len(basis)
             if subset in basis:
-                coords = [Fraction(int(s == subset)) for s in basis]
-            elif subset not in row_of:
-                coords = [Fraction(0)] * len(basis)
-            else:
-                coords = echelon.coords(row_of[subset])
+                coords[basis.index(subset)] = Fraction(1)
+            elif self.general_position(subset):
+                circuit = next(c for c in self.circuits() if len(c) > 1 and
+                               set(c[1:]) <= set(subset) and self.rank_report(c).consistent)
+                rest = tuple(j for j in subset if j not in circuit)
+                _, sign = sort_with_sign(circuit[1:] + rest)
+                for i in range(1, len(circuit)):
+                    term, term_sign = sort_with_sign(circuit[:i] + circuit[i + 1:] + rest)
+                    w = (-1) ** (i + 1) * sign * term_sign
+                    coords = [x + w * y for x, y in zip(coords, self.basis_coords(term))]
             core.coords[subset] = coords
         return core.coords[subset]
 
@@ -365,9 +365,9 @@ class WeightedArrangement:
 
 def with_exponents(arr: WeightedArrangement, exponents) -> WeightedArrangement:
     """Same hyperplanes with different exponents.  The result shares arr's
-    exponent-free core, so circuits, bases, evaluation rows and straightened
-    coordinates are computed once for both; data that depends on the
-    exponents, such as osflag.d_A_matrix, is computed per instance."""
+    exponent-free core, so circuits, bases and straightened coordinates are
+    computed once for both; data that depends on the exponents, such as
+    osflag.d_A_matrix, is computed per instance."""
     out = WeightedArrangement(arr.ambient_dim, arr.hyperplanes, exponents)
     out._core = arr._core
     return out

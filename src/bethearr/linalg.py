@@ -6,11 +6,12 @@ the incremental row echelon `Echelon`: rows are added one at a time, and the
 echelon answers whether a row is new and, if it is not, its coordinates over
 the rows kept so far.  `rank`, `independent_rows` and `solve_coords` use
 only the echelon (a float entry is read at its exact binary value; a complex
-one raises TypeError): they serve the combinatorics (ranks, circuits, bases,
-straightening), which the rational coefficients of an arrangement fix.
-`nullspace` and `det` use the echelon on rational input and numpy, with a
-relative tolerance, on anything else, such as a log-Hessian at a complex
-point or a matrix built from complex exponents.
+one raises TypeError): they serve the combinatorics, which the rational
+coefficients of an arrangement fix.  `rank_mod_p`, int64 numpy elimination
+modulo a 31-bit prime, certifies independence fast.  `nullspace` and `det`
+use the echelon on rational input and numpy, with a relative tolerance, on
+anything else, such as a log-Hessian at a complex point or a matrix built
+from complex exponents.
 """
 
 from __future__ import annotations
@@ -115,6 +116,26 @@ class Echelon:
 def rank(rows) -> int:
     """Exact rank of a rational matrix."""
     return len(Echelon(rows))
+
+
+PRIME = 2**31 - 1
+
+
+def rank_mod_p(rows) -> int:
+    """Rank of a rational matrix modulo PRIME, by int64 elimination (residues
+    stay below 2^31, so products fit).  It never exceeds the rank over Q.
+    Raises ValueError if a denominator is divisible by PRIME."""
+    a = np.array([[x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+                   for x in map(Fraction, row)] for row in rows], dtype=np.int64, ndmin=2)
+    r = 0
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[r:, c])
+        if nonzero.size:
+            a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+            a[r] = a[r] * pow(int(a[r, c]), -1, PRIME) % PRIME
+            a[r + 1:] = (a[r + 1:] - np.outer(a[r + 1:, c], a[r])) % PRIME
+            r += 1
+    return r
 
 
 def independent_rows(rows) -> list[int]:

@@ -118,8 +118,6 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
     for it in range(MAX_ITER):
         if np.max(np.abs(t)) > escape:
             return DivergenceReport(start, "escaped to infinity", it)
-        if np.min(np.abs(f)) < 1e-12:
-            return DivergenceReport(start, "hyperplane collision", it)
         h = -(B.T * (a / f ** 2)) @ B
         if np.linalg.norm(g) <= tol:
             hd = complex(np.linalg.det(h))

@@ -1,11 +1,9 @@
-"""Orlik-Solomon algebra in its logarithmic-form realization and the dual
-flag space.
+"""Orlik-Solomon algebra and the dual flag space.
 
-Elements of A^p are stored as coordinates over the validated monomial basis
-of the arrangement; flag vectors live in the dual coordinates.  Straightening
-an arbitrary monomial is one exact reduction of its evaluation row against the
-arrangement's factored basis rows, so the sign rule, the general-position
-vanishing rule and the three-term circuit relation all hold automatically.
+Elements of A^p are stored as coordinates over the arrangement's nbc basis;
+flag vectors live in the dual coordinates.  Straightening an ordered
+monomial is a sort with its sign, then the arrangement's straightening of the
+sorted monomial by the circuit relations (WeightedArrangement.basis_coords).
 """
 
 from __future__ import annotations
@@ -16,27 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .arrangement import WeightedArrangement
+from .arrangement import WeightedArrangement, sort_with_sign
 from .scalars import Scalar
-
-
-def _sort_with_sign(indices):
-    """Sort a tuple of distinct indices, returning (sorted_tuple, sign)."""
-    idx = list(indices)
-    sign = 1
-    # insertion sort; tuples here have at most k entries
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(idx), sign
 
 
 @dataclass(frozen=True)
 class OSElement:
-    """Element of A^p in coordinates over the validated basis."""
+    """Element of A^p in coordinates over the certified basis."""
 
     degree: int
     coeffs: dict
@@ -70,17 +54,10 @@ class FlagVector:
 
 
 def straighten_coords(arr: WeightedArrangement, monomial) -> list:
-    """Coordinates of an ordered monomial over the validated basis of A^p."""
-    p = len(monomial)
-    if p > arr.ambient_dim:
-        raise ValueError("degree exceeds ambient dimension")
-    if len(set(monomial)) != p:
-        return [Fraction(0)] * len(arr.basis(p))
-    sorted_m, sign = _sort_with_sign(monomial)
-    coords = arr.basis_coords(sorted_m)
-    if sign == 1:
-        return list(coords)
-    return [-c for c in coords]
+    """Coordinates of an ordered monomial over the certified basis of A^p;
+    ValueError if p exceeds the ambient dimension."""
+    sorted_m, sign = sort_with_sign(monomial)
+    return [sign * c for c in arr.basis_coords(sorted_m)]
 
 
 def straighten(arr: WeightedArrangement, monomial) -> OSElement:
@@ -92,7 +69,7 @@ def straighten(arr: WeightedArrangement, monomial) -> OSElement:
 
 def d_A_matrix(arr: WeightedArrangement, p: int):
     """Matrix of multiplication by omega(a) = sum a(H) * H, from A^p to A^{p+1},
-    in validated bases (rows indexed by the degree p+1 basis)."""
+    in certified bases (rows indexed by the degree p+1 basis)."""
     if not 0 <= p < arr.ambient_dim:
         raise ValueError(f"degree {p} out of range 0..{arr.ambient_dim - 1}")
     src = arr.basis(p)
@@ -164,7 +141,7 @@ def flag_vector(arr: WeightedArrangement, indices) -> FlagVector:
         for perm in itertools.permutations(range(p)):
             ordered = tuple(s[i] for i in perm)
             if _flag_chain(arr, ordered) == target:
-                _, sign = _sort_with_sign(perm)
+                _, sign = sort_with_sign(perm)
                 value = Fraction(sign)
                 break
         coords.append(value)
@@ -181,7 +158,7 @@ def evaluate_form(arr: WeightedArrangement, subset, t) -> Scalar:
     for v in values:
         if (v == 0) if isinstance(v, (int, Fraction)) else abs(complex(v)) < 1e-14:
             raise ValueError("point on arrangement")
-    ordered, sign = _sort_with_sign(subset)
+    ordered, sign = sort_with_sign(subset)
     d = sign * arr.top_minors().get(ordered, Fraction(0))
     return d / math.prod(values, start=Fraction(1))
 

@@ -1,16 +1,21 @@
-"""Combinatorics of weighted arrangements: ranks, circuits, validated bases,
-dimensions, JSON round trips."""
+"""Combinatorics of weighted arrangements: ranks, circuits, certified bases,
+straightening, dimensions, JSON round trips."""
 
+import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from bethearr import linalg
 from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
+from bethearr.gaudin import GaudinProblem, build_discriminantal
 from bethearr.osflag import d_A_matrix
 from conftest import line, point_arrangement
+from os_oracle import evaluation_coords
 
 F = Fraction
 
@@ -109,6 +114,17 @@ class TestDims:
         assert arr.dims() == [1, 3]
         assert arr.euler_characteristic() == -2
 
+    def test_k3_discriminantal(self, sl2):
+        """The sl2 m = (2, 2, 2), k = 3 discriminantal arrangement (12 planes)
+        took about 35 s of CPU time when the basis came from eliminating
+        evaluation rows; the bound leaves a wide margin over straightening."""
+        arr = build_discriminantal(
+            GaudinProblem(sl2, ((2,), (2,), (2,)), (3,), (F(0), F(1), F(3))))
+        start = time.process_time()
+        assert arr.dims() == [1, 12, 47, 60]
+        assert arr.euler_characteristic() == -24
+        assert time.process_time() - start < 10
+
 
 class TestSamplePoints:
     def test_points_avoid_arrangement(self, generic4):
@@ -119,9 +135,74 @@ class TestSamplePoints:
         assert generic4.sample_points(5) == generic4.sample_points(5)
 
     def test_evaluation_rows_have_full_rank(self, generic4):
-        from bethearr import linalg
-        candidates, rows = generic4.evaluation_rows(2)
+        nbc, rows = generic4.evaluation_matrix(2)
+        assert nbc == generic4.nbc_sets(2)
         assert linalg.rank(rows) == 6
+
+
+def _raise(exc):
+    raise exc
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("rank_mod_p", [
+        lambda rows: 0,
+        lambda rows: _raise(ValueError("a denominator is divisible by the prime")),
+    ], ids=["short", "no-residue"])
+    def test_exact_rank_confirms_when_mod_p_falls_short(self, concurrent3, monkeypatch,
+                                                          rank_mod_p):
+        exact_rank, seen = linalg.rank, []
+        monkeypatch.setattr(linalg, "rank_mod_p", rank_mod_p)
+        monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or exact_rank(rows))
+        for p in range(3):
+            assert concurrent3.basis(p) == concurrent3.nbc_sets(p)
+            assert concurrent3.evaluation_matrix(p)[1] in seen
+
+    def test_dependent_nbc_sets_raise(self, concurrent3, monkeypatch):
+        nbc_sets = WeightedArrangement.nbc_sets
+        # (1, 2) is in general position but contains the broken circuit (1, 2)
+        monkeypatch.setattr(WeightedArrangement, "nbc_sets",
+                            lambda self, p: nbc_sets(self, p) + [(1, 2)] * (p == 2))
+        assert concurrent3.basis(1) == [(0,), (1,), (2,)]
+        with pytest.raises(RuntimeError, match="degree 2"):
+            concurrent3.basis(2)
+
+
+@st.composite
+def small_arrangements(draw):
+    """Random k = 2 or 3 arrangements with small integer coefficients, some
+    hyperplanes forced through the intersection of 2 to k others
+    (concurrent lines, planes through a line or a point) or parallel to
+    another."""
+    k = draw(st.sampled_from([2, 3]))
+    coeff = st.integers(-3, 3)
+    rows = [[draw(coeff) for _ in range(k + 1)] for _ in range(draw(st.integers(k, 4)))]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            rows.append([draw(coeff), *draw(st.sampled_from(rows))[1:]])
+        else:
+            members = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=k,
+                                    unique_by=id))
+            weights = [draw(st.sampled_from([-2, -1, 1, 2])) for _ in members]
+            rows.append([sum(w * r[i] for w, r in zip(weights, members))
+                         for i in range(k + 1)])
+    try:
+        return WeightedArrangement(
+            k, [Hyperplane(F(r[0]), tuple(map(F, r[1:]))) for r in rows], [F(1)] * len(rows))
+    except ValueError:  # a zero or repeated hyperplane, or no vertex
+        reject()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements())
+def test_straightening_matches_the_evaluation_oracle(arr):
+    """basis_coords of every sorted monomial equals its coordinates from the
+    logarithmic forms, and the nbc count is the rank of all form rows."""
+    for p in range(arr.ambient_dim + 1):
+        rank, coords = evaluation_coords(arr, p)
+        assert len(arr.basis(p)) == rank
+        for s in itertools.combinations(range(arr.n), p):
+            assert arr.basis_coords(s) == coords[s]
 
 
 class TestJson:

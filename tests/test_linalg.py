@@ -132,3 +132,36 @@ def test_echelon_coords_are_over_the_kept_rows():
     assert ech.coords([3, 1, -1]) == [F(-1), F(3)]
     with pytest.raises(ValueError):
         ech.coords([0, 0, 1])
+
+
+@st.composite
+def scaled_integer_matrices(draw):
+    """Up to 4 rows of integers of modulus at most 45 (products through an
+    inner dimension of at most 5 of entries in -3..3), each row divided by
+    its own denominator in 1..9.  Clearing the denominators leaves an integer
+    matrix whose nonzero minors are below (2 * 45)^4 < PRIME (Hadamard), so
+    they stay nonzero modulo PRIME and the two ranks must agree."""
+    nrows, ncols, inner = (draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+                           draw(st.integers(0, 5)))
+    small = st.integers(-3, 3)
+    left = [[draw(small) for _ in range(inner)] for _ in range(nrows)]
+    right = [[draw(small) for _ in range(ncols)] for _ in range(inner)]
+    dens = [draw(st.integers(1, 9)) for _ in range(nrows)]
+    return [[F(sum(row[t] * right[t][j] for t in range(inner)), d) for j in range(ncols)]
+            for row, d in zip(left, dens)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scaled_integer_matrices())
+def test_rank_mod_p_matches_exact_rank(m):
+    assert linalg.rank_mod_p(m) == linalg.rank(m)
+
+
+def test_rank_mod_p_needs_residues_and_bounds_the_rank_from_below():
+    m = [[1, F(1, linalg.PRIME)], [0, 1]]
+    with pytest.raises(ValueError):
+        linalg.rank_mod_p(m)
+    assert linalg.rank(m) == 2
+    assert linalg.rank_mod_p([[linalg.PRIME, 0]]) == 0
+    assert linalg.rank([[linalg.PRIME, 0]]) == 1
+    assert linalg.rank_mod_p([]) == 0
