@@ -133,12 +133,17 @@ class WeightedArrangement:
 
     # -- ranks and circuits -------------------------------------------------
 
+    def _equations(self, subset) -> linalg.Echelon:
+        """One echelon of the rows (b, b0) of the subset's hyperplanes; the
+        b0 column, last, holds a pivot exactly when they have no common
+        point."""
+        return linalg.Echelon([*self.hyperplanes[j].b, self.hyperplanes[j].b0] for j in subset)
+
     def rank_report(self, subset) -> SubsetRankReport:
         subset = tuple(subset)
-        coeff_rows = [list(self.hyperplanes[j].b) for j in subset]
-        aug_rows = [[*self.hyperplanes[j].b, self.hyperplanes[j].b0] for j in subset]
-        coeff_rank = linalg.rank(coeff_rows)
-        consistent = linalg.rank(aug_rows) == coeff_rank
+        pivots = self._equations(subset).pivots
+        coeff_rank = sum(c < self.ambient_dim for c in pivots)
+        consistent = self.ambient_dim not in pivots
         general = consistent and coeff_rank == len(subset)
         return SubsetRankReport(subset, coeff_rank, consistent, general)
 
@@ -147,19 +152,13 @@ class WeightedArrangement:
 
     def closure(self, subset) -> frozenset:
         """All hyperplane indices containing the intersection stratum of the
-        subset.  The subset must have a nonempty intersection."""
-        subset = tuple(subset)
-        rows = [[*self.hyperplanes[j].b, self.hyperplanes[j].b0] for j in subset]
-        report = self.rank_report(subset)
-        if not report.consistent:
-            raise ValueError(f"subset {subset} has empty intersection")
-        base_rank = report.coeff_rank
-        members = []
-        for j in range(self.n):
-            row = [*self.hyperplanes[j].b, self.hyperplanes[j].b0]
-            if linalg.rank(rows + [row]) == base_rank:
-                members.append(j)
-        return frozenset(members)
+        subset: those whose row (b, b0) the subset's rows span.  The subset
+        must have a nonempty intersection."""
+        equations = self._equations(subset)
+        if self.ambient_dim in equations.pivots:
+            raise ValueError(f"subset {tuple(subset)} has empty intersection")
+        return frozenset(j for j, h in enumerate(self.hyperplanes)
+                         if equations.spans([*h.b, h.b0]))
 
     def circuits(self) -> list[tuple]:
         """Minimal dependent subsets, up to size k+1."""
@@ -189,17 +188,9 @@ class WeightedArrangement:
         """General-position p-subsets containing no broken circuit, lex order."""
         if not 0 <= p <= self.ambient_dim:
             raise ValueError(f"degree {p} out of range 0..{self.ambient_dim}")
-        if p == 0:
-            return [()]
         broken = self.broken_circuits()
-        out = []
-        for subset in itertools.combinations(range(self.n), p):
-            s = set(subset)
-            if any(set(b) <= s for b in broken):
-                continue
-            if self.general_position(subset):
-                out.append(subset)
-        return out
+        return [s for s in self.candidate_monomials(p)
+                if not any(set(b) <= set(s) for b in broken)]
 
     # -- certified basis and straightening -------------------------------------
 

@@ -19,10 +19,10 @@ import numpy as np
 from . import linalg
 from .arrangement import Hyperplane, WeightedArrangement
 from .master import hess_det
-from .osflag import flag_vector
+from .osflag import flag_vector, pairing
 from .scalars import (Scalar, format_scalar, parse_scalar, scalar_abs, to_int,
                       to_rational)
-from .shapovalov import shapovalov_form
+from .shapovalov import shapovalov_form, shapovalov_map
 from .special import (build_action, check, isotypic_project, permutation_sign,
                       specialize)
 
@@ -442,7 +442,8 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
     the log-Hessian determinant of the master function, is an eigenvector
     of every Hamiltonian with the closed-form eigenvalue (lhs is the
     Rayleigh quotient) and is orthogonal to the omega of every other point.
-    A last row compares the rank of their Gram matrix with dim Sing V.  For
+    A last row, present even with no points, passes only when their Gram
+    matrix has rank len(points) == dim Sing V: a complete Bethe basis.  For
     k = 0 the only Bethe vector is omega = v, and the one row checks
     S(v, v) = 1."""
     if p.k == 0:
@@ -481,11 +482,10 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
             scale = math.sqrt(abs(gram[idx][idx]) * abs(gram[j][j]))
             rows.append(check(f"bethe_orthogonality_{idx}_{o}", value, 0.0, abs(value),
                               abs(value) <= tol * max(scale, 1e-300)))
-    if points:
-        rank = int(np.linalg.matrix_rank(np.array(gram)))
-        sing_dim = singular_dimension(p)
-        rows.append(check("gram_rank_vs_sing_dim", rank, sing_dim, abs(rank - sing_dim),
-                          rank == len(points) and rank <= sing_dim))
+    rank = int(np.linalg.matrix_rank(np.array(gram))) if points else 0
+    sing_dim = singular_dimension(p)
+    rows.append(check("gram_rank_vs_sing_dim", rank, sing_dim, abs(rank - sing_dim),
+                      rank == len(points) == sing_dim))
     return rows
 
 
@@ -493,14 +493,17 @@ def verify_shap_correspondence(p: GaudinProblem) -> dict:
     """Module Shapovalov values against arrangement flag values:
     S_V(F_I v, F_J v) = (-1)^k factor * S^(a)(f_I, f_J).  lhs is the factor
     read off the first pair where either side is nonzero, rhs the expected
-    k_1!...k_r!; every such pair must give exactly that factor."""
+    k_1!...k_r!; every such pair must give exactly that factor.  Each f_I
+    is mapped once by the Shapovalov map, and S^(a)(f_I, f_J) is the
+    pairing of that image with f_J."""
     arr = build_discriminantal(p)
     basis = weight_basis(p)
     flags = {comp: composition_flag(p, arr, comp) for comp in basis}
+    images = {comp: shapovalov_map(arr, flag) for comp, flag in flags.items()}
     ratios = []
     for a, b in itertools.combinations_with_replacement(basis, 2):
         module_side = module_shapovalov_value(p, a) if a == b else Fraction(0)
-        arr_side = (-1) ** p.k * shapovalov_form(arr, flags[a], flags[b])
+        arr_side = (-1) ** p.k * pairing(arr, images[a], flags[b])
         if arr_side != 0 and module_side != 0:
             ratios.append(module_side / arr_side)
         elif (arr_side == 0) != (module_side == 0):

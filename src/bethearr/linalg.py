@@ -99,6 +99,10 @@ class Echelon:
         self._scales.append(scale)
         return True
 
+    def spans(self, row) -> bool:
+        """True if row is in the span of the kept rows."""
+        return not any(self._reduce(row)[0])
+
     def coords(self, row) -> list:
         """Coefficients x with sum_j x_j * (kept row j as added) == row;
         raises ValueError if row is not in their span."""

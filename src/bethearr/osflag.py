@@ -8,7 +8,6 @@ sorted monomial by the circuit relations (WeightedArrangement.basis_coords).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,35 +115,29 @@ def monomial_pairing(arr: WeightedArrangement, monomial, flag: FlagVector) -> Sc
     return sum((c * x for c, x in zip(coords, flag.coords)), start=Fraction(0))
 
 
-def _flag_chain(arr: WeightedArrangement, ordered):
-    """The flag of an ordered general-position tuple as the chain of closures
-    of its prefixes (each closure identifies the stratum)."""
-    return tuple(arr.closure(ordered[: i + 1]) for i in range(len(ordered)))
-
-
 def flag_vector(arr: WeightedArrangement, indices) -> FlagVector:
     """The flag F(H_{i1},...,H_{ip}) as a dual-coordinate vector.
 
-    A basis monomial pairs to (-1)^|sigma| when some permutation sigma of it
-    traces out the same chain of strata as the given tuple, and to 0
-    otherwise.  Comparing chains of strata (not index tuples) is what makes
-    this correct for non-generic arrangements.
+    The tuple's flag is its chain of strata L_0 > ... > L_{p-1}, L_q the
+    intersection of its first q+1 hyperplanes, and hyperplane j has level q
+    for the least q with L_q in H_j.  The members of a general-position
+    basis monomial at level <= q are independent equations through L_q, so
+    at most q+1 of them.  Some ordering of the monomial traces the same
+    chain exactly when its levels are 0..p-1; that ordering sorts it by
+    level, and it pairs to the sign of that sort.  Every other basis
+    monomial pairs to 0.
     """
     indices = tuple(indices)
     if not arr.general_position(indices):
         raise ValueError(f"tuple {indices} is not in general position")
     p = len(indices)
-    target = _flag_chain(arr, indices)
+    level = {}
+    for q in reversed(range(p)):
+        level.update(dict.fromkeys(arr.closure(indices[: q + 1]), q))
     coords = []
     for s in arr.basis(p):
-        value = Fraction(0)
-        for perm in itertools.permutations(range(p)):
-            ordered = tuple(s[i] for i in perm)
-            if _flag_chain(arr, ordered) == target:
-                _, sign = sort_with_sign(perm)
-                value = Fraction(sign)
-                break
-        coords.append(value)
+        order, sign = sort_with_sign([level.get(j, p) for j in s])
+        coords.append(Fraction(sign if order == tuple(range(p)) else 0))
     return FlagVector(p, tuple(coords))
 
 

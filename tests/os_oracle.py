@@ -1,4 +1,6 @@
-"""Evaluation oracle for Orlik-Solomon straightening.
+"""Reference oracles for the Orlik-Solomon combinatorics.
+
+Evaluation oracle for straightening:
 
 The map e_H -> df_H / f_H realizes the Orlik-Solomon algebra as an algebra
 of logarithmic forms (Brieskorn), so the coordinates of a monomial over the
@@ -7,6 +9,11 @@ Values at rational sample points make that exact linear algebra: the nbc
 rows go into one echelon and every monomial's row is solved against it.
 The entries grow to hundreds of bits, so this serves as a test oracle on
 small arrangements only.
+
+Rank-per-row references for the flats: `rank_report` from two ranks,
+`closure` by one rank per hyperplane, and `flag_vector` by a search over
+every ordering of each basis monomial for one whose chain of prefix
+closures is the tuple's.  The search costs p! chains per monomial.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 from fractions import Fraction
 
 from bethearr import linalg
-from bethearr.arrangement import WeightedArrangement
+from bethearr.arrangement import WeightedArrangement, sort_with_sign
 
 
 def form_row(arr: WeightedArrangement, subset, points) -> list:
@@ -45,3 +52,40 @@ def evaluation_coords(arr: WeightedArrangement, p: int):
     if not all(echelon.add(rows[s]) for s in nbc):
         raise ValueError(f"degree {p}: nbc rows are dependent")
     return linalg.rank(list(rows.values())), {s: echelon.coords(rows[s]) for s in subsets}
+
+
+def rank_report(arr: WeightedArrangement, subset):
+    """(coefficient rank, consistent, general position) of a subset, from
+    the ranks of its b-rows and of its rows (b, b0)."""
+    coeff_rank = linalg.rank([list(arr.hyperplanes[j].b) for j in subset])
+    consistent = linalg.rank([[*arr.hyperplanes[j].b, arr.hyperplanes[j].b0]
+                              for j in subset]) == coeff_rank
+    return coeff_rank, consistent, consistent and coeff_rank == len(subset)
+
+
+def closure(arr: WeightedArrangement, subset) -> frozenset:
+    """Hyperplanes containing the stratum of a consistent subset: those
+    whose row (b, b0) leaves the rank of the subset's rows unchanged."""
+    rows = [[*arr.hyperplanes[j].b, arr.hyperplanes[j].b0] for j in subset]
+    base = linalg.rank(rows)
+    return frozenset(j for j, h in enumerate(arr.hyperplanes)
+                     if linalg.rank(rows + [[*h.b, h.b0]]) == base)
+
+
+def flag_vector(arr: WeightedArrangement, indices, flat) -> tuple:
+    """Dual coordinates of the flag of an ordered general-position tuple:
+    a basis monomial pairs to the sign of the first of its orderings whose
+    prefix closures are the tuple's chain of strata, and to 0 if none is.
+    flat(subset) gives the closures, such as closure(arr, subset) looked
+    up from a table."""
+    target = [flat(indices[: q + 1]) for q in range(len(indices))]
+    coords = []
+    for s in arr.basis(len(indices)):
+        value = Fraction(0)
+        for perm in itertools.permutations(range(len(s))):
+            ordered = [s[i] for i in perm]
+            if all(flat(ordered[: q + 1]) == f for q, f in enumerate(target)):
+                value = Fraction(sort_with_sign(perm)[1])
+                break
+        coords.append(value)
+    return tuple(coords)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from bethearr import linalg
 from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
 from bethearr.gaudin import GaudinProblem, build_discriminantal
-from bethearr.osflag import d_A_matrix
+from bethearr.osflag import d_A_matrix, flag_vector
 from conftest import line, point_arrangement
+import os_oracle
 from os_oracle import evaluation_coords
 
 F = Fraction
@@ -203,6 +204,32 @@ def test_straightening_matches_the_evaluation_oracle(arr):
         assert len(arr.basis(p)) == rank
         for s in itertools.combinations(range(arr.n), p):
             assert arr.basis_coords(s) == coords[s]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements())
+def test_flats_and_flags_match_the_rank_oracle(arr):
+    """rank_report and closure of every subset, and flag_vector of every
+    general-position ordered tuple, equal their rank-per-row references.
+    The flag search reads each subset's reference closure, computed once."""
+    flats = {}
+    for p in range(arr.n + 1):
+        for s in itertools.combinations(range(arr.n), p):
+            report = arr.rank_report(s)
+            expected = os_oracle.rank_report(arr, s)
+            assert (report.coeff_rank, report.consistent, report.general_position) == expected
+            if report.consistent:
+                flats[frozenset(s)] = os_oracle.closure(arr, s)
+                assert arr.closure(s) == flats[frozenset(s)]
+
+    def flat(subset):
+        return flats[frozenset(subset)]
+
+    for p in range(1, arr.ambient_dim + 1):
+        for s in arr.candidate_monomials(p):
+            for ordered in itertools.permutations(s):
+                assert flag_vector(arr, ordered).coords == os_oracle.flag_vector(
+                    arr, ordered, flat)
 
 
 class TestJson:

@@ -214,6 +214,17 @@ class TestGaudin:
             "canonical_element_0", "canonical_element_1", "canonical_element_2",
         ]
 
+    def test_missing_bethe_vectors_exit_1(self, gaudin_file, capsys):
+        """With no Newton starts no Bethe vector is found, so the Gram row
+        compares rank 0 with dim Sing = 2 and fails."""
+        code, out, _ = run_main(["gaudin", gaudin_file, "--starts", "0"], capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert not report["pass"]
+        assert (report["n_orbits"], report["sing_dim"]) == (0, 2)
+        gram = next(c for c in report["checks"] if c["name"] == "gram_rank_vs_sing_dim")
+        assert (gram["lhs"], gram["rhs"], gram["pass"]) == (0, 2, False)
+
     def test_non_sl2_exits_3(self, tmp_path, capsys):
         path = tmp_path / "rank2.json"
         path.write_text(json.dumps({

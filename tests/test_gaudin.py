@@ -5,6 +5,7 @@ correspondence."""
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,19 @@ class TestVerifyBethe:
         prod = complex(points[0].hess_det) * complex(points[1].hess_det)
         assert abs(np.linalg.det(gram) - prod) <= 1e-8 * abs(prod)
 
+    def test_one_of_two_bethe_vectors_fails_the_gram_row(self, gaudin_3x1):
+        arr = build_discriminantal(gaudin_3x1)
+        points = find_critical_points(arr, seed=0, n_starts=60)
+        rows = _rows(verify_bethe(gaudin_3x1, [points[0].t]))
+        gram = rows.pop("gram_rank_vs_sing_dim")
+        assert (gram["lhs"], gram["rhs"], gram["pass"]) == (1, 2, False)
+        assert all(r["pass"] for r in rows.values())
+
+    def test_no_points_fail_the_gram_row(self, gaudin_3x1):
+        rows = verify_bethe(gaudin_3x1, [])
+        assert [(r["name"], r["lhs"], r["rhs"], r["pass"]) for r in rows] == [
+            ("gram_rank_vs_sing_dim", 0, 2, False)]
+
     def test_k0_trivial(self, sl2):
         p = GaudinProblem(sl2, ((1,), (2,)), (0,), (F(0), F(1)))
         rows = verify_bethe(p, [])
@@ -299,6 +313,17 @@ class TestShapCorrespondence:
         flags = {c: composition_flag(gaudin_2x2, arr, c) for c in basis}
         for a, b in itertools.combinations(basis, 2):
             assert shapovalov_form(arr, flags[a], flags[b]) == 0
+
+    def test_k3_composition_flags_are_fast(self, sl2):
+        """The 7 composition flags of m = (2, 2, 2), k = 3 took about 130 s
+        of CPU time when each flag searched every ordering of every basis
+        monomial; flags by stratum level take well under a second."""
+        p = GaudinProblem(sl2, ((2,), (2,), (2,)), (3,), (F(0), F(1), F(3)))
+        start = time.process_time()
+        arr = build_discriminantal(p)
+        flags = [composition_flag(p, arr, c) for c in weight_basis(p)]
+        assert time.process_time() - start < 5
+        assert len(flags) == 7 and all(any(f.coords) for f in flags)
 
     def test_negated_diagonal_convention_fails(self, gaudin_2x2):
         """The correspondence pins the diagonal exponent sign: with the
