@@ -98,10 +98,19 @@ def apply_delta(arr: WeightedArrangement, flag: FlagVector) -> FlagVector:
     return FlagVector(flag.degree - 1, tuple(linalg.mat_vec(m, list(flag.coords))))
 
 
+def check_length(flag: FlagVector, basis) -> None:
+    """ValueError unless the flag has one coordinate per monomial of the
+    basis of its degree."""
+    if len(flag.coords) != len(basis):
+        raise ValueError(f"degree {flag.degree} flag has {len(flag.coords)} "
+                         f"coordinates, the basis has {len(basis)}")
+
+
 def pairing(arr: WeightedArrangement, eta: OSElement, flag: FlagVector) -> Scalar:
     if eta.degree != flag.degree:
         raise ValueError("degree mismatch in pairing")
     basis = arr.basis(eta.degree)
+    check_length(flag, basis)
     pos = {s: i for i, s in enumerate(basis)}
     return sum(
         (c * flag.coords[pos[s]] for s, c in eta.coeffs.items()), start=Fraction(0)
@@ -111,6 +120,9 @@ def pairing(arr: WeightedArrangement, eta: OSElement, flag: FlagVector) -> Scala
 def monomial_pairing(arr: WeightedArrangement, monomial, flag: FlagVector) -> Scalar:
     """Pairing of an arbitrary (possibly non-basis) monomial with a flag
     vector, through straightening."""
+    if len(monomial) != flag.degree:
+        raise ValueError("degree mismatch in pairing")
+    check_length(flag, arr.basis(flag.degree))
     coords = straighten_coords(arr, monomial)
     return sum((c * x for c, x in zip(coords, flag.coords)), start=Fraction(0))
 

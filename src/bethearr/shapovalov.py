@@ -5,49 +5,62 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .arrangement import WeightedArrangement
-from .osflag import FlagVector, OSElement
+from .osflag import FlagVector, OSElement, check_length
 from .scalars import Scalar
 
 
 def _weighted_top(arr: WeightedArrangement):
-    """(exponent product, coordinates over the top basis) of each
-    general-position k-subset whose exponent product is nonzero."""
+    """(exponent product, [(basis index, coefficient) of each nonzero
+    straightened coordinate]) of each general-position k-subset whose
+    exponent product is nonzero.  On a generic arrangement every such
+    subset is a basis monomial, so its list has one pair."""
     for subset in arr.candidate_monomials(arr.ambient_dim):
         prod = Fraction(1)
         for j in subset:
             prod = prod * arr.exponents[j]
         if prod != 0:
-            yield prod, arr.basis_coords(subset)
+            yield prod, [(i, c) for i, c in enumerate(arr.basis_coords(subset)) if c != 0]
+
+
+def _pair(pairs, coords) -> Scalar:
+    return sum((c * coords[i] for i, c in pairs), start=Fraction(0))
+
+
+def _top_basis(arr: WeightedArrangement, flags, what: str) -> list:
+    """The top-degree basis, once each flag is checked to be a top-degree
+    flag with one coordinate per basis monomial."""
+    k = arr.ambient_dim
+    if any(f.degree != k for f in flags):
+        raise ValueError(f"{what} is defined on top-degree flags")
+    basis = arr.basis(k)
+    for f in flags:
+        check_length(f, basis)
+    return basis
 
 
 def shapovalov_form(arr: WeightedArrangement, f1: FlagVector, f2: FlagVector) -> Scalar:
     """S^(a)(F1, F2): sum over general-position k-subsets of the exponent
-    product times both pairings."""
-    k = arr.ambient_dim
-    if f1.degree != k or f2.degree != k:
-        raise ValueError("Shapovalov form is defined on top-degree flags")
+    product times both pairings, each taken over the subset's nonzero
+    straightened coordinates only."""
+    _top_basis(arr, (f1, f2), "Shapovalov form")
     total = Fraction(0)
-    for prod, coords in _weighted_top(arr):
-        total = total + prod * linalg.dot(coords, f1.coords) * linalg.dot(coords, f2.coords)
+    for prod, pairs in _weighted_top(arr):
+        total = total + prod * _pair(pairs, f1.coords) * _pair(pairs, f2.coords)
     return total
 
 
 def shapovalov_map(arr: WeightedArrangement, flag: FlagVector) -> OSElement:
     """The Shapovalov image of a top-degree flag in A^k coordinates."""
-    k = arr.ambient_dim
-    if flag.degree != k:
-        raise ValueError("Shapovalov map is implemented on top-degree flags")
-    basis = arr.basis(k)
+    basis = _top_basis(arr, (flag,), "Shapovalov map")
     out = [Fraction(0)] * len(basis)
-    for prod, coords in _weighted_top(arr):
-        p = linalg.dot(coords, flag.coords)
+    for prod, pairs in _weighted_top(arr):
+        p = _pair(pairs, flag.coords)
         if p == 0:
             continue
-        for i, c in enumerate(coords):
+        for i, c in pairs:
             out[i] = out[i] + prod * p * c
-    return OSElement(k, {s: c for s, c in zip(basis, out) if c != 0})
+    return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})
 
 
 def special_pairing(arr: WeightedArrangement, t1, t2) -> Scalar:

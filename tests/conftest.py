@@ -1,9 +1,12 @@
 """Shared fixtures: small rational arrangements and Gaudin instances with
-known, hand-checked properties."""
+known, hand-checked properties, and a hypothesis strategy for random small
+arrangements."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import reject
+from hypothesis import strategies as st
 
 from bethearr.arrangement import Hyperplane, WeightedArrangement
 from bethearr.gaudin import CartanDatum, GaudinProblem
@@ -21,6 +24,31 @@ def point_arrangement(zs, exponents=None):
     if exponents is None:
         exponents = [F(1)] * len(zs)
     return WeightedArrangement(1, hyperplanes, exponents)
+
+
+@st.composite
+def small_arrangements(draw):
+    """Random k = 2 or 3 arrangements with small integer coefficients, some
+    hyperplanes forced through the intersection of 2 to k others
+    (concurrent lines, planes through a line or a point) or parallel to
+    another."""
+    k = draw(st.sampled_from([2, 3]))
+    coeff = st.integers(-3, 3)
+    rows = [[draw(coeff) for _ in range(k + 1)] for _ in range(draw(st.integers(k, 4)))]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            rows.append([draw(coeff), *draw(st.sampled_from(rows))[1:]])
+        else:
+            members = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=k,
+                                    unique_by=id))
+            weights = [draw(st.sampled_from([-2, -1, 1, 2])) for _ in members]
+            rows.append([sum(w * r[i] for w, r in zip(weights, members))
+                         for i in range(k + 1)])
+    try:
+        return WeightedArrangement(
+            k, [Hyperplane(F(r[0]), tuple(map(F, r[1:]))) for r in rows], [F(1)] * len(rows))
+    except ValueError:  # a zero or repeated hyperplane, or no vertex
+        reject()
 
 
 @pytest.fixture

@@ -14,6 +14,10 @@ Rank-per-row references for the flats: `rank_report` from two ranks,
 `closure` by one rank per hyperplane, and `flag_vector` by a search over
 every ordering of each basis monomial for one whose chain of prefix
 closures is the tuple's.  The search costs p! chains per monomial.
+
+Dense references for the Shapovalov form and map: every weighted top
+subset pairs with the flags by a full dot product of its straightened
+coordinates, zeros included.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from fractions import Fraction
 
 from bethearr import linalg
 from bethearr.arrangement import WeightedArrangement, sort_with_sign
+from bethearr.osflag import OSElement
 
 
 def form_row(arr: WeightedArrangement, subset, points) -> list:
@@ -89,3 +94,31 @@ def flag_vector(arr: WeightedArrangement, indices, flat) -> tuple:
                 break
         coords.append(value)
     return tuple(coords)
+
+
+def _dense_top(arr: WeightedArrangement):
+    """(exponent product, coordinates over the top basis) of each
+    general-position k-subset whose exponent product is nonzero."""
+    for subset in arr.candidate_monomials(arr.ambient_dim):
+        prod = math.prod(arr.exponents[j] for j in subset)
+        if prod != 0:
+            yield prod, arr.basis_coords(subset)
+
+
+def shapovalov_form(arr: WeightedArrangement, f1, f2):
+    total = Fraction(0)
+    for prod, coords in _dense_top(arr):
+        total = total + prod * linalg.dot(coords, f1.coords) * linalg.dot(coords, f2.coords)
+    return total
+
+
+def shapovalov_map(arr: WeightedArrangement, flag) -> OSElement:
+    basis = arr.basis(arr.ambient_dim)
+    out = [Fraction(0)] * len(basis)
+    for prod, coords in _dense_top(arr):
+        p = linalg.dot(coords, flag.coords)
+        if p == 0:
+            continue
+        for i, c in enumerate(coords):
+            out[i] = out[i] + prod * p * c
+    return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})

@@ -7,14 +7,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethearr import linalg
 from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
 from bethearr.gaudin import GaudinProblem, build_discriminantal
 from bethearr.osflag import d_A_matrix, flag_vector
-from conftest import line, point_arrangement
+from conftest import line, point_arrangement, small_arrangements
 import os_oracle
 from os_oracle import evaluation_coords
 
@@ -167,31 +167,6 @@ class TestCertificate:
         assert concurrent3.basis(1) == [(0,), (1,), (2,)]
         with pytest.raises(RuntimeError, match="degree 2"):
             concurrent3.basis(2)
-
-
-@st.composite
-def small_arrangements(draw):
-    """Random k = 2 or 3 arrangements with small integer coefficients, some
-    hyperplanes forced through the intersection of 2 to k others
-    (concurrent lines, planes through a line or a point) or parallel to
-    another."""
-    k = draw(st.sampled_from([2, 3]))
-    coeff = st.integers(-3, 3)
-    rows = [[draw(coeff) for _ in range(k + 1)] for _ in range(draw(st.integers(k, 4)))]
-    for _ in range(draw(st.integers(1, 2))):
-        if draw(st.booleans()):
-            rows.append([draw(coeff), *draw(st.sampled_from(rows))[1:]])
-        else:
-            members = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=k,
-                                    unique_by=id))
-            weights = [draw(st.sampled_from([-2, -1, 1, 2])) for _ in members]
-            rows.append([sum(w * r[i] for w, r in zip(weights, members))
-                         for i in range(k + 1)])
-    try:
-        return WeightedArrangement(
-            k, [Hyperplane(F(r[0]), tuple(map(F, r[1:]))) for r in rows], [F(1)] * len(rows))
-    except ValueError:  # a zero or repeated hyperplane, or no vertex
-        reject()
 
 
 @settings(max_examples=40, deadline=None)

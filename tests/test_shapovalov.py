@@ -2,20 +2,23 @@
 the generic-arrangement operator oracle."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bethearr import linalg
 from bethearr.arrangement import with_exponents
-from bethearr.osflag import FlagVector, pairing
+from bethearr.osflag import FlagVector, OSElement, monomial_pairing, pairing
 from bethearr.shapovalov import (shapovalov_form, shapovalov_map,
                                  special_pairing)
 from bethearr.special import specialize
+from conftest import small_arrangements
 from generic_ops import (dependency_constant, is_generic, k_operator,
                          l_operator, standard_basis)
+import os_oracle
 
 F = Fraction
 
@@ -35,6 +38,20 @@ class TestShapovalovForm:
             shapovalov_form(generic4, FlagVector(1, (F(1),) * 4),
                             FlagVector(2, (F(1),) * 6))
 
+    @pytest.mark.parametrize("size", [5, 9])
+    @pytest.mark.parametrize("call", [
+        lambda arr, f: shapovalov_form(arr, f, FlagVector(2, (F(1),) * 6)),
+        lambda arr, f: shapovalov_form(arr, FlagVector(2, (F(1),) * 6), f),
+        shapovalov_map,
+        lambda arr, f: pairing(arr, OSElement(2, {(2, 3): F(1)}), f),
+        lambda arr, f: monomial_pairing(arr, (3, 2), f),
+    ], ids=["form-left", "form-right", "map", "pairing", "monomial-pairing"])
+    def test_flag_length_checked(self, generic4, call, size):
+        """generic4 has 6 basis monomials in degree 2; a flag with any other
+        number of coordinates is rejected, not truncated."""
+        with pytest.raises(ValueError, match="coordinates"):
+            call(generic4, FlagVector(2, (F(1),) * size))
+
     def test_linear_in_exponents(self, generic3):
         f = FlagVector(2, (F(1), F(2), F(3)))
         doubled = with_exponents(generic3, [2 * a for a in generic3.exponents])
@@ -46,6 +63,38 @@ class TestShapovalovForm:
         f2 = FlagVector(2, (F(0), F(3), F(1)))
         eta = shapovalov_map(generic3, f1)
         assert pairing(generic3, eta, f2) == shapovalov_form(generic3, f1, f2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements(), st.data())
+def test_form_and_map_match_the_dense_oracle(arr, data):
+    """The form and map over nonzero straightened coordinates equal the
+    dense references: exactly on random rational flags, and to the last bit
+    (== and repr) on special vectors at random complex points.  Zero
+    exponents (drawn, or forced on at most one hyperplane) drop the top
+    subsets that contain them; the others keep their non-unit coordinates."""
+    exponents = data.draw(st.lists(rational, min_size=arr.n, max_size=arr.n))
+    for j in data.draw(st.sets(st.integers(0, arr.n - 1), max_size=1)):
+        exponents[j] = F(0)
+    arr = with_exponents(arr, exponents)
+    k = arr.ambient_dim
+    coords = st.lists(rational, min_size=len(arr.basis(k)), max_size=len(arr.basis(k)))
+    f1 = FlagVector(k, tuple(data.draw(coords)))
+    f2 = FlagVector(k, tuple(data.draw(coords)))
+    assert shapovalov_form(arr, f1, f2) == os_oracle.shapovalov_form(arr, f1, f2)
+    assert shapovalov_map(arr, f1) == os_oracle.shapovalov_map(arr, f1)
+
+    # Generic floats: a component that is exactly zero in every term could
+    # take a different sign of zero in the two sums.
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    t1, t2 = (tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(k))
+              for _ in range(2))
+    assume(not arr.contains_point(t1) and not arr.contains_point(t2))
+    v1, v2 = specialize(arr, t1), specialize(arr, t2)
+    for got, expected in [(shapovalov_form(arr, v1, v2), os_oracle.shapovalov_form(arr, v1, v2)),
+                          (shapovalov_map(arr, v1), os_oracle.shapovalov_map(arr, v1))]:
+        assert got == expected
+        assert repr(got) == repr(expected)
 
 
 class TestSpecialPairing:
