@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gaudin as gd
 from .arrangement import WeightedArrangement
-from .master import CriticalPoint, find_critical_points, group_orbits, symmetric_group
+from .master import CriticalPoint, find_critical_points, newton_solve
 from .scalars import format_scalar
 from .special import (verify_norm_identity, verify_orthogonality, verify_singular,
                       verify_singular_at_critical)
@@ -198,17 +198,13 @@ def cmd_gaudin(args) -> int:
               "sing_dim": gd.singular_dimension(problem)}
     representatives = []
     if k:
-        points = group_orbits(_critical_points(gd.build_discriminantal(problem), args),
-                              symmetric_group(k))
-        seen = set()
-        for cp in points:
-            if cp.orbit_id in seen or not cp.nondegenerate:
-                continue
-            if len(set(round(complex(x).real, 9) + 1j * round(complex(x).imag, 9)
-                       for x in cp.t)) != k:
-                continue
-            seen.add(cp.orbit_id)
-            representatives.append(cp)
+        arr = gd.build_discriminantal(problem)
+        seeds = gd.bethe_roots(problem)[:args.starts]
+        points = [cp for cp in (newton_solve(arr, t, tol=args.tol_newton) for t in seeds)
+                  if isinstance(cp, CriticalPoint)]
+        # one orbit per polished seed; keep those with k distinct coordinates
+        representatives = [cp for cp in points if cp.nondegenerate and len(
+            {round(x.real, 9) + 1j * round(x.imag, 9) for x in map(complex, cp.t)}) == k]
         report["n_points"] = len(points)
         report["n_orbits"] = len(representatives)
 

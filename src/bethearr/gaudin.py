@@ -396,6 +396,59 @@ def gaudin_hamiltonian(p: GaudinProblem, i: int):
     return mat
 
 
+def bethe_roots(p: GaudinProblem) -> list[tuple]:
+    """Approximate Bethe roots, one sorted tuple per orbit of critical
+    points, read off the spectrum of the Hamiltonians on Sing V[Lambda - k
+    alpha] (Scherbak-Varchenko; Mukhin-Tarasov-Varchenko).
+
+    The K_s preserve Sing, the kernel of raising_matrix.  Each eigenvector
+    of a fixed generic combination of them gives eigenvalues E_s (Rayleigh
+    quotients), and y(x) = prod (x - t_i) is the degree-k solution of
+    Z y'' - Q y' + V y = 0 with Z = prod (x - z_s), Q = sum m_s Z/(x - z_s)
+    and V = -sum (E_s - lambda_s) Z/(x - z_s), lambda_s the constant term of
+    bethe_eigenvalue.  An eigenvector whose solution space is not clearly
+    one-dimensional (a repeated eigenvalue mixes Bethe vectors) gives no
+    tuple.  The roots are accurate to rounding; newton_solve polishes them.
+    """
+    if p.k == 0:
+        return [()]
+    m = p.sl2_highest_weights()
+    sing = linalg.nullspace(raising_matrix(p), len(weight_basis(p)))
+    if not sing:
+        return []
+    basis, _ = np.linalg.qr(np.array([[complex(x) for x in v] for v in sing]).T)
+    restricted = [basis.conj().T @ np.array([[complex(x) for x in row]
+                                             for row in gaudin_hamiltonian(p, s)]) @ basis
+                  for s in range(p.n)]
+    # coefficients outside span(1, z): sum K_s vanishes and sum z_s K_s is scalar on Sing
+    mix = sum(math.cos(s + 1) * h for s, h in enumerate(restricted))
+    z = [complex(x) for x in p.z]
+    lam = [complex(bethe_eigenvalue(p, (), s)) for s in range(p.n)]
+    # coefficients from x^0 up: Z, Q and Z / (x - z_s)
+    zpoly = np.polynomial.polynomial.polyfromroots(z)
+    others = [np.polynomial.polynomial.polyfromroots(z[:s] + z[s + 1:]) for s in range(p.n)]
+    qpoly = sum(ms * c for ms, c in zip(m, others))
+    roots = []
+    for vec in np.linalg.eig(mix)[1].T:
+        energy = [np.vdot(vec, h @ vec) / np.vdot(vec, vec) for h in restricted]
+        # the x^(n-1) coefficient, -sum (E_s - lambda_s), is zero up to rounding
+        vpoly = -sum((e - l) * c for e, l, c in zip(energy, lam, others))[:-1]
+        # column j: Z (x^j)'' - Q (x^j)' + V x^j, all of degree <= n + k - 2
+        ode = np.zeros((p.n + p.k - 1, p.k + 1), dtype=complex)
+        for j in range(p.k + 1):
+            ode[j:j + p.n - 1, j] += vpoly
+            if j >= 1:
+                ode[j - 1:j + p.n - 1, j] -= j * qpoly
+            if j >= 2:
+                ode[j - 2:j + p.n - 1, j] += j * (j - 1) * zpoly
+        s, vh = np.linalg.svd(ode)[1:]
+        if not s[-1] <= 1e-8 * s[0] < s[-2]:
+            continue
+        roots.append(tuple(sorted(map(complex, np.roots(vh[-1].conj()[::-1])),
+                                  key=lambda x: (x.real, x.imag))))
+    return sorted(roots, key=lambda t: [(round(x.real, 9), round(x.imag, 9)) for x in t])
+
+
 # -- flags of the discriminantal arrangement ---------------------------------
 
 

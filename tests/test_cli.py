@@ -3,8 +3,10 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bethearr.cli import main
@@ -221,6 +223,43 @@ class TestGaudin:
         report = json.loads(out)
         assert code == 1
         assert not report["pass"]
+        assert (report["n_orbits"], report["sing_dim"]) == (0, 2)
+        gram = next(c for c in report["checks"] if c["name"] == "gram_rank_vs_sing_dim")
+        assert (gram["lhs"], gram["rhs"], gram["pass"]) == (0, 2, False)
+
+    def test_k3_orbit_from_the_spectrum(self, tmp_path, capsys):
+        """m = (2, 2, 2), k = 3, z = (0, 1, 3), where multi-start Newton finds
+        no critical point: the spectrum of the Hamiltonians gives the one
+        orbit."""
+        path = tmp_path / "m222k3.json"
+        path.write_text(json.dumps({
+            "cartan": {"rank": 1, "A": [[2]]},
+            "weights": [[2], [2], [2]],
+            "k": [3],
+            "z": ["0/1", "1/1", "3/1"],
+        }))
+        start = time.process_time()
+        code, out, _ = run_main(["gaudin", str(path)], capsys)
+        assert time.process_time() - start < 5
+        report = json.loads(out)
+        assert code == 0
+        assert report["n_orbits"] == report["sing_dim"] == 1
+        assert len(report["checks"]) == 8
+        assert all(c["pass"] for c in report["checks"])
+
+    def test_repeated_eigenvalue_exits_1(self, gaudin_file, capsys, monkeypatch):
+        """A repeated eigenvalue of the Hamiltonian combination mixes the two
+        Bethe vectors; no root is read off and the Gram row fails."""
+        eig = np.linalg.eig
+
+        def repeated(a):
+            w, v = eig(a)
+            return np.full(2, w[0]), np.column_stack([v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]])
+
+        monkeypatch.setattr(np.linalg, "eig", repeated)
+        code, out, _ = run_main(["gaudin", gaudin_file], capsys)
+        report = json.loads(out)
+        assert code == 1
         assert (report["n_orbits"], report["sing_dim"]) == (0, 2)
         gram = next(c for c in report["checks"] if c["name"] == "gram_rank_vs_sing_dim")
         assert (gram["lhs"], gram["rhs"], gram["pass"]) == (0, 2, False)

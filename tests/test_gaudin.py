@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bethearr import linalg
 from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
-                             bethe_residual, build_discriminantal,
+                             bethe_residual, bethe_roots, build_discriminantal,
                              canonical_weight_function, composition_flag,
                              gaudin_hamiltonian, module_shapovalov_value,
                              point_hyperplane_index, raising_matrix,
@@ -23,7 +23,8 @@ from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
                              tensor_shapovalov, verify_bethe,
                              verify_canonical_element,
                              verify_shap_correspondence, weight_basis)
-from bethearr.master import find_critical_points, log_grad
+from bethearr.master import (CriticalPoint, find_critical_points, group_orbits, log_grad,
+                             newton_solve, symmetric_group)
 from bethearr.shapovalov import shapovalov_form
 
 F = Fraction
@@ -294,6 +295,64 @@ class TestVerifyBethe:
         for s in range(p.n):
             image = linalg.mat_vec(gaudin_hamiltonian(p, s), list(omega.coords))
             assert image == [bethe_eigenvalue(p, (), s) * x for x in omega.coords]
+
+
+def _sl2_problem(weights, k, z):
+    return GaudinProblem(CartanDatum.sl2(), tuple((m,) for m in weights), (k,),
+                         tuple(map(F, z)))
+
+
+def _same_orbit(t, u, tol):
+    return any(max(abs(complex(a) - complex(b)) for a, b in zip(perm, u)) < tol
+               for perm in itertools.permutations(t))
+
+
+SPECTRAL_PROBLEMS = {
+    "m111-k1": ((1, 1, 1), 1, (0, 1, 3)),
+    "m1111-k1": ((1, 1, 1, 1), 1, (0, 1, 3, 7)),
+    "m1111-k2": ((1, 1, 1, 1), 2, (0, 1, 3, 7)),
+    "m22-k1": ((2, 2), 1, (0, 1)),
+    "m222-k1": ((2, 2, 2), 1, (0, 1, 3)),
+    "m222-k2": ((2, 2, 2), 2, (0, 1, 3)),
+    # multi-start finds this orbit at these z, not at z = (0, 1, 3)
+    "m222-k3": ((2, 2, 2), 3, (-1, 0, 2)),
+}
+
+
+class TestBetheRoots:
+    @pytest.fixture(params=["gaudin_2x1", "gaudin_3x1", "gaudin_2x2", *SPECTRAL_PROBLEMS])
+    def problem(self, request):
+        if request.param in SPECTRAL_PROBLEMS:
+            return _sl2_problem(*SPECTRAL_PROBLEMS[request.param])
+        return request.getfixturevalue(request.param)
+
+    def test_polished_roots_are_the_multistart_orbits(self, problem):
+        """One polished spectral point per orbit of nondegenerate critical
+        points, the orbits that multi-start Newton finds."""
+        arr = build_discriminantal(problem)
+        polished = [newton_solve(arr, t) for t in bethe_roots(problem)]
+        assert all(isinstance(cp, CriticalPoint) and cp.nondegenerate for cp in polished)
+        for cp in polished:
+            assert max(abs(complex(r)) for r in bethe_residual(problem, cp.t)) < 1e-10
+        found = group_orbits(find_critical_points(arr, seed=0, n_starts=200),
+                             symmetric_group(problem.k))
+        orbits = {cp.orbit_id: cp.t for cp in found if cp.nondegenerate}
+        assert len(polished) == len(orbits) == singular_dimension(problem)
+        for t in orbits.values():
+            assert sum(_same_orbit(cp.t, t, 1e-8) for cp in polished) == 1
+
+    def test_seeds_are_deterministic_sorted_tuples(self, gaudin_2x2):
+        seeds = bethe_roots(gaudin_2x2)
+        assert seeds == bethe_roots(gaudin_2x2)
+        assert all(list(t) == sorted(t, key=lambda x: (x.real, x.imag)) for t in seeds)
+
+    def test_zero_singular_space_has_no_roots(self):
+        p = _sl2_problem((4, 1, 1), 3, (0, 1, 2))
+        assert singular_dimension(p) == 0
+        assert bethe_roots(p) == []
+
+    def test_k0_one_empty_root_tuple(self, sl2):
+        assert bethe_roots(GaudinProblem(sl2, ((1,), (2,)), (0,), (F(0), F(1)))) == [()]
 
 
 class TestShapCorrespondence:
