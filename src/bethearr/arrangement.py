@@ -96,21 +96,24 @@ class WeightedArrangement:
     # -- construction checks ------------------------------------------------
 
     def _check_distinct(self):
-        rows = [[h.b0, *h.b] for h in self.hyperplanes]
-        for i, j in itertools.combinations(range(len(rows)), 2):
-            if linalg.rank([rows[i], rows[j]]) < 2:
-                raise ValueError(
-                    f"hyperplanes {i} and {j} are proportional as projective equations"
-                )
+        """ValueError naming the least pair of proportional rows (b, b0).
+        Rows are proportional iff they agree once scaled by their first
+        nonzero entry, which b always has."""
+        classes = {}
+        for i, h in enumerate(self.hyperplanes):
+            lead = Fraction(next(x for x in h.b if x))
+            classes.setdefault(tuple(x / lead for x in (*h.b, h.b0)), []).append(i)
+        pairs = [c[:2] for c in classes.values() if len(c) > 1]
+        if pairs:
+            i, j = min(pairs)
+            raise ValueError(f"hyperplanes {i} and {j} are proportional as projective equations")
 
     def has_vertex(self) -> bool:
-        k = self.ambient_dim
-        if len(self.hyperplanes) < k:
-            return False
-        for subset in itertools.combinations(range(len(self.hyperplanes)), k):
-            if self.rank_report(subset).general_position:
-                return True
-        return False
+        """Some k hyperplanes meet in a point exactly when the normals b_j
+        have rank k: k independent normals give k consistent equations."""
+        normals = linalg.Echelon()
+        return any(normals.add(h.b) and len(normals) == self.ambient_dim
+                   for h in self.hyperplanes)
 
     # -- basic properties ---------------------------------------------------
 

@@ -23,8 +23,8 @@ from .osflag import flag_vector, pairing
 from .scalars import (Scalar, format_scalar, parse_scalar, scalar_abs, to_int,
                       to_rational)
 from .shapovalov import shapovalov_form, shapovalov_map
-from .special import (build_action, check, isotypic_project, permutation_sign,
-                      specialize)
+from .special import (check, full_symmetric_action, isotypic_project,
+                      permutation_sign, specialize)
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,11 @@ def build_discriminantal(p: GaudinProblem, diagonal_sign: int = 1) -> WeightedAr
     return WeightedArrangement(k, hyperplanes, exponents)
 
 
+def _vanishes(x) -> bool:
+    """x is zero, or within 1e-12 of it when inexact."""
+    return x == 0 or (not isinstance(x, (int, Fraction)) and abs(complex(x)) < 1e-12)
+
+
 def bethe_residual(p: GaudinProblem, t):
     """Left-hand sides of the Bethe equations; identically log_grad of
     build_discriminantal at t."""
@@ -209,7 +214,7 @@ def bethe_residual(p: GaudinProblem, t):
         total = Fraction(0)
         for s in range(p.n):
             denom = t[i] - p.z[s]
-            if denom == 0 or (not isinstance(denom, (int, Fraction)) and abs(complex(denom)) < 1e-12):
+            if _vanishes(denom):
                 raise ValueError(f"t_{i+1} collides with z_{s+1}")
             total = total - p.cartan.weight_pairing(p.level(i), p.weights[s]) / denom
         for j in range(k):
@@ -219,7 +224,7 @@ def bethe_residual(p: GaudinProblem, t):
             if pairing == 0:
                 continue
             denom = t[i] - t[j]
-            if denom == 0 or (not isinstance(denom, (int, Fraction)) and abs(complex(denom)) < 1e-12):
+            if _vanishes(denom):
                 raise ValueError(f"t_{i+1} collides with t_{j+1}")
             total = total + pairing / denom
         out.append(total)
@@ -270,40 +275,35 @@ class TensorVector:
         return TensorVector(self.basis, tuple(c * x for x in self.coords))
 
 
-def _chain_factor(t, block, z_s):
-    """1/((t_{a1}-t_{a2})...(t_{a_{j-1}}-t_{a_j})(t_{a_j}-z_s)) for a block of
-    0-based variable indices; empty block contributes 1."""
-    if not block:
-        return Fraction(1)
-    denom = t[block[-1]] - z_s
-    for a, b in zip(block, block[1:]):
-        denom = denom * (t[a] - t[b])
-    return 1 / denom
-
-
 def canonical_weight_function(p: GaudinProblem, t) -> TensorVector:
-    """omega(z, t): sum over compositions I and permutations sigma of the
-    product of per-slot chain fractions, collected on F_I v."""
+    """omega(z, t) on the F_I v basis.  Symmetrizing one slot's chain gives
+    sum_sigma 1/((t_sigma1 - t_sigma2)...(t_sigmaj - z)) = prod_i 1/(t_i - z)
+    (Schechtman-Varchenko), so omega_I sums prod_i 1/(t_i - z_slot(i)) over
+    the assignments of the variables to slots with j_s of them in slot s.
+    The sum is built one variable at a time, keyed by partial composition.
+    A point with t_i = z_s raises ValueError; omega is regular on the
+    diagonals t_i = t_j."""
     if not p.is_sl2:
         raise ValueError("canonical weight function implemented for sl2 only")
-    k = p.k
-    basis = tuple(weight_basis(p))
-    if k == 0:
-        return TensorVector(basis, (Fraction(1),))
-    if len(t) != k:
+    m = p.sl2_highest_weights()
+    if len(t) != p.k:
         raise ValueError("wrong number of coordinates")
-    coords = []
-    for comp in basis:
-        bounds = list(itertools.accumulate(comp, initial=0))
-        total = Fraction(0)
-        for sigma in itertools.permutations(range(k)):
-            term = Fraction(1)
-            for s in range(p.n):
-                block = sigma[bounds[s]:bounds[s + 1]]
-                term = term * _chain_factor(t, block, p.z[s])
-            total = total + term
-        coords.append(total)
-    return TensorVector(basis, tuple(coords))
+    partial = {(0,) * p.n: Fraction(1)}
+    for i, ti in enumerate(t):
+        inverses = []
+        for s, zs in enumerate(p.z):
+            if _vanishes(ti - zs):
+                raise ValueError(f"t_{i+1} collides with z_{s+1}")
+            inverses.append(1 / (ti - zs))
+        grown = {}
+        for comp, value in partial.items():
+            for s, inverse in enumerate(inverses):
+                if comp[s] < m[s]:
+                    key = comp[:s] + (comp[s] + 1,) + comp[s + 1:]
+                    grown[key] = grown.get(key, 0) + value * inverse
+        partial = grown
+    basis = tuple(weight_basis(p))
+    return TensorVector(basis, tuple(partial[comp] for comp in basis))
 
 
 def tensor_shapovalov(p: GaudinProblem, x: TensorVector, y: TensorVector) -> Scalar:
@@ -574,9 +574,7 @@ def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> list[di
     per pair of the points t and t2; abs_err is relative to
     max(|lhs|, |rhs|, 1)."""
     arr = build_discriminantal(p)
-    action = build_action(
-        arr, list(itertools.permutations(range(p.k))), character="sign"
-    )
+    action = full_symmetric_action(arr, p.k, "sign")
     factor = Fraction(_factorial_product(p.kvec)) * (-1) ** p.k
 
     points = [tuple(t)] + ([tuple(t2)] if t2 is not None else [])

@@ -11,7 +11,6 @@ per start and calls none of them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -212,8 +211,3 @@ def group_orbits(points: list[CriticalPoint], group, tol=1e-6) -> list[CriticalP
     for cp, oid in zip(points, orbit):
         cp.orbit_id = oid
     return points
-
-
-def symmetric_group(k: int):
-    """All coordinate permutations of {0..k-1}."""
-    return [tuple(p) for p in itertools.permutations(range(k))]

@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import linalg
 from .arrangement import WeightedArrangement
 from .master import hess_det, log_grad
-from .osflag import (FlagVector, apply_delta, evaluate_form, straighten_coords)
+from .osflag import FlagVector, apply_delta, evaluate_form, monomial_pairing
 from .scalars import scalar_abs
 from .shapovalov import shapovalov_form, special_pairing
 
@@ -172,26 +172,12 @@ def build_action(arr: WeightedArrangement, perms, character="trivial") -> Symmet
     return SymmetryAction(perms=tuple(perms), hyperplane_perms=hp, character=character)
 
 
-def os_action_matrix(arr: WeightedArrangement, action: SymmetryAction, idx: int):
-    """Matrix of the group element on A^k coordinates (columns = images of
-    basis monomials, straightened)."""
-    pi = action.hyperplane_perms[idx]
-    basis = arr.basis(arr.ambient_dim)
-    cols = [straighten_coords(arr, tuple(pi[m] for m in s)) for s in basis]
-    return linalg.transpose(cols)
-
-
-def flag_action_matrix(arr: WeightedArrangement, action: SymmetryAction, idx: int):
-    """Matrix of R_g on dual coordinates: transpose of the A^k matrix of the
-    inverse element (so the duality pairing is invariant)."""
-    sigma_inv = _invert(action.perms[idx])
-    inv_idx = action.perms.index(sigma_inv)
-    return linalg.transpose(os_action_matrix(arr, action, inv_idx))
-
-
 def apply_flag_action(arr, action, idx, flag: FlagVector) -> FlagVector:
-    m = flag_action_matrix(arr, action, idx)
-    return FlagVector(flag.degree, tuple(linalg.mat_vec(m, list(flag.coords))))
+    """R_g on dual coordinates: (R_g F)_S pairs F with e_{pi^-1(S)}, pi the
+    hyperplane permutation of g, so the duality pairing is invariant."""
+    inv = _invert(action.hyperplane_perms[idx])
+    return FlagVector(flag.degree, tuple(monomial_pairing(arr, tuple(inv[j] for j in s), flag)
+                                         for s in arr.basis(flag.degree)))
 
 
 def isotypic_project(arr: WeightedArrangement, action: SymmetryAction,

@@ -18,6 +18,11 @@ closures is the tuple's.  The search costs p! chains per monomial.
 Dense references for the Shapovalov form and map: every weighted top
 subset pairs with the flags by a full dot product of its straightened
 coordinates, zeros included.
+
+Enumeration references: the vertex test by a scan of the k-subsets, the
+canonical weight function by its sum over k! permutations of chain
+fractions, and the symmetry action on flags by the transposed matrix of
+the inverse element on A^k.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from fractions import Fraction
 
 from bethearr import linalg
 from bethearr.arrangement import WeightedArrangement, sort_with_sign
-from bethearr.osflag import OSElement
+from bethearr.gaudin import GaudinProblem, TensorVector, weight_basis
+from bethearr.osflag import FlagVector, OSElement, straighten_coords
 
 
 def form_row(arr: WeightedArrangement, subset, points) -> list:
@@ -122,3 +128,57 @@ def shapovalov_map(arr: WeightedArrangement, flag) -> OSElement:
         for i, c in enumerate(coords):
             out[i] = out[i] + prod * p * c
     return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})
+
+
+def has_vertex(k: int, hyperplanes) -> bool:
+    """True if some k of the hyperplanes are in general position: a scan of
+    the k-subsets in lex order for one whose normals have rank k (k such
+    equations are consistent)."""
+    return any(linalg.rank([list(hyperplanes[j].b) for j in subset]) == k
+               for subset in itertools.combinations(range(len(hyperplanes)), k))
+
+
+def symmetric_group(k: int):
+    """All coordinate permutations of {0..k-1}."""
+    return [tuple(p) for p in itertools.permutations(range(k))]
+
+
+def _chain_factor(t, block, z_s):
+    """1/((t_{a1}-t_{a2})...(t_{a_{j-1}}-t_{a_j})(t_{a_j}-z_s)) for a block of
+    0-based variable indices; an empty block contributes 1."""
+    denom = Fraction(1) if not block else t[block[-1]] - z_s
+    for a, b in zip(block, block[1:]):
+        denom = denom * (t[a] - t[b])
+    return 1 / denom
+
+
+def canonical_weight_function(p: GaudinProblem, t) -> TensorVector:
+    """omega(z, t): for each composition I, the sum over permutations sigma
+    of the variables of the product of per-slot chain fractions, slot s
+    taking its block of j_s variables in sigma-order."""
+    basis = tuple(weight_basis(p))
+    coords = []
+    for comp in basis:
+        bounds = list(itertools.accumulate(comp, initial=0))
+        total = Fraction(0)
+        for sigma in itertools.permutations(range(p.k)):
+            term = Fraction(1)
+            for s in range(p.n):
+                term = term * _chain_factor(t, sigma[bounds[s]:bounds[s + 1]], p.z[s])
+            total = total + term
+        coords.append(total)
+    return TensorVector(basis, tuple(coords))
+
+
+def flag_action(arr: WeightedArrangement, action, idx: int, flag) -> FlagVector:
+    """R_g on top-degree dual coordinates as a matrix: the transpose of the
+    A^k matrix of g^-1, whose columns are the straightened images of the
+    basis monomials.  g^-1 must be in the group."""
+    sigma = action.perms[idx]
+    inverse = tuple(sorted(range(len(sigma)), key=sigma.__getitem__))
+    pi = action.hyperplane_perms[action.perms.index(inverse)]
+    basis = arr.basis(arr.ambient_dim)
+    os_matrix = linalg.transpose([straighten_coords(arr, tuple(pi[m] for m in s))
+                                  for s in basis])
+    return FlagVector(flag.degree, tuple(linalg.mat_vec(linalg.transpose(os_matrix),
+                                                        list(flag.coords))))

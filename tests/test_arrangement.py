@@ -44,6 +44,23 @@ class TestConstruction:
                 2, [line(0, 1, 0), line(1, 1, 0)], [F(1), F(1)]
             )
 
+    def test_names_the_least_proportional_pair(self):
+        # two classes, rows 0 ~ 3 and 1 ~ 2; (0, 3) precedes (1, 2)
+        with pytest.raises(ValueError, match="hyperplanes 0 and 3 are proportional"):
+            WeightedArrangement(
+                2, [line(1, 1, 0), line(0, 0, 1), line(0, 0, -2), line(-3, -3, 0)],
+                [F(1)] * 4,
+            )
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0)],    # three planes through a line
+        [(-1, 1, 0, 0), (0, 0, 1, 0), (-2, 1, 1, 0)],  # normals in one plane, no common line
+    ])
+    def test_rejects_no_vertex_in_c3(self, rows):
+        with pytest.raises(ValueError, match="no vertex"):
+            WeightedArrangement(
+                3, [Hyperplane(F(r[0]), tuple(map(F, r[1:]))) for r in rows], [F(1)] * 3)
+
     def test_rejects_exponent_count_mismatch(self):
         with pytest.raises(ValueError):
             WeightedArrangement(2, [line(0, 1, 0)], [F(1), F(2)])
@@ -205,6 +222,21 @@ def test_flats_and_flags_match_the_rank_oracle(arr):
             for ordered in itertools.permutations(s):
                 assert flag_vector(arr, ordered).coords == os_oracle.flag_vector(
                     arr, ordered, flat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements())
+def test_vertex_test_matches_the_subset_scan(arr):
+    """Every nonempty set of the hyperplanes is accepted exactly when some k
+    of them are in general position, as the k-subset scan finds."""
+    k = arr.ambient_dim
+    for size in range(1, arr.n + 1):
+        for s in itertools.combinations(arr.hyperplanes, size):
+            if os_oracle.has_vertex(k, s):
+                assert WeightedArrangement(k, s, [F(1)] * size).has_vertex()
+            else:
+                with pytest.raises(ValueError, match="no vertex"):
+                    WeightedArrangement(k, s, [F(1)] * size)
 
 
 class TestJson:

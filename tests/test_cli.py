@@ -76,6 +76,19 @@ class TestAnalyze:
         assert code == 3
         assert "no vertex" in err
 
+    def test_planes_through_a_line_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({
+            "dim": 3,
+            "hyperplanes": [{"b0": "0/1", "b": b} for b in
+                            (["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"],
+                             ["1/1", "1/1", "0/1"])],
+            "exponents": ["1/1", "1/1", "1/1"],
+        }))
+        code, _, err = run_main(["analyze", str(path)], capsys)
+        assert code == 3
+        assert "no vertex" in err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_main(["analyze", str(tmp_path / "nope.json")], capsys)
         assert code == 2

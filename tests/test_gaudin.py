@@ -24,8 +24,10 @@ from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
                              verify_canonical_element,
                              verify_shap_correspondence, weight_basis)
 from bethearr.master import (CriticalPoint, find_critical_points, group_orbits, log_grad,
-                             newton_solve, symmetric_group)
+                             newton_solve)
 from bethearr.shapovalov import shapovalov_form
+import os_oracle
+from os_oracle import symmetric_group
 
 F = Fraction
 
@@ -179,6 +181,30 @@ class TestCanonicalWeightFunction:
         p = GaudinProblem(sl2, ((1,), (2,)), (0,), (F(0), F(1)))
         w = canonical_weight_function(p, ())
         assert w.coords == (F(1),)
+
+    @pytest.mark.parametrize("weights, k", [
+        ((1, 1, 1), 1), ((2, 2), 2), ((2, 2, 2), 2), ((2, 2, 2), 3), ((1,) * 6, 3),
+        ((2, 1, 2), 2), ((3, 1), 3), ((1,) * 8, 4), ((2, 2, 2, 2), 4),
+    ])
+    def test_matches_the_permutation_sum(self, weights, k):
+        p = _sl2_problem(weights, k, [s * s - 2 for s in range(len(weights))])
+        t = tuple(F(2 * i + 1, 7 + i) for i in range(k))
+        assert canonical_weight_function(p, t) == os_oracle.canonical_weight_function(p, t)
+        tc = tuple(complex(x, 1 / (i + 2)) for i, x in enumerate(t))
+        new = np.array(canonical_weight_function(p, tc).coords, dtype=complex)
+        old = np.array(os_oracle.canonical_weight_function(p, tc).coords, dtype=complex)
+        assert np.linalg.norm(new - old) <= 1e-13 * np.linalg.norm(old)
+
+    def test_collision_with_a_marked_point_raises(self, gaudin_2x2):
+        with pytest.raises(ValueError, match="t_1 collides with z_1"):
+            canonical_weight_function(gaudin_2x2, (F(0), F(1, 2)))
+        with pytest.raises(ValueError, match="t_2 collides with z_2"):
+            canonical_weight_function(gaudin_2x2, (0.5 + 0j, 1 + 1e-14j))
+
+    def test_regular_on_the_diagonal(self, sl2):
+        p = GaudinProblem(sl2, ((2,),), (2,), (F(5),))
+        a = F(1, 3)
+        assert canonical_weight_function(p, (a, a)).coords == (1 / (a - 5) ** 2,)
 
 
 class TestTensorShapovalov:

@@ -1,20 +1,22 @@
 """Specialization map, criticality/norm/orthogonality verifications, and
 symmetry actions with isotypic projections."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from bethearr import linalg
 from bethearr.arrangement import Hyperplane, WeightedArrangement
+from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
 from bethearr.master import find_critical_points, hess_det
+from bethearr.osflag import FlagVector
 from bethearr.shapovalov import shapovalov_form
 from bethearr.special import (apply_flag_action, apply_permutation,
-                              build_action, flag_action_matrix,
-                              full_symmetric_action, isotypic_project,
-                              permutation_sign, specialize, verify_isotypic_norm,
-                              verify_norm_identity, verify_orthogonality,
-                              verify_singular)
+                              build_action, full_symmetric_action,
+                              isotypic_project, permutation_sign, specialize,
+                              verify_isotypic_norm, verify_norm_identity,
+                              verify_orthogonality, verify_singular)
+import os_oracle
 
 F = Fraction
 
@@ -75,7 +77,6 @@ class TestVerifiers:
 
 class TestPermutations:
     def test_sign_multiplicative(self):
-        import itertools
         for a in itertools.permutations(range(3)):
             for b in itertools.permutations(range(3)):
                 ab = tuple(a[b[i]] for i in range(3))
@@ -111,13 +112,31 @@ class TestSymmetryAction:
                 shapovalov_form(symmetric2, f1, f2)
 
     def test_action_is_representation(self, symmetric2):
+        """R_g R_h = R_gh on every unit flag, and the identity acts trivially."""
         action = full_symmetric_action(symmetric2, 2)
-        mats = [flag_action_matrix(symmetric2, action, i) for i in range(len(action))]
-        # the swap squares to the identity
-        swap = action.perms.index((1, 0))
-        prod = linalg.mat_mul(mats[swap], mats[swap])
-        n = len(prod)
-        assert prod == [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        n = len(symmetric2.basis(2))
+        units = [FlagVector(2, tuple(F(int(i == j)) for j in range(n))) for i in range(n)]
+        for g, h in itertools.product(range(len(action)), repeat=2):
+            gh = tuple(action.perms[g][i] for i in action.perms[h])
+            for unit in units:
+                assert apply_flag_action(symmetric2, action, g,
+                                         apply_flag_action(symmetric2, action, h, unit)) == \
+                    apply_flag_action(symmetric2, action, action.perms.index(gh), unit)
+        identity = action.perms.index((0, 1))
+        assert all(apply_flag_action(symmetric2, action, identity, u) == u for u in units)
+
+    @pytest.mark.parametrize("case", ["symmetric2", "m222-k3"])
+    def test_action_matches_the_matrix_oracle(self, case, request):
+        if case == "symmetric2":
+            arr = request.getfixturevalue(case)
+        else:
+            arr = build_discriminantal(GaudinProblem(
+                CartanDatum.sl2(), ((2,), (2,), (2,)), (3,), (F(0), F(1), F(3))))
+        action = full_symmetric_action(arr, arr.ambient_dim, "sign")
+        flag = specialize(arr, tuple(F(2 * i + 1, 7 + i) for i in range(arr.ambient_dim)))
+        for idx in range(len(action)):
+            assert apply_flag_action(arr, action, idx, flag) == \
+                os_oracle.flag_action(arr, action, idx, flag)
 
     def test_isotypic_projection_idempotent(self, symmetric2):
         for character in ("trivial", "sign"):
