@@ -46,6 +46,12 @@ class Hyperplane:
     def evaluate(self, t):
         return self.b0 + sum(bi * ti for bi, ti in zip(self.b, t))
 
+    def proportionality_key(self) -> tuple:
+        """The row (b, b0) scaled by its first nonzero entry, which b always
+        has: two equations are proportional iff their keys agree."""
+        lead = Fraction(next(x for x in self.b if x))
+        return tuple(x / lead for x in (*self.b, self.b0))
+
 
 @dataclass(frozen=True)
 class SubsetRankReport:
@@ -96,13 +102,10 @@ class WeightedArrangement:
     # -- construction checks ------------------------------------------------
 
     def _check_distinct(self):
-        """ValueError naming the least pair of proportional rows (b, b0).
-        Rows are proportional iff they agree once scaled by their first
-        nonzero entry, which b always has."""
+        """ValueError naming the least pair of proportional rows (b, b0)."""
         classes = {}
         for i, h in enumerate(self.hyperplanes):
-            lead = Fraction(next(x for x in h.b if x))
-            classes.setdefault(tuple(x / lead for x in (*h.b, h.b0)), []).append(i)
+            classes.setdefault(h.proportionality_key(), []).append(i)
         pairs = [c[:2] for c in classes.values() if len(c) > 1]
         if pairs:
             i, j = min(pairs)
@@ -290,13 +293,14 @@ class WeightedArrangement:
             core.bases[p] = nbc
         return core.bases[p]
 
-    def basis_coords(self, subset) -> list:
-        """Coordinates of a sorted monomial e_S over basis(p), p = len(S).
+    def basis_coords(self, subset) -> dict:
+        """Coordinates of a sorted monomial e_S over basis(p), p = len(S), as
+        {basis index: coefficient} with ascending keys and no zero value.
 
-        A basis monomial gives a unit vector, and one not in general position
-        gives zero.  Any other S contains a broken circuit B = C[1:] of a
-        consistent circuit C = (c_0, ..., c_m); then e_S = +-e_B e_R with
-        R = S - B, and the relation sum_i (-1)^i e_{C - c_i} = 0 gives
+        A basis monomial gives one unit coordinate, and one not in general
+        position gives none.  Any other S contains a broken circuit B = C[1:]
+        of a consistent circuit C = (c_0, ..., c_m); then e_S = +-e_B e_R
+        with R = S - B, and the relation sum_i (-1)^i e_{C - c_i} = 0 gives
         e_B = sum_{i>=1} (-1)^(i+1) e_{C - c_i}.  Each resulting monomial
         is S with some c_i replaced by c_0 < c_i, so the index sum falls and
         the recursion is less than p * n deep.
@@ -305,7 +309,7 @@ class WeightedArrangement:
         core = self._core
         if subset not in core.coords:
             basis = self.basis(len(subset))
-            coords = [Fraction(0)] * len(basis)
+            coords = {}
             if subset in basis:
                 coords[basis.index(subset)] = Fraction(1)
             elif self.general_position(subset):
@@ -316,8 +320,9 @@ class WeightedArrangement:
                 for i in range(1, len(circuit)):
                     term, term_sign = sort_with_sign(circuit[:i] + circuit[i + 1:] + rest)
                     w = (-1) ** (i + 1) * sign * term_sign
-                    coords = [x + w * y for x, y in zip(coords, self.basis_coords(term))]
-            core.coords[subset] = coords
+                    for row, c in self.basis_coords(term).items():
+                        coords[row] = coords.get(row, Fraction(0)) + w * c
+            core.coords[subset] = {row: c for row, c in sorted(coords.items()) if c}
         return core.coords[subset]
 
     def dims(self) -> list[int]:

@@ -198,7 +198,7 @@ def cmd_gaudin(args) -> int:
               "sing_dim": gd.singular_dimension(problem)}
     representatives = []
     if k:
-        arr = gd.build_discriminantal(problem)
+        arr = problem.arrangement
         seeds = gd.bethe_roots(problem)[:args.starts]
         points = [cp for cp in (newton_solve(arr, t, tol=args.tol_newton) for t in seeds)
                   if isinstance(cp, CriticalPoint)]

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -126,6 +127,17 @@ class GaudinProblem:
         if not self.is_sl2:
             raise ValueError("module-level operations require sl2 data")
         return tuple(int(w[0]) for w in self.weights)
+
+    @cached_property
+    def arrangement(self) -> WeightedArrangement:
+        """build_discriminantal(self), built on first use."""
+        return build_discriminantal(self)
+
+    @cached_property
+    def hamiltonians(self) -> list:
+        """The K_s of gaudin_hamiltonian as complex arrays, built on first use."""
+        return [np.array([[complex(x) for x in row] for row in gaudin_hamiltonian(self, s)])
+                for s in range(self.n)]
 
     # -- JSON ----------------------------------------------------------------
 
@@ -308,16 +320,10 @@ def canonical_weight_function(p: GaudinProblem, t) -> TensorVector:
 
 def tensor_shapovalov(p: GaudinProblem, x: TensorVector, y: TensorVector) -> Scalar:
     """S = S_1 x ... x S_n, diagonal on the F_I v basis."""
-    m = p.sl2_highest_weights()
-    diagonals = [sl2_shapovalov_diagonal(ms) for ms in m]
     total = Fraction(0)
     for comp, xc, yc in zip(x.basis, x.coords, y.coords):
-        if xc == 0 or yc == 0:
-            continue
-        weight = Fraction(1)
-        for s, j in enumerate(comp):
-            weight = weight * diagonals[s][j]
-        total = total + weight * xc * yc
+        if xc != 0 and yc != 0:
+            total = total + module_shapovalov_value(p, comp) * xc * yc
     return total
 
 
@@ -417,9 +423,7 @@ def bethe_roots(p: GaudinProblem) -> list[tuple]:
     if not sing:
         return []
     basis, _ = np.linalg.qr(np.array([[complex(x) for x in v] for v in sing]).T)
-    restricted = [basis.conj().T @ np.array([[complex(x) for x in row]
-                                             for row in gaudin_hamiltonian(p, s)]) @ basis
-                  for s in range(p.n)]
+    restricted = [basis.conj().T @ h @ basis for h in p.hamiltonians]
     # coefficients outside span(1, z): sum K_s vanishes and sum z_s K_s is scalar on Sing
     mix = sum(math.cos(s + 1) * h for s, h in enumerate(restricted))
     z = [complex(x) for x in p.z]
@@ -503,10 +507,7 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
         omega = canonical_weight_function(p, ())
         norm = tensor_shapovalov(p, omega, omega)
         return [check("trivial_norm", norm, Fraction(1), abs(complex(norm) - 1), norm == 1)]
-    arr = build_discriminantal(p)
     raising = raising_matrix(p)
-    hamiltonians = [np.array([[complex(x) for x in row] for row in gaudin_hamiltonian(p, s)])
-                    for s in range(p.n)]
     omegas = [canonical_weight_function(p, t) for t in points]
     gram = [[complex(tensor_shapovalov(p, a, b)) for b in omegas] for a in omegas]
     rows = []
@@ -519,10 +520,10 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
         singular_err = float(np.linalg.norm([complex(x) for x in ew])) / wnorm
         rows.append(check(f"bethe_singular_{idx}", singular_err, 0.0, singular_err,
                           singular_err <= tol))
-        lhs, rhs = gram[idx][idx], complex(hess_det(arr, tuple(t)))
+        lhs, rhs = gram[idx][idx], complex(hess_det(p.arrangement, tuple(t)))
         rows.append(check(f"bethe_norm_{idx}", lhs, rhs, abs(lhs - rhs),
                           abs(lhs - rhs) / max(abs(rhs), 1e-300) <= tol))
-        for s, mat in enumerate(hamiltonians):
+        for s, mat in enumerate(p.hamiltonians):
             kw = mat @ w
             rayleigh = complex(np.vdot(w, kw) / np.vdot(w, w))
             lam = bethe_eigenvalue(p, t, s)
@@ -549,7 +550,7 @@ def verify_shap_correspondence(p: GaudinProblem) -> dict:
     k_1!...k_r!; every such pair must give exactly that factor.  Each f_I
     is mapped once by the Shapovalov map, and S^(a)(f_I, f_J) is the
     pairing of that image with f_J."""
-    arr = build_discriminantal(p)
+    arr = p.arrangement
     basis = weight_basis(p)
     flags = {comp: composition_flag(p, arr, comp) for comp in basis}
     images = {comp: shapovalov_map(arr, flag) for comp, flag in flags.items()}
@@ -573,7 +574,7 @@ def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> list[di
     with v- the sign-isotypic projection of the specialization.  One row
     per pair of the points t and t2; abs_err is relative to
     max(|lhs|, |rhs|, 1)."""
-    arr = build_discriminantal(p)
+    arr = p.arrangement
     action = full_symmetric_action(arr, p.k, "sign")
     factor = Fraction(_factorial_product(p.kvec)) * (-1) ** p.k
 

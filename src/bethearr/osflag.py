@@ -3,7 +3,8 @@
 Elements of A^p are stored as coordinates over the arrangement's nbc basis;
 flag vectors live in the dual coordinates.  Straightening an ordered
 monomial is a sort with its sign, then the arrangement's straightening of the
-sorted monomial by the circuit relations (WeightedArrangement.basis_coords).
+sorted monomial by the circuit relations (WeightedArrangement.basis_coords),
+which keeps only the nonzero coordinates, keyed by basis index.
 """
 
 from __future__ import annotations
@@ -52,18 +53,18 @@ class FlagVector:
         return FlagVector(self.degree, tuple(c * x for x in self.coords))
 
 
-def straighten_coords(arr: WeightedArrangement, monomial) -> list:
-    """Coordinates of an ordered monomial over the certified basis of A^p;
-    ValueError if p exceeds the ambient dimension."""
+def straighten_coords(arr: WeightedArrangement, monomial) -> dict:
+    """Nonzero coordinates {basis index: coefficient}, ascending keys, of an
+    ordered monomial over the certified basis of A^p; ValueError if p
+    exceeds the ambient dimension."""
     sorted_m, sign = sort_with_sign(monomial)
-    return [sign * c for c in arr.basis_coords(sorted_m)]
+    return {i: sign * c for i, c in arr.basis_coords(sorted_m).items()}
 
 
 def straighten(arr: WeightedArrangement, monomial) -> OSElement:
-    p = len(monomial)
     coords = straighten_coords(arr, monomial)
-    basis = arr.basis(p)
-    return OSElement(p, {s: c for s, c in zip(basis, coords) if c != 0})
+    basis = arr.basis(len(monomial))
+    return OSElement(len(monomial), {basis[i]: c for i, c in coords.items()})
 
 
 def d_A_matrix(arr: WeightedArrangement, p: int):
@@ -78,10 +79,8 @@ def d_A_matrix(arr: WeightedArrangement, p: int):
         for j, a in enumerate(arr.exponents):
             if a == 0 or j in s:
                 continue
-            coords = straighten_coords(arr, (j, *s))
-            for row in range(len(dst)):
-                if coords[row] != 0:
-                    matrix[row][col] = matrix[row][col] + a * coords[row]
+            for row, c in straighten_coords(arr, (j, *s)).items():
+                matrix[row][col] = matrix[row][col] + a * c
     return matrix
 
 
@@ -117,14 +116,18 @@ def pairing(arr: WeightedArrangement, eta: OSElement, flag: FlagVector) -> Scala
     )
 
 
+def sparse_dot(coords: dict, flag_coords) -> Scalar:
+    """Sum of c * flag_coords[i] over sparse coordinates {i: c}, in key order."""
+    return sum((c * flag_coords[i] for i, c in coords.items()), start=Fraction(0))
+
+
 def monomial_pairing(arr: WeightedArrangement, monomial, flag: FlagVector) -> Scalar:
     """Pairing of an arbitrary (possibly non-basis) monomial with a flag
     vector, through straightening."""
     if len(monomial) != flag.degree:
         raise ValueError("degree mismatch in pairing")
     check_length(flag, arr.basis(flag.degree))
-    coords = straighten_coords(arr, monomial)
-    return sum((c * x for c, x in zip(coords, flag.coords)), start=Fraction(0))
+    return sparse_dot(straighten_coords(arr, monomial), flag.coords)
 
 
 def flag_vector(arr: WeightedArrangement, indices) -> FlagVector:

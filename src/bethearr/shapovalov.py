@@ -6,25 +6,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrangement import WeightedArrangement
-from .osflag import FlagVector, OSElement, check_length
+from .osflag import FlagVector, OSElement, check_length, sparse_dot
 from .scalars import Scalar
 
 
 def _weighted_top(arr: WeightedArrangement):
-    """(exponent product, [(basis index, coefficient) of each nonzero
-    straightened coordinate]) of each general-position k-subset whose
-    exponent product is nonzero.  On a generic arrangement every such
-    subset is a basis monomial, so its list has one pair."""
+    """(exponent product, nonzero straightened coordinates) of each
+    general-position k-subset whose exponent product is nonzero.  On a
+    generic arrangement every such subset is a basis monomial, so it has
+    one coordinate."""
     for subset in arr.candidate_monomials(arr.ambient_dim):
         prod = Fraction(1)
         for j in subset:
             prod = prod * arr.exponents[j]
         if prod != 0:
-            yield prod, [(i, c) for i, c in enumerate(arr.basis_coords(subset)) if c != 0]
-
-
-def _pair(pairs, coords) -> Scalar:
-    return sum((c * coords[i] for i, c in pairs), start=Fraction(0))
+            yield prod, arr.basis_coords(subset)
 
 
 def _top_basis(arr: WeightedArrangement, flags, what: str) -> list:
@@ -45,8 +41,8 @@ def shapovalov_form(arr: WeightedArrangement, f1: FlagVector, f2: FlagVector) ->
     straightened coordinates only."""
     _top_basis(arr, (f1, f2), "Shapovalov form")
     total = Fraction(0)
-    for prod, pairs in _weighted_top(arr):
-        total = total + prod * _pair(pairs, f1.coords) * _pair(pairs, f2.coords)
+    for prod, coords in _weighted_top(arr):
+        total = total + prod * sparse_dot(coords, f1.coords) * sparse_dot(coords, f2.coords)
     return total
 
 
@@ -54,11 +50,11 @@ def shapovalov_map(arr: WeightedArrangement, flag: FlagVector) -> OSElement:
     """The Shapovalov image of a top-degree flag in A^k coordinates."""
     basis = _top_basis(arr, (flag,), "Shapovalov map")
     out = [Fraction(0)] * len(basis)
-    for prod, pairs in _weighted_top(arr):
-        p = _pair(pairs, flag.coords)
+    for prod, coords in _weighted_top(arr):
+        p = sparse_dot(coords, flag.coords)
         if p == 0:
             continue
-        for i, c in pairs:
+        for i, c in coords.items():
             out[i] = out[i] + prod * p * c
     return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})
 

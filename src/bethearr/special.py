@@ -9,8 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
-from .arrangement import WeightedArrangement
+from .arrangement import Hyperplane, WeightedArrangement
 from .master import hess_det, log_grad
 from .osflag import FlagVector, apply_delta, evaluate_form, monomial_pairing
 from .scalars import scalar_abs
@@ -146,15 +145,11 @@ def _induced_hyperplane_perm(arr: WeightedArrangement, sigma) -> tuple:
     """Index permutation with H_{pi(m)} the image of H_m under the coordinate
     permutation; image equations may differ by a scalar factor."""
     inv = _invert(sigma)
-    rows = [[h.b0, *h.b] for h in arr.hyperplanes]
+    index = {h.proportionality_key(): m for m, h in enumerate(arr.hyperplanes)}
     pi = []
     for m, h in enumerate(arr.hyperplanes):
-        image = [h.b0] + [h.b[inv[j]] for j in range(arr.ambient_dim)]
-        match = None
-        for m2, row in enumerate(rows):
-            if linalg.rank([row, image]) == 1:
-                match = m2
-                break
+        image = Hyperplane(h.b0, tuple(h.b[inv[j]] for j in range(arr.ambient_dim)))
+        match = index.get(image.proportionality_key())
         if match is None:
             raise ValueError(f"permutation {sigma} does not preserve the arrangement")
         if arr.exponents[match] != arr.exponents[m]:

@@ -17,7 +17,8 @@ closures is the tuple's.  The search costs p! chains per monomial.
 
 Dense references for the Shapovalov form and map: every weighted top
 subset pairs with the flags by a full dot product of its straightened
-coordinates, zeros included.
+coordinates, zeros included (dense() fills in the zeros that the library's
+sparse coordinates leave out).
 
 Enumeration references: the vertex test by a scan of the k-subsets, the
 canonical weight function by its sum over k! permutations of chain
@@ -102,13 +103,19 @@ def flag_vector(arr: WeightedArrangement, indices, flat) -> tuple:
     return tuple(coords)
 
 
+def dense(coords: dict, size: int) -> list:
+    """The full coordinate list of sparse coordinates {basis index: value}."""
+    return [coords.get(i, Fraction(0)) for i in range(size)]
+
+
 def _dense_top(arr: WeightedArrangement):
     """(exponent product, coordinates over the top basis) of each
     general-position k-subset whose exponent product is nonzero."""
+    size = len(arr.basis(arr.ambient_dim))
     for subset in arr.candidate_monomials(arr.ambient_dim):
         prod = math.prod(arr.exponents[j] for j in subset)
         if prod != 0:
-            yield prod, arr.basis_coords(subset)
+            yield prod, dense(arr.basis_coords(subset), size)
 
 
 def shapovalov_form(arr: WeightedArrangement, f1, f2):
@@ -178,7 +185,7 @@ def flag_action(arr: WeightedArrangement, action, idx: int, flag) -> FlagVector:
     inverse = tuple(sorted(range(len(sigma)), key=sigma.__getitem__))
     pi = action.hyperplane_perms[action.perms.index(inverse)]
     basis = arr.basis(arr.ambient_dim)
-    os_matrix = linalg.transpose([straighten_coords(arr, tuple(pi[m] for m in s))
-                                  for s in basis])
+    os_matrix = linalg.transpose([dense(straighten_coords(arr, tuple(pi[m] for m in s)),
+                                        len(basis)) for s in basis])
     return FlagVector(flag.degree, tuple(linalg.mat_vec(linalg.transpose(os_matrix),
                                                         list(flag.coords))))

@@ -189,13 +189,30 @@ class TestCertificate:
 @settings(max_examples=40, deadline=None)
 @given(small_arrangements())
 def test_straightening_matches_the_evaluation_oracle(arr):
-    """basis_coords of every sorted monomial equals its coordinates from the
-    logarithmic forms, and the nbc count is the rank of all form rows."""
+    """basis_coords of every sorted monomial holds exactly the nonzero
+    coordinates from the logarithmic forms, with ascending keys, and the nbc
+    count is the rank of all form rows."""
     for p in range(arr.ambient_dim + 1):
         rank, coords = evaluation_coords(arr, p)
         assert len(arr.basis(p)) == rank
         for s in itertools.combinations(range(arr.n), p):
-            assert arr.basis_coords(s) == coords[s]
+            sparse = arr.basis_coords(s)
+            assert list(sparse) == sorted(sparse) and 0 not in sparse.values()
+            assert sparse == {i: c for i, c in enumerate(coords[s]) if c != 0}
+
+
+def test_cancelling_circuit_terms_leave_no_zero_coordinate():
+    """Straightening (4, 5, 6) on these seven planes gives two terms on basis
+    monomial 6 that cancel; the coordinate is dropped, not stored as 0.  The
+    random arrangements above have at most six hyperplanes and never cancel."""
+    rows = [(-6, 2, 2, -2), (-2, -1, -2, -1), (6, -2, 0, 2), (0, -2, -2, -2),
+            (1, 0, 1, 1), (4, -2, 2, 0), (-5, 2, -1, -1)]
+    arr = WeightedArrangement(3, [Hyperplane(F(r[0]), tuple(map(F, r[1:]))) for r in rows],
+                              [F(1)] * len(rows))
+    _, coords = evaluation_coords(arr, 3)
+    sparse = arr.basis_coords((4, 5, 6))
+    assert 6 not in sparse and coords[(4, 5, 6)][6] == 0
+    assert sparse == {i: c for i, c in enumerate(coords[(4, 5, 6)]) if c != 0}
 
 
 @settings(max_examples=40, deadline=None)

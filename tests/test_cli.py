@@ -4,11 +4,13 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bethearr import gaudin as gd
 from bethearr.cli import main
 
 F = Fraction
@@ -228,6 +230,22 @@ class TestGaudin:
             "gram_rank_vs_sing_dim", "shapovalov_correspondence",
             "canonical_element_0", "canonical_element_1", "canonical_element_2",
         ]
+
+    def test_one_arrangement_and_one_set_of_hamiltonians(self, gaudin_file, capsys,
+                                                           monkeypatch):
+        """A run builds the discriminantal arrangement once and each of the
+        n = 3 Hamiltonians once, however many checks read them."""
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(gd, name)
+            return lambda *args: calls.update([name]) or original(*args)
+
+        for name in ("build_discriminantal", "gaudin_hamiltonian"):
+            monkeypatch.setattr(gd, name, counted(name))
+        code, _, _ = run_main(["gaudin", gaudin_file], capsys)
+        assert code == 0
+        assert calls == {"build_discriminantal": 1, "gaudin_hamiltonian": 3}
 
     def test_missing_bethe_vectors_exit_1(self, gaudin_file, capsys):
         """With no Newton starts no Bethe vector is found, so the Gram row

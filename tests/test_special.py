@@ -92,6 +92,20 @@ class TestSymmetryAction:
         with pytest.raises(ValueError, match="preserve"):
             build_action(generic4, [(1, 0)])
 
+    @staticmethod
+    def scaled_pair(exponents):
+        """2 t1 - 2 and t2 - 1: the swap maps each onto a multiple of the other."""
+        return WeightedArrangement(2, [Hyperplane(F(-2), (F(2), F(0))),
+                                       Hyperplane(F(-1), (F(0), F(1)))], exponents)
+
+    def test_matches_a_scaled_image(self):
+        action = build_action(self.scaled_pair([F(1), F(1)]), [(0, 1), (1, 0)])
+        assert action.hyperplane_perms == ((0, 1), (1, 0))
+
+    def test_rejects_permutation_moving_exponents(self):
+        with pytest.raises(ValueError, match=r"does not preserve the exponents \(0 -> 1\)"):
+            build_action(self.scaled_pair([F(1), F(2)]), [(1, 0)])
+
     def test_equivariance(self, symmetric2):
         action = full_symmetric_action(symmetric2, 2)
         t = (F(1, 3), F(7, 5))
