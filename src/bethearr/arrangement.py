@@ -244,19 +244,17 @@ class WeightedArrangement:
             }
         return core.top_minors
 
-    def evaluation_matrix(self, p: int, points=None):
+    def evaluation_matrix(self, p: int):
         """(nbc_sets(p), their stacked evaluation rows), the rows basis(p)
         certifies.
 
-        The row of w_{j1}^...^w_{jp} holds, for each point t (by default
-        len(nbc) + 3 sample points) and each column set (i1<...<ip), the
-        minor det(b^{i}_{j}) divided by the product of the f_j(t).  Each
-        minor is computed once (top_minors at p = k).
+        The row of w_{j1}^...^w_{jp} holds, for each of len(nbc) + 3 sample
+        points t and each column set (i1<...<ip), the minor det(b^{i}_{j})
+        divided by the product of the f_j(t).  Each minor is computed once
+        (top_minors at p = k).
         """
         nbc = self.nbc_sets(p)
-        if points is None:
-            points = self.sample_points(len(nbc) + 3)
-        values = [self.evaluate_all(t) for t in points]
+        values = [self.evaluate_all(t) for t in self.sample_points(len(nbc) + 3)]
         columns = list(itertools.combinations(range(self.ambient_dim), p))
         rows = []
         for s in nbc:

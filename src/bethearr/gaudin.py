@@ -114,7 +114,7 @@ class GaudinProblem:
                 return root
         raise IndexError(f"variable index {i} out of range 0..{self.k - 1}")
 
-    @property
+    @cached_property
     def is_sl2(self) -> bool:
         """Rank one with every highest weight a nonnegative integer; a
         complex weight is not sl2 data, even with zero imaginary part."""
@@ -132,6 +132,18 @@ class GaudinProblem:
     def arrangement(self) -> WeightedArrangement:
         """build_discriminantal(self), built on first use."""
         return build_discriminantal(self)
+
+    @cached_property
+    def shapovalov_weights(self) -> dict:
+        """{composition: module_shapovalov_value}, in weight_basis order."""
+        return {comp: module_shapovalov_value(self, comp) for comp in weight_basis(self)}
+
+    @cached_property
+    def singular_vectors(self) -> list:
+        """An exact basis of Sing V[Lambda - k alpha], the kernel of
+        raising_matrix; all of the weight space at k = 0."""
+        rows = raising_matrix(self) if self.k else []
+        return linalg.nullspace(rows, len(weight_basis(self)))
 
     @cached_property
     def hamiltonians(self) -> list:
@@ -246,14 +258,6 @@ def bethe_residual(p: GaudinProblem, t):
 # -- sl2 modules and the weight space ---------------------------------------
 
 
-def sl2_shapovalov_diagonal(m: int) -> list:
-    """S(F^p v, F^p v) = p! m(m-1)...(m-p+1) for p = 0..m."""
-    out = [Fraction(1)]
-    for q in range(1, m + 1):
-        out.append(out[-1] * q * (m - q + 1))
-    return out
-
-
 def weight_basis(p: GaudinProblem) -> list[tuple]:
     """Compositions (j_1..j_n) of k with j_s <= m_s, lex order: the basis
     F_I v of the weight space V[Lambda - k alpha]."""
@@ -295,8 +299,6 @@ def canonical_weight_function(p: GaudinProblem, t) -> TensorVector:
     The sum is built one variable at a time, keyed by partial composition.
     A point with t_i = z_s raises ValueError; omega is regular on the
     diagonals t_i = t_j."""
-    if not p.is_sl2:
-        raise ValueError("canonical weight function implemented for sl2 only")
     m = p.sl2_highest_weights()
     if len(t) != p.k:
         raise ValueError("wrong number of coordinates")
@@ -319,21 +321,25 @@ def canonical_weight_function(p: GaudinProblem, t) -> TensorVector:
 
 
 def tensor_shapovalov(p: GaudinProblem, x: TensorVector, y: TensorVector) -> Scalar:
-    """S = S_1 x ... x S_n, diagonal on the F_I v basis."""
+    """S = S_1 x ... x S_n, diagonal on the weight basis; x and y must be on it."""
+    weights = p.shapovalov_weights
+    if not x.basis == y.basis == tuple(weights):
+        raise ValueError("basis mismatch")
     total = Fraction(0)
-    for comp, xc, yc in zip(x.basis, x.coords, y.coords):
+    for w, xc, yc in zip(weights.values(), x.coords, y.coords, strict=True):
         if xc != 0 and yc != 0:
-            total = total + module_shapovalov_value(p, comp) * xc * yc
+            total = total + w * xc * yc
     return total
 
 
-def module_shapovalov_value(p: GaudinProblem, comp) -> Scalar:
-    """S_V(F_I v, F_I v) for the composition I (off-diagonal pairs vanish)."""
+def module_shapovalov_value(p: GaudinProblem, comp) -> int:
+    """S_V(F_I v, F_I v) = prod_s j_s! m_s!/(m_s - j_s)! for the composition
+    I = (j_1..j_n) (off-diagonal pairs vanish); 0 when some j_s > m_s, since
+    then F^j_s v = 0."""
     m = p.sl2_highest_weights()
-    value = Fraction(1)
-    for s, j in enumerate(comp):
-        value = value * sl2_shapovalov_diagonal(m[s])[j]
-    return value
+    if len(comp) != p.n:
+        raise ValueError(f"composition {tuple(comp)} has {len(comp)} slots, not {p.n}")
+    return math.prod(math.factorial(j) * math.perm(ms, j) for ms, j in zip(m, comp))
 
 
 def raising_matrix(p: GaudinProblem):
@@ -357,13 +363,7 @@ def raising_matrix(p: GaudinProblem):
 
 def singular_dimension(p: GaudinProblem) -> int:
     """dim Sing V[Lambda - k alpha]: kernel of the raising operator."""
-    basis = weight_basis(p)
-    if p.k == 0:
-        return len(basis)
-    mat = raising_matrix(p)
-    if not mat:
-        return len(basis)
-    return len(basis) - linalg.rank(mat)
+    return len(p.singular_vectors)
 
 
 def gaudin_hamiltonian(p: GaudinProblem, i: int):
@@ -419,10 +419,9 @@ def bethe_roots(p: GaudinProblem) -> list[tuple]:
     if p.k == 0:
         return [()]
     m = p.sl2_highest_weights()
-    sing = linalg.nullspace(raising_matrix(p), len(weight_basis(p)))
-    if not sing:
+    if not p.singular_vectors:
         return []
-    basis, _ = np.linalg.qr(np.array([[complex(x) for x in v] for v in sing]).T)
+    basis, _ = np.linalg.qr(np.array([[complex(x) for x in v] for v in p.singular_vectors]).T)
     restricted = [basis.conj().T @ h @ basis for h in p.hamiltonians]
     # coefficients outside span(1, z): sum K_s vanishes and sum z_s K_s is scalar on Sing
     mix = sum(math.cos(s + 1) * h for s, h in enumerate(restricted))
@@ -551,12 +550,12 @@ def verify_shap_correspondence(p: GaudinProblem) -> dict:
     is mapped once by the Shapovalov map, and S^(a)(f_I, f_J) is the
     pairing of that image with f_J."""
     arr = p.arrangement
-    basis = weight_basis(p)
-    flags = {comp: composition_flag(p, arr, comp) for comp in basis}
+    weights = p.shapovalov_weights
+    flags = {comp: composition_flag(p, arr, comp) for comp in weights}
     images = {comp: shapovalov_map(arr, flag) for comp, flag in flags.items()}
     ratios = []
-    for a, b in itertools.combinations_with_replacement(basis, 2):
-        module_side = module_shapovalov_value(p, a) if a == b else Fraction(0)
+    for a, b in itertools.combinations_with_replacement(weights, 2):
+        module_side = weights[a] if a == b else 0
         arr_side = (-1) ** p.k * pairing(arr, images[a], flags[b])
         if arr_side != 0 and module_side != 0:
             ratios.append(module_side / arr_side)

@@ -36,7 +36,9 @@ def _to_ndarray(rows, ncols=None):
 
 
 def dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
+    """Sum of a * b over the pairs in order, skipping int or Fraction zeros a."""
+    return sum((a * b for a, b in zip(u, v) if a or not isinstance(a, (int, Fraction))),
+               start=Fraction(0))
 
 
 def transpose(rows):

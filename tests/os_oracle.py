@@ -24,6 +24,9 @@ Enumeration references: the vertex test by a scan of the k-subsets, the
 canonical weight function by its sum over k! permutations of chain
 fractions, and the symmetry action on flags by the transposed matrix of
 the inverse element on A^k.
+
+Recursion reference for the sl2 Shapovalov diagonal: S(F^q v, F^q v) from
+S(F^(q-1) v, F^(q-1) v), one factor q (m - q + 1) at a time.
 """
 
 from __future__ import annotations
@@ -148,6 +151,16 @@ def has_vertex(k: int, hyperplanes) -> bool:
 def symmetric_group(k: int):
     """All coordinate permutations of {0..k-1}."""
     return [tuple(p) for p in itertools.permutations(range(k))]
+
+
+def sl2_shapovalov_diagonal(m: int) -> list:
+    """S(F^p v, F^p v) for p = 0..m on the irreducible module of highest
+    weight m: e F^q v = q (m - q + 1) F^(q-1) v gives each value from the
+    one before."""
+    out = [Fraction(1)]
+    for q in range(1, m + 1):
+        out.append(out[-1] * q * (m - q + 1))
+    return out
 
 
 def _chain_factor(t, block, z_s):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bethearr import gaudin as gd
+from bethearr import linalg
 from bethearr.cli import main
 
 F = Fraction
@@ -246,6 +247,21 @@ class TestGaudin:
         code, _, _ = run_main(["gaudin", gaudin_file], capsys)
         assert code == 0
         assert calls == {"build_discriminantal": 1, "gaudin_hamiltonian": 3}
+
+    def test_one_elimination_of_the_raising_matrix(self, gaudin_file, capsys, monkeypatch):
+        """sing_dim, bethe_roots and the Gram row all read the problem's one
+        exact kernel of the raising matrix."""
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(linalg, name)
+            return lambda *args, **kwargs: calls.update([name]) or original(*args, **kwargs)
+
+        for name in ("nullspace", "rank"):
+            monkeypatch.setattr(linalg, name, counted(name))
+        code, _, _ = run_main(["gaudin", gaudin_file], capsys)
+        assert code == 0
+        assert calls == {"nullspace": 1}
 
     def test_missing_bethe_vectors_exit_1(self, gaudin_file, capsys):
         """With no Newton starts no Bethe vector is found, so the Gram row

@@ -19,8 +19,7 @@ from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
                              canonical_weight_function, composition_flag,
                              gaudin_hamiltonian, module_shapovalov_value,
                              point_hyperplane_index, raising_matrix,
-                             singular_dimension, sl2_shapovalov_diagonal,
-                             tensor_shapovalov, verify_bethe,
+                             singular_dimension, tensor_shapovalov, verify_bethe,
                              verify_canonical_element,
                              verify_shap_correspondence, weight_basis)
 from bethearr.master import (CriticalPoint, find_critical_points, group_orbits, log_grad,
@@ -128,9 +127,10 @@ class TestBetheResidual:
 
 
 class TestModules:
-    def test_shapovalov_diagonal(self):
-        assert sl2_shapovalov_diagonal(1) == [1, 1]
-        assert sl2_shapovalov_diagonal(2) == [1, 2, 4]
+    def test_shapovalov_diagonal(self, sl2):
+        for m, diagonal in [(1, [1, 1]), (2, [1, 2, 4])]:
+            p = GaudinProblem(sl2, ((m,),), (m,), (F(0),))
+            assert [module_shapovalov_value(p, (j,)) for j in range(m + 1)] == diagonal
 
     def test_weight_basis_respects_bounds(self, gaudin_2x2):
         assert weight_basis(gaudin_2x2) == [(0, 2), (1, 1), (2, 0)]
@@ -211,6 +211,39 @@ class TestTensorShapovalov:
     def test_diagonal_values(self, gaudin_2x2):
         for comp in weight_basis(gaudin_2x2):
             assert module_shapovalov_value(gaudin_2x2, comp) == 4
+
+    @pytest.mark.parametrize("weights", [(m,) for m in range(7)] + [
+        (1, 6), (6, 2), (3, 3), (0, 5), (2, 1, 2), (4, 0, 3), (1, 1, 1, 1)])
+    def test_closed_form_matches_the_recursion(self, weights):
+        p = _sl2_problem(weights, 0, range(len(weights)))
+        diagonals = [os_oracle.sl2_shapovalov_diagonal(m) for m in weights]
+        for comp in itertools.product(*(range(m + 1) for m in weights)):
+            assert module_shapovalov_value(p, comp) == math.prod(
+                d[j] for d, j in zip(diagonals, comp))
+
+    def test_zero_past_the_top_of_a_string(self, sl2):
+        # F^j v = 0 for j > m
+        p = GaudinProblem(sl2, ((2,), (1,)), (1,), (F(0), F(1)))
+        assert module_shapovalov_value(p, (3, 0)) == 0
+        assert module_shapovalov_value(p, (1, 2)) == 0
+
+    def test_composition_of_the_wrong_length_raises(self, gaudin_2x2):
+        for comp in [(2,), (1, 1, 0)]:
+            with pytest.raises(ValueError, match="slots"):
+                module_shapovalov_value(gaudin_2x2, comp)
+
+    def test_vectors_on_another_basis_raise(self, gaudin_2x1, gaudin_2x2):
+        from bethearr.gaudin import TensorVector
+        x = TensorVector(tuple(weight_basis(gaudin_2x1)), (F(1), F(2)))
+        y = TensorVector(((1, 0), (0, 1)), (F(-3), F(5)))
+        with pytest.raises(ValueError, match="basis mismatch"):
+            tensor_shapovalov(gaudin_2x1, x, y)
+        with pytest.raises(ValueError, match="basis mismatch"):
+            tensor_shapovalov(gaudin_2x1, y, y)
+        with pytest.raises(ValueError, match="basis mismatch"):
+            tensor_shapovalov(gaudin_2x2, x, x)
+        with pytest.raises(ValueError, match="shorter"):
+            tensor_shapovalov(gaudin_2x1, x, TensorVector(x.basis, (F(1),)))
 
     def test_bilinear(self, gaudin_2x1):
         from bethearr.gaudin import TensorVector
