@@ -6,14 +6,16 @@ and circuits come from exact rational linear algebra.  The basis of each
 degree A^p of the Orlik-Solomon algebra is the set of nbc monomials, and any
 other monomial straightens onto it by the circuit relations, with integer
 coefficients.  The values of the logarithmic forms at sample points only
-certify that basis: the nbc rows are independent modulo a large prime or,
-failing that, exactly.
+certify that basis: with the equations scaled to integers, their residues
+modulo a large prime have full rank.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,11 +48,15 @@ class Hyperplane:
     def evaluate(self, t):
         return self.b0 + sum(bi * ti for bi, ti in zip(self.b, t))
 
-    def proportionality_key(self) -> tuple:
-        """The row (b, b0) scaled by its first nonzero entry, which b always
-        has: two equations are proportional iff their keys agree."""
-        lead = Fraction(next(x for x in self.b if x))
-        return tuple(x / lead for x in (*self.b, self.b0))
+    def integer_row(self) -> tuple:
+        """The row (b0, *b) scaled to coprime integers with the first nonzero
+        b entry positive: the same hyperplane and logarithmic form df / f,
+        and equal rows exactly for proportional equations."""
+        row = (self.b0, *self.b)
+        lcm = math.lcm(*(x.denominator for x in row))
+        ints = [int(x * lcm) for x in row]
+        scale = math.gcd(*ints) * (1 if next(x for x in ints[1:] if x) > 0 else -1)
+        return tuple(x // scale for x in ints)
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ class WeightedArrangement:
         """ValueError naming the least pair of proportional rows (b, b0)."""
         classes = {}
         for i, h in enumerate(self.hyperplanes):
-            classes.setdefault(h.proportionality_key(), []).append(i)
+            classes.setdefault(h.integer_row(), []).append(i)
         pairs = [c[:2] for c in classes.values() if len(c) > 1]
         if pairs:
             i, j = min(pairs)
@@ -201,21 +207,16 @@ class WeightedArrangement:
     # -- certified basis and straightening -------------------------------------
 
     def sample_points(self, count: int) -> list[tuple]:
-        """Deterministic rational points in U, skipping any that land on a
-        hyperplane.  Coordinates come from a fixed linear-congruential
-        sequence; points on a low-degree curve (such as powers of a single
-        base) would make the evaluation rows rank-deficient."""
-        points = []
-        state = 123456789
-        tries = 0
+        """Deterministic rational points in U from a fixed linear-congruential
+        sequence, skipping any on a hyperplane: exact points at which tests
+        and benchmarks evaluate forms (the basis certificate does not)."""
+        points, state, tries = [], 123456789, 0
         while len(points) < count:
             tries += 1
             coords = []
             for _ in range(self.ambient_dim):
                 state = (1103515245 * state + 12345) % (1 << 31)
-                num = state % 4001 - 2000
-                den = (state >> 12) % 37 + 1
-                coords.append(Fraction(num, den))
+                coords.append(Fraction(state % 4001 - 2000, (state >> 12) % 37 + 1))
             t = tuple(coords)
             if not self.contains_point(t):
                 points.append(t)
@@ -244,50 +245,47 @@ class WeightedArrangement:
             }
         return core.top_minors
 
-    def evaluation_matrix(self, p: int):
-        """(nbc_sets(p), their stacked evaluation rows), the rows basis(p)
-        certifies.
+    def certificate_samples(self, p: int):
+        """The endless stream of samples (t, w, f) of the degree-p basis
+        certificate, drawn from a fixed seed: an integer point t, an integer
+        weight w(I) per p-subset I of coordinates, and the values f_j(t) of
+        the integer_row equations modulo linalg.PRIME, none of them 0 (else
+        t is skipped).  The first point drawn depends on k only."""
+        k, rng = self.ambient_dim, random.Random(1)
+        eqs = [h.integer_row() for h in self.hyperplanes]
+        while True:
+            t = tuple(rng.randrange(linalg.PRIME) for _ in range(k))
+            w = tuple(rng.randrange(linalg.PRIME) for _ in range(math.comb(k, p)))
+            f = [(e[0] + sum(map(operator.mul, e[1:], t))) % linalg.PRIME for e in eqs]
+            if all(f):
+                yield t, w, f
 
-        The row of w_{j1}^...^w_{jp} holds, for each of len(nbc) + 3 sample
-        points t and each column set (i1<...<ip), the minor det(b^{i}_{j})
-        divided by the product of the f_j(t).  Each minor is computed once
-        (top_minors at p = k).
-        """
-        nbc = self.nbc_sets(p)
-        values = [self.evaluate_all(t) for t in self.sample_points(len(nbc) + 3)]
-        columns = list(itertools.combinations(range(self.ambient_dim), p))
-        rows = []
-        for s in nbc:
-            minors = [self.top_minors()[s]] if p == self.ambient_dim else [
-                linalg.det([[self.hyperplanes[j].b[c] for c in cols] for j in s])
-                for cols in columns
-            ]
-            row = []
-            for v in values:
-                denom = math.prod((v[j] for j in s), start=Fraction(1))
-                row.extend(m / denom for m in minors)
-            rows.append(row)
-        return nbc, rows
+    def evaluation_matrix(self, p: int):
+        """(nbc_sets(p), rows): residues modulo linalg.PRIME, one row per nbc
+        set S and one column for each of the first len(nbc) + 3 certificate
+        samples (t, w, f).  With the equations scaled by integer_row, the
+        entry is sum_I w(I) det(b^I_S) / prod_{j in S} f_j(t), a rational
+        combination of the values at t of the logarithmic form of S; so full
+        rank modulo the prime proves the nbc forms independent over Q."""
+        nbc, eqs = self.nbc_sets(p), [h.integer_row() for h in self.hyperplanes]
+        minors = [[int(linalg.det([[eqs[j][1 + c] for c in cols] for j in s])) % linalg.PRIME
+                   for cols in itertools.combinations(range(self.ambient_dim), p)]
+                  for s in nbc]
+        samples = [(w, [pow(x, -1, linalg.PRIME) for x in f])
+                   for _, w, f in itertools.islice(self.certificate_samples(p), len(nbc) + 3)]
+        return nbc, [[sum(map(operator.mul, w, m)) * math.prod(inv[j] for j in s) % linalg.PRIME
+                      for w, inv in samples] for s, m in zip(nbc, minors)]
 
     def basis(self, p: int) -> list[tuple]:
-        """The nbc sets of degree p, certified to be a basis of A^p.
-
-        Straightening (basis_coords) shows that they span.  Independence is
-        certified by their evaluation rows: full rank modulo a prime proves
-        full rank over Q; if that falls short, or an entry has no residue,
-        the exact rank decides.  Dependent rows contradict the nbc basis
-        theorem, so they raise RuntimeError.
-        """
+        """The nbc sets of degree p, a basis of A^p: basis_coords shows that
+        they span, and full rank of evaluation_matrix mod the prime that they
+        are independent.  A shortfall raises RuntimeError; by the nbc basis
+        theorem, every maximal minor of that matrix then vanishes mod PRIME."""
         core = self._core
         if p not in core.bases:
             nbc, rows = self.evaluation_matrix(p)
-            try:
-                certified = linalg.rank_mod_p(rows) == len(nbc)
-            except ValueError:  # a denominator divisible by the prime
-                certified = False
-            if not certified and linalg.rank(rows) < len(nbc):
-                raise RuntimeError(f"degree {p}: the nbc monomials have dependent "
-                                   "evaluation rows")
+            if linalg.rank_mod_p(rows) < len(nbc):
+                raise RuntimeError(f"degree {p}: the nbc rows fall short of full rank mod the prime")
             core.bases[p] = nbc
         return core.bases[p]
 

@@ -8,10 +8,10 @@ the rows kept so far.  `rank`, `independent_rows` and `solve_coords` use
 only the echelon (a float entry is read at its exact binary value; a complex
 one raises TypeError): they serve the combinatorics, which the rational
 coefficients of an arrangement fix.  `rank_mod_p`, int64 numpy elimination
-modulo a 31-bit prime, certifies independence fast.  `nullspace` and `det`
-use the echelon on rational input and numpy, with a relative tolerance, on
-anything else, such as a log-Hessian at a complex point or a matrix built
-from complex exponents.
+modulo a 31-bit prime, certifies the nbc basis from integer residues.
+`nullspace` and `det` use the echelon on rational input and numpy, with a
+relative tolerance, on anything else, such as a log-Hessian at a complex
+point or a matrix built from complex exponents.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ PRIME = 2**31 - 1
 
 
 def rank_mod_p(rows) -> int:
-    """Rank of a rational matrix modulo PRIME, by int64 elimination (residues
-    stay below 2^31, so products fit).  It never exceeds the rank over Q.
-    Raises ValueError if a denominator is divisible by PRIME."""
+    """Rank modulo PRIME of an int or Fraction matrix, by int64 elimination
+    (residues stay below 2^31, so products fit).  It never exceeds the rank
+    over Q.  Raises ValueError if a denominator is divisible by PRIME."""
     a = np.array([[x.numerator * pow(x.denominator, -1, PRIME) % PRIME
-                   for x in map(Fraction, row)] for row in rows], dtype=np.int64, ndmin=2)
+                   for x in row] for row in rows], dtype=np.int64, ndmin=2)
     r = 0
     for c in range(a.shape[1]):
         nonzero = np.flatnonzero(a[r:, c])

@@ -145,11 +145,11 @@ def _induced_hyperplane_perm(arr: WeightedArrangement, sigma) -> tuple:
     """Index permutation with H_{pi(m)} the image of H_m under the coordinate
     permutation; image equations may differ by a scalar factor."""
     inv = _invert(sigma)
-    index = {h.proportionality_key(): m for m, h in enumerate(arr.hyperplanes)}
+    index = {h.integer_row(): m for m, h in enumerate(arr.hyperplanes)}
     pi = []
     for m, h in enumerate(arr.hyperplanes):
         image = Hyperplane(h.b0, tuple(h.b[inv[j]] for j in range(arr.ambient_dim)))
-        match = index.get(image.proportionality_key())
+        match = index.get(image.integer_row())
         if match is None:
             raise ValueError(f"permutation {sigma} does not preserve the arrangement")
         if arr.exponents[match] != arr.exponents[m]:

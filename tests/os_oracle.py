@@ -10,6 +10,10 @@ rows go into one echelon and every monomial's row is solved against it.
 The entries grow to hundreds of bits, so this serves as a test oracle on
 small arrangements only.
 
+Exact reference for the basis certificate: each residue of
+evaluation_matrix recomputed as a Fraction from the unscaled equations, as
+the weighted sum of the form's values at the sample point, then reduced.
+
 Rank-per-row references for the flats: `rank_report` from two ranks,
 `closure` by one rank per hyperplane, and `flag_vector` by a search over
 every ordering of each basis monomial for one whose chain of prefix
@@ -53,6 +57,21 @@ def form_row(arr: WeightedArrangement, subset, points) -> list:
         denom = math.prod((arr.hyperplanes[j].evaluate(t) for j in subset), start=Fraction(1))
         row.extend(m / denom for m in minors)
     return row
+
+
+def certificate_rows(arr: WeightedArrangement, p: int) -> list:
+    """The certificate rows of the nbc sets at the first N + 3 samples of
+    arr.certificate_samples(p), N = len(nbc): for each sample (t, w, _), the
+    Fraction sum_I w(I) * form_row(S, [t])[I] over the column sets I,
+    reduced modulo PRIME."""
+    nbc = arr.nbc_sets(p)
+    samples = list(itertools.islice(arr.certificate_samples(p), len(nbc) + 3))
+    rows = []
+    for s in nbc:
+        values = [linalg.dot(w, form_row(arr, s, [t])) for t, w, _ in samples]
+        rows.append([x.numerator * pow(x.denominator, -1, linalg.PRIME) % linalg.PRIME
+                     for x in values])
+    return rows
 
 
 def evaluation_coords(arr: WeightedArrangement, p: int):

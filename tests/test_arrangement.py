@@ -22,6 +22,13 @@ F = Fraction
 
 
 class TestHyperplane:
+    def test_integer_row(self):
+        """Coprime integers, first nonzero normal entry positive, and equal
+        for proportional equations."""
+        assert Hyperplane(F(-1, 2), (F(0), F(-3, 4))).integer_row() == (2, 0, 3)
+        assert Hyperplane(F(6), (F(4), F(-2))).integer_row() == (3, 2, -1)
+        assert Hyperplane(F(-3), (F(-2), F(1))).integer_row() == (3, 2, -1)
+
     def test_rejects_zero_coefficients(self):
         with pytest.raises(ValueError):
             Hyperplane(F(1), (F(0), F(0)))
@@ -153,28 +160,51 @@ class TestSamplePoints:
         assert generic4.sample_points(5) == generic4.sample_points(5)
 
     def test_evaluation_rows_have_full_rank(self, generic4):
+        """N rows by N + 3 columns of residues, of full rank modulo PRIME."""
         nbc, rows = generic4.evaluation_matrix(2)
         assert nbc == generic4.nbc_sets(2)
-        assert linalg.rank(rows) == 6
+        assert len(rows) == 6 and all(len(row) == 9 for row in rows)
+        assert all(type(x) is int and 0 <= x < linalg.PRIME for row in rows for x in row)
+        assert linalg.rank_mod_p(rows) == 6
 
 
-def _raise(exc):
-    raise exc
+def _scaled(arr, factors):
+    """arr with equation j divided by factors[j]: the same hyperplanes."""
+    return WeightedArrangement(arr.ambient_dim,
+                               [Hyperplane(h.b0 / d, tuple(x / d for x in h.b))
+                                for h, d in zip(arr.hyperplanes, factors)], arr.exponents)
 
 
 class TestCertificate:
-    @pytest.mark.parametrize("rank_mod_p", [
-        lambda rows: 0,
-        lambda rows: _raise(ValueError("a denominator is divisible by the prime")),
-    ], ids=["short", "no-residue"])
-    def test_exact_rank_confirms_when_mod_p_falls_short(self, concurrent3, monkeypatch,
-                                                          rank_mod_p):
-        exact_rank, seen = linalg.rank, []
-        monkeypatch.setattr(linalg, "rank_mod_p", rank_mod_p)
-        monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or exact_rank(rows))
+    def test_short_rank_mod_p_raises(self, concurrent3, monkeypatch):
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: 0)
         for p in range(3):
-            assert concurrent3.basis(p) == concurrent3.nbc_sets(p)
-            assert concurrent3.evaluation_matrix(p)[1] in seen
+            with pytest.raises(RuntimeError, match=f"degree {p}"):
+                concurrent3.basis(p)
+
+    def test_integer_scaling(self, concurrent3):
+        """An equation divided by PRIME has coefficients with no residue
+        unless they are scaled to integers first."""
+        arr = _scaled(concurrent3, [linalg.PRIME, 1, 1])
+        assert arr.hyperplanes[0].integer_row() == (0, 1, 0)
+        for p in range(3):
+            assert arr.basis(p) == arr.nbc_sets(p)
+            assert arr.evaluation_matrix(p)[1] == os_oracle.certificate_rows(arr, p)
+
+    def test_a_point_on_a_hyperplane_modulo_the_prime_is_skipped(self, generic4):
+        """The plane t1 + t2 + b0 = 0 with b0 = PRIME - t1 - t2 at the first
+        point t drawn for k = 2 misses t, but passes through it mod PRIME."""
+        t = next(generic4.certificate_samples(0))[0]
+        h = Hyperplane(F(linalg.PRIME - t[0] - t[1]), (F(1), F(1)))
+        arr = WeightedArrangement(2, [*generic4.hyperplanes[:2], h], [F(1)] * 3)
+        assert not arr.contains_point(t)
+        for p in range(3):
+            assert next(generic4.certificate_samples(p))[0] == t
+            assert next(arr.certificate_samples(p))[0] != t
+            nbc, rows = arr.evaluation_matrix(p)
+            assert all(len(row) == len(nbc) + 3 for row in rows)
+            assert arr.basis(p) == nbc
+            assert rows == os_oracle.certificate_rows(arr, p)
 
     def test_dependent_nbc_sets_raise(self, concurrent3, monkeypatch):
         nbc_sets = WeightedArrangement.nbc_sets
@@ -184,6 +214,23 @@ class TestCertificate:
         assert concurrent3.basis(1) == [(0,), (1,), (2,)]
         with pytest.raises(RuntimeError, match="degree 2"):
             concurrent3.basis(2)
+
+
+@pytest.mark.parametrize("name", ["generic3", "generic4", "concurrent3", "points3"])
+def test_certificate_matches_the_exact_oracle(request, name):
+    """Every residue of every degree, for a fixture and for the same
+    hyperplanes with non-integer rational coefficients."""
+    arr = request.getfixturevalue(name)
+    for a in (arr, _scaled(arr, [F(-3, 2), F(5), F(2, 7), F(1, 4)][:arr.n])):
+        for p in range(a.ambient_dim + 1):
+            assert a.evaluation_matrix(p) == (a.nbc_sets(p), os_oracle.certificate_rows(a, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements())
+def test_certificate_matches_the_exact_oracle_on_random_arrangements(arr):
+    for p in range(arr.ambient_dim + 1):
+        assert arr.evaluation_matrix(p)[1] == os_oracle.certificate_rows(arr, p)
 
 
 @settings(max_examples=40, deadline=None)
