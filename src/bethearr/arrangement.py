@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,6 +26,11 @@ def sort_with_sign(indices):
     """(sorted tuple, (-1)^(number of inversions)) of a tuple of indices."""
     inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
     return tuple(sorted(indices)), (-1) ** inversions
+
+
+class CertificateError(RuntimeError):
+    """The nbc rows of some degree fall short of full rank modulo
+    linalg.PRIME, so the basis certificate cannot decide."""
 
 
 @dataclass(frozen=True)
@@ -52,11 +56,10 @@ class Hyperplane:
         """The row (b0, *b) scaled to coprime integers with the first nonzero
         b entry positive: the same hyperplane and logarithmic form df / f,
         and equal rows exactly for proportional equations."""
-        row = (self.b0, *self.b)
+        lead = next(x for x in self.b if x)
+        row = [x / lead for x in (self.b0, *self.b)]
         lcm = math.lcm(*(x.denominator for x in row))
-        ints = [int(x * lcm) for x in row]
-        scale = math.gcd(*ints) * (1 if next(x for x in ints[1:] if x) > 0 else -1)
-        return tuple(x // scale for x in ints)
+        return tuple(int(x * lcm) for x in row)
 
 
 @dataclass(frozen=True)
@@ -210,13 +213,17 @@ class WeightedArrangement:
         """Deterministic rational points in U from a fixed linear-congruential
         sequence, skipping any on a hyperplane: exact points at which tests
         and benchmarks evaluate forms (the basis certificate does not)."""
-        points, state, tries = [], 123456789, 0
+        points = []
+        state = 123456789
+        tries = 0
         while len(points) < count:
             tries += 1
             coords = []
             for _ in range(self.ambient_dim):
                 state = (1103515245 * state + 12345) % (1 << 31)
-                coords.append(Fraction(state % 4001 - 2000, (state >> 12) % 37 + 1))
+                num = state % 4001 - 2000
+                den = (state >> 12) % 37 + 1
+                coords.append(Fraction(num, den))
             t = tuple(coords)
             if not self.contains_point(t):
                 points.append(t)
@@ -246,46 +253,54 @@ class WeightedArrangement:
         return core.top_minors
 
     def certificate_samples(self, p: int):
-        """The endless stream of samples (t, w, f) of the degree-p basis
+        """The endless stream of samples (t, w, inv) of the degree-p basis
         certificate, drawn from a fixed seed: an integer point t, an integer
-        weight w(I) per p-subset I of coordinates, and the values f_j(t) of
-        the integer_row equations modulo linalg.PRIME, none of them 0 (else
-        t is skipped).  The first point drawn depends on k only."""
+        weight w(I) per p-subset I of coordinates, and the inverses modulo
+        linalg.PRIME of the values f_j(t) of the integer_row equations.  A
+        point where some f_j(t) is 0 modulo the prime is skipped.  The first
+        point drawn depends on k only."""
         k, rng = self.ambient_dim, random.Random(1)
         eqs = [h.integer_row() for h in self.hyperplanes]
         while True:
             t = tuple(rng.randrange(linalg.PRIME) for _ in range(k))
             w = tuple(rng.randrange(linalg.PRIME) for _ in range(math.comb(k, p)))
-            f = [(e[0] + sum(map(operator.mul, e[1:], t))) % linalg.PRIME for e in eqs]
+            f = [(e[0] + sum(b * x for b, x in zip(e[1:], t))) % linalg.PRIME for e in eqs]
             if all(f):
-                yield t, w, f
+                yield t, w, [pow(x, -1, linalg.PRIME) for x in f]
 
     def evaluation_matrix(self, p: int):
         """(nbc_sets(p), rows): residues modulo linalg.PRIME, one row per nbc
         set S and one column for each of the first len(nbc) + 3 certificate
-        samples (t, w, f).  With the equations scaled by integer_row, the
-        entry is sum_I w(I) det(b^I_S) / prod_{j in S} f_j(t), a rational
-        combination of the values at t of the logarithmic form of S; so full
-        rank modulo the prime proves the nbc forms independent over Q."""
+        samples (t, w, inv).  With the equations scaled by integer_row, the
+        entry is sum_I w(I) m(I) / prod_{j in S} f_j(t), m(I) = det(b^I_S) / g
+        with g the gcd of these minors (so no row vanishes just because they
+        are all multiples of the prime): a rational combination of the values
+        at t of the logarithmic form of S.  So full rank modulo the prime
+        proves the nbc forms independent over Q."""
         nbc, eqs = self.nbc_sets(p), [h.integer_row() for h in self.hyperplanes]
-        minors = [[int(linalg.det([[eqs[j][1 + c] for c in cols] for j in s])) % linalg.PRIME
-                   for cols in itertools.combinations(range(self.ambient_dim), p)]
-                  for s in nbc]
-        samples = [(w, [pow(x, -1, linalg.PRIME) for x in f])
-                   for _, w, f in itertools.islice(self.certificate_samples(p), len(nbc) + 3)]
-        return nbc, [[sum(map(operator.mul, w, m)) * math.prod(inv[j] for j in s) % linalg.PRIME
-                      for w, inv in samples] for s, m in zip(nbc, minors)]
+        samples = list(itertools.islice(self.certificate_samples(p), len(nbc) + 3))
+        rows = []
+        for s in nbc:
+            minors = [int(linalg.det([[eqs[j][1 + c] for c in cols] for j in s]))
+                      for cols in itertools.combinations(range(self.ambient_dim), p)]
+            g = math.gcd(*minors)
+            m = [x // g for x in minors]
+            rows.append([sum(a * b for a, b in zip(w, m)) * math.prod(inv[j] for j in s)
+                         % linalg.PRIME for _, w, inv in samples])
+        return nbc, rows
 
     def basis(self, p: int) -> list[tuple]:
         """The nbc sets of degree p, a basis of A^p: basis_coords shows that
         they span, and full rank of evaluation_matrix mod the prime that they
-        are independent.  A shortfall raises RuntimeError; by the nbc basis
-        theorem, every maximal minor of that matrix then vanishes mod PRIME."""
+        are independent.  A shortfall, which the nbc basis theorem leaves
+        only to a degenerate reduction modulo PRIME (say, two hyperplanes
+        that coincide there) or to unlucky samples, raises CertificateError."""
         core = self._core
         if p not in core.bases:
             nbc, rows = self.evaluation_matrix(p)
             if linalg.rank_mod_p(rows) < len(nbc):
-                raise RuntimeError(f"degree {p}: the nbc rows fall short of full rank mod the prime")
+                raise CertificateError(f"degree {p}: the nbc rows fall short of full rank "
+                                       f"modulo {linalg.PRIME}")
             core.bases[p] = nbc
         return core.bases[p]
 

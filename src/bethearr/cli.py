@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gaudin as gd
-from .arrangement import WeightedArrangement
+from .arrangement import CertificateError, WeightedArrangement
 from .master import CriticalPoint, find_critical_points, newton_solve
 from .scalars import format_scalar
 from .special import (verify_norm_identity, verify_orthogonality, verify_singular,
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except PreconditionError as exc:
+    except (PreconditionError, CertificateError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -12,7 +12,8 @@ small arrangements only.
 
 Exact reference for the basis certificate: each residue of
 evaluation_matrix recomputed as a Fraction from the unscaled equations, as
-the weighted sum of the form's values at the sample point, then reduced.
+the weighted sum of the form's values at the sample point over the gcd of
+the integer minors, then reduced.
 
 Rank-per-row references for the flats: `rank_report` from two ranks,
 `closure` by one rank per hyperplane, and `flag_vector` by a search over
@@ -63,12 +64,16 @@ def certificate_rows(arr: WeightedArrangement, p: int) -> list:
     """The certificate rows of the nbc sets at the first N + 3 samples of
     arr.certificate_samples(p), N = len(nbc): for each sample (t, w, _), the
     Fraction sum_I w(I) * form_row(S, [t])[I] over the column sets I,
-    reduced modulo PRIME."""
+    divided by the gcd g of the p x p minors of the integer_row normals of
+    S, and reduced modulo PRIME."""
     nbc = arr.nbc_sets(p)
     samples = list(itertools.islice(arr.certificate_samples(p), len(nbc) + 3))
     rows = []
     for s in nbc:
-        values = [linalg.dot(w, form_row(arr, s, [t])) for t, w, _ in samples]
+        normals = [arr.hyperplanes[j].integer_row()[1:] for j in s]
+        g = math.gcd(*(int(linalg.det([[n[c] for c in cols] for n in normals]))
+                       for cols in itertools.combinations(range(arr.ambient_dim), p)))
+        values = [linalg.dot(w, form_row(arr, s, [t])) / g for t, w, _ in samples]
         rows.append([x.numerator * pow(x.denominator, -1, linalg.PRIME) % linalg.PRIME
                      for x in values])
     return rows

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethearr import linalg
-from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
+from bethearr.arrangement import (CertificateError, Hyperplane, WeightedArrangement,
+                                  with_exponents)
 from bethearr.gaudin import GaudinProblem, build_discriminantal
 from bethearr.osflag import d_A_matrix, flag_vector
 from conftest import line, point_arrangement, small_arrangements
@@ -205,6 +206,33 @@ class TestCertificate:
             assert all(len(row) == len(nbc) + 3 for row in rows)
             assert arr.basis(p) == nbc
             assert rows == os_oracle.certificate_rows(arr, p)
+
+    @pytest.mark.parametrize("lines", [
+        [(0, 46341, 2), (1, 2317, 46341), (-1, 1, 1)],
+        [(1, linalg.PRIME, 0), (0, 0, 1), (-1, 1, 1)],
+    ], ids=["det-prime", "coefficient-prime"])
+    def test_minors_divisible_by_the_prime(self, lines):
+        """Some nbc set has every minor a multiple of PRIME: 46341^2 - 2 * 2317
+        = PRIME at p = 2, and (PRIME, 0) at p = 1.  Dividing its minors by
+        their gcd keeps its row off 0, and every degree certifies."""
+        arr = WeightedArrangement(2, [line(*row) for row in lines], [F(1)] * 3)
+        for p in range(3):
+            nbc, rows = arr.evaluation_matrix(p)
+            assert all(any(row) for row in rows)
+            assert arr.basis(p) == nbc == arr.nbc_sets(p)
+            assert rows == os_oracle.certificate_rows(arr, p)
+        assert arr.dims() == [1, 3, 3]
+
+    def test_hyperplanes_that_coincide_modulo_the_prime_raise(self):
+        """The lines 46341 t1 + 2 t2 = 0 and 2317 t1 + 46341 t2 = 0 are
+        distinct, but their equations are proportional modulo PRIME, so
+        their degree-1 rows agree there: the certificate cannot decide."""
+        arr = WeightedArrangement(2, [line(0, 46341, 2), line(0, 2317, 46341)], [F(1)] * 2)
+        nbc, rows = arr.evaluation_matrix(1)
+        assert nbc == [(0,), (1,)] and rows[0] == rows[1]
+        assert arr.basis(0) == [()]
+        with pytest.raises(CertificateError, match="degree 1"):
+            arr.basis(1)
 
     def test_dependent_nbc_sets_raise(self, concurrent3, monkeypatch):
         nbc_sets = WeightedArrangement.nbc_sets

@@ -92,6 +92,29 @@ class TestAnalyze:
         assert code == 3
         assert "no vertex" in err
 
+    @pytest.mark.parametrize("b0, dims", [(1, [1, 3, 3]), (0, None)],
+                             ids=["minors-divisible-by-the-prime", "coincide-modulo-the-prime"])
+    def test_normals_of_determinant_prime(self, tmp_path, capsys, b0, dims):
+        """Normals (46341, 2) and (2317, 46341) have determinant 2^31 - 1.
+        With b0 = 1 the certificate holds; with both lines through the
+        origin the equations agree modulo the prime and it cannot decide,
+        which exits 3 with a message instead of a traceback."""
+        path = tmp_path / "det_prime.json"
+        path.write_text(json.dumps({
+            "dim": 2,
+            "hyperplanes": [{"b0": "0/1", "b": ["46341/1", "2/1"]},
+                            {"b0": f"{b0}/1", "b": ["2317/1", "46341/1"]},
+                            {"b0": "-1/1", "b": ["1/1", "1/1"]}][:3 if b0 else 2],
+            "exponents": ["1/1"] * (3 if b0 else 2),
+        }))
+        code, out, err = run_main(["analyze", str(path)], capsys)
+        if dims:
+            assert code == 0 and json.loads(out)["dims"] == dims
+        else:
+            assert code == 3 and out == ""
+            assert err == ("precondition violated: degree 1: the nbc rows fall short of "
+                           "full rank modulo 2147483647\n")
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run_main(["analyze", str(tmp_path / "nope.json")], capsys)
         assert code == 2
