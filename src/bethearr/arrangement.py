@@ -76,8 +76,9 @@ class _Core:
     re-weighting made with with_exponents."""
 
     def __init__(self):
-        self.circuits = None
-        self.candidates = {}  # p -> general-position p-subsets, lex order
+        self.circuits = None    # minimal dependent subsets, by size then lex
+        self.candidates = None  # p -> general-position p-subsets, lex order
+        self.relations = None   # circuits with a common point, in circuits order
         self.top_minors = None  # general-position k-subset -> det of its b-rows
         self.bases = {}       # p -> certified nbc basis of A^p
         self.coords = {}      # sorted monomial -> coordinates over its basis
@@ -176,28 +177,33 @@ class WeightedArrangement:
                          if equations.spans([*h.b, h.b0]))
 
     def circuits(self) -> list[tuple]:
-        """Minimal dependent subsets, up to size k+1."""
-        if self._core.circuits is None:
-            found: list[tuple] = []
+        """Minimal dependent subsets (2 to k+1 members), by size then lex; the same
+        pass records the candidates and the relations, at most one rank_report per subset."""
+        core = self._core
+        if core.circuits is None:
+            core.candidates = {0: [()]}
+            core.relations = []
+            found = []
             for size in range(1, self.ambient_dim + 2):
+                below = set(core.candidates[size - 1])
                 for subset in itertools.combinations(range(self.n), size):
-                    s = set(subset)
-                    if any(set(c) <= s for c in found):
+                    if not all(f in below for f in itertools.combinations(subset, size - 1)):
                         continue
-                    if not self.general_position(subset):
+                    report = self.rank_report(subset)
+                    if report.general_position:
+                        core.candidates.setdefault(size, []).append(subset)
+                    else:
                         found.append(subset)
-            self._core.circuits = found
-        return self._core.circuits
+                        if report.consistent:
+                            core.relations.append(subset)
+            core.circuits = found
+        return core.circuits
 
     def broken_circuits(self) -> list[tuple]:
-        """Tails of circuits with nonempty intersection.  Circuits whose
-        hyperplanes have empty common intersection give no relation in the
-        affine algebra, so they contribute no broken circuits."""
-        return sorted({
-            c[1:]
-            for c in self.circuits()
-            if len(c) > 1 and self.rank_report(c).consistent
-        })
+        """Sorted tails of the relations; a circuit with empty intersection
+        gives no relation in the affine algebra, so no broken circuit."""
+        self.circuits()
+        return sorted({c[1:] for c in self._core.relations})
 
     def nbc_sets(self, p: int) -> list[tuple]:
         """General-position p-subsets containing no broken circuit, lex order."""
@@ -232,14 +238,9 @@ class WeightedArrangement:
         return points
 
     def candidate_monomials(self, p: int) -> list[tuple]:
-        """All general-position p-subsets, lex order (the monomial spanning set)."""
-        if p not in self._core.candidates:
-            self._core.candidates[p] = [
-                s
-                for s in itertools.combinations(range(self.n), p)
-                if self.general_position(s)
-            ]
-        return self._core.candidates[p]
+        """General-position p-subsets, lex order, from circuits(); none for p > k."""
+        self.circuits()
+        return self._core.candidates.get(p, [])
 
     def top_minors(self) -> dict:
         """det of the b-rows of each general-position k-subset (every other
@@ -324,8 +325,7 @@ class WeightedArrangement:
             if subset in basis:
                 coords[basis.index(subset)] = Fraction(1)
             elif self.general_position(subset):
-                circuit = next(c for c in self.circuits() if len(c) > 1 and
-                               set(c[1:]) <= set(subset) and self.rank_report(c).consistent)
+                circuit = next(c for c in core.relations if set(c[1:]) <= set(subset))
                 rest = tuple(j for j in subset if j not in circuit)
                 _, sign = sort_with_sign(circuit[1:] + rest)
                 for i in range(1, len(circuit)):

@@ -135,11 +135,11 @@ def rank_mod_p(rows) -> int:
                    for x in row] for row in rows], dtype=np.int64, ndmin=2)
     r = 0
     for c in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[r:, c])
-        if nonzero.size:
-            a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
-            a[r] = a[r] * pow(int(a[r, c]), -1, PRIME) % PRIME
-            a[r + 1:] = (a[r + 1:] - np.outer(a[r + 1:, c], a[r])) % PRIME
+        nz = r + np.flatnonzero(a[r:, c])
+        if nz.size:
+            a[[r, nz[0]]] = a[[nz[0], r]]  # nz[1:] are then the rows below r to clear
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, PRIME) % PRIME
+            a[nz[1:], c:] = (a[nz[1:], c:] - np.outer(a[nz[1:], c], a[r, c:])) % PRIME
             r += 1
     return r
 

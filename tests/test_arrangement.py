@@ -121,6 +121,31 @@ class TestCircuits:
             for p in range(arr.ambient_dim + 1):
                 assert arr.nbc_sets(p) == arr.basis(p)
 
+    @pytest.mark.parametrize("name", ["concurrent3", "generic4", "discriminantal_1111"])
+    def test_one_elimination_per_subset(self, name, request, sl2, monkeypatch):
+        """circuits() gives each subset of size up to k+1 at most one
+        rank_report; the readers of its pass eliminate nothing more."""
+        if name == "discriminantal_1111":
+            arr = build_discriminantal(
+                GaudinProblem(sl2, ((1,),) * 4, (2,), (F(0), F(1), F(3), F(7))))
+        else:
+            arr = request.getfixturevalue(name)
+        seen = []
+        rank_report = WeightedArrangement.rank_report
+        monkeypatch.setattr(WeightedArrangement, "rank_report",
+                            lambda self, s: seen.append(tuple(s)) or rank_report(self, s))
+        arr.circuits()
+        assert len(seen) == len(set(seen))
+        assert all(len(s) <= arr.ambient_dim + 1 for s in seen)
+        seen.clear()
+        arr.dims()
+        arr.broken_circuits()
+        for p in range(arr.ambient_dim + 2):
+            arr.candidate_monomials(p)
+            if p <= arr.ambient_dim:
+                arr.nbc_sets(p)
+        assert seen == []
+
 
 class TestDims:
     def test_generic3(self, generic3):
@@ -293,18 +318,29 @@ def test_cancelling_circuit_terms_leave_no_zero_coordinate():
 @settings(max_examples=40, deadline=None)
 @given(small_arrangements())
 def test_flats_and_flags_match_the_rank_oracle(arr):
-    """rank_report and closure of every subset, and flag_vector of every
-    general-position ordered tuple, equal their rank-per-row references.
+    """rank_report and closure of every subset, circuits, candidate monomials
+    and broken circuits, and flag_vector of every general-position ordered
+    tuple, equal their rank-per-row references.
     The flag search reads each subset's reference closure, computed once."""
-    flats = {}
+    flats, reports = {}, {}
     for p in range(arr.n + 1):
         for s in itertools.combinations(range(arr.n), p):
             report = arr.rank_report(s)
-            expected = os_oracle.rank_report(arr, s)
+            reports[s] = expected = os_oracle.rank_report(arr, s)
             assert (report.coeff_rank, report.consistent, report.general_position) == expected
             if report.consistent:
                 flats[frozenset(s)] = os_oracle.closure(arr, s)
                 assert arr.closure(s) == flats[frozenset(s)]
+
+    # the one pass of circuits(): minimal dependent subsets by size then lex,
+    # general-position subsets, and tails of the circuits with a common point
+    dependent = [s for s, r in reports.items() if not r[2]]
+    circuits = [s for s in dependent if not any(set(c) < set(s) for c in dependent)]
+    assert arr.circuits() == circuits
+    for p in range(arr.ambient_dim + 2):
+        assert arr.candidate_monomials(p) == [
+            s for s in itertools.combinations(range(arr.n), p) if reports[s][2]]
+    assert arr.broken_circuits() == sorted({c[1:] for c in circuits if reports[c][1]})
 
     def flat(subset):
         return flats[frozenset(subset)]
