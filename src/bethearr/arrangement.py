@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg
 from .scalars import Scalar, format_scalar, is_exact, parse_scalar, to_int, to_rational
 
@@ -78,10 +80,12 @@ class _Core:
     def __init__(self):
         self.circuits = None    # minimal dependent subsets, by size then lex
         self.candidates = None  # p -> general-position p-subsets, lex order
+        self.general = {}       # p -> the same subsets as a set, for look-ups
         self.relations = None   # circuits with a common point, in circuits order
         self.top_minors = None  # general-position k-subset -> det of its b-rows
         self.bases = {}       # p -> certified nbc basis of A^p
         self.coords = {}      # sorted monomial -> coordinates over its basis
+        self.equations = None  # (b0, B) as float arrays
 
 
 class WeightedArrangement:
@@ -108,6 +112,7 @@ class WeightedArrangement:
         if not self.has_vertex():
             raise ValueError("arrangement has no vertex")
         self._core = _Core()
+        self._exponent_array = np.array(self.exponents, dtype=complex)
 
     # -- construction checks ------------------------------------------------
 
@@ -137,6 +142,15 @@ class WeightedArrangement:
     def evaluate_all(self, t):
         return [h.evaluate(t) for h in self.hyperplanes]
 
+    def numeric(self):
+        """(b0, B, a): offsets and normals (n x k) as read-only float arrays,
+        shared with every re-weighting, and the exponents as a complex array."""
+        if self._core.equations is None:
+            rows = np.array([[h.b0, *h.b] for h in self.hyperplanes], dtype=float)
+            rows.setflags(write=False)
+            self._core.equations = rows[:, 0], rows[:, 1:]
+        return (*self._core.equations, self._exponent_array)
+
     def contains_point(self, t, tol=1e-12) -> bool:
         """True if t lies on some hyperplane (within tol at an inexact point)."""
         for v in self.evaluate_all(t):
@@ -164,7 +178,9 @@ class WeightedArrangement:
         return SubsetRankReport(subset, coeff_rank, consistent, general)
 
     def general_position(self, subset) -> bool:
-        return self.rank_report(subset).general_position
+        """A look-up among the general-position subsets circuits() records."""
+        self.circuits()
+        return tuple(sorted(subset)) in self._core.general.get(len(subset), ())
 
     def closure(self, subset) -> frozenset:
         """All hyperplane indices containing the intersection stratum of the
@@ -185,7 +201,7 @@ class WeightedArrangement:
             core.relations = []
             found = []
             for size in range(1, self.ambient_dim + 2):
-                below = set(core.candidates[size - 1])
+                below = core.general[size - 1] = set(core.candidates[size - 1])
                 for subset in itertools.combinations(range(self.n), size):
                     if not all(f in below for f in itertools.combinations(subset, size - 1)):
                         continue

@@ -130,8 +130,9 @@ PRIME = 2**31 - 1
 def rank_mod_p(rows) -> int:
     """Rank modulo PRIME of an int or Fraction matrix, by int64 elimination
     (residues stay below 2^31, so products fit).  It never exceeds the rank
-    over Q.  Raises ValueError if a denominator is divisible by PRIME."""
-    a = np.array([[x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+    over Q.  Raises ValueError if a Fraction's denominator is divisible by PRIME."""
+    a = np.array([[x % PRIME if isinstance(x, int) else
+                   x.numerator * pow(x.denominator, -1, PRIME) % PRIME
                    for x in row] for row in rows], dtype=np.int64, ndmin=2)
     r = 0
     for c in range(a.shape[1]):

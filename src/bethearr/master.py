@@ -5,12 +5,13 @@ symmetry-orbit grouping.
 Everything works with ln Phi only; the multivalued master function itself is
 never exponentiated.  log_grad, log_hessian and hess_det accept exact
 rational input and then return exact values; they serve the verifiers.  The
-Newton solver works on complex numpy arrays read from the arrangement once
-per start and calls none of them.
+Newton searches work on the arrangement's numeric view
+(WeightedArrangement.numeric) and call none of them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,6 +22,7 @@ from . import linalg
 from .arrangement import WeightedArrangement
 
 MAX_ITER = 50  # Newton steps per start
+CHAMBER_MAX_ITER = 500  # damped Newton steps per chamber
 
 
 @dataclass
@@ -89,24 +91,25 @@ def _log_residual(f, g) -> float:
     return -np.inf if gn == 0.0 else float(np.sum(np.log(np.abs(f))) + np.log(gn))
 
 
+def _critical_point(t, f, g, h) -> CriticalPoint:
+    """Degenerate when |det h| is tiny against the median |f|^-2 scale."""
+    hd = complex(np.linalg.det(h))
+    scale = np.sort(np.abs(f) ** -2)[len(f) // 2] ** len(t)
+    return CriticalPoint(tuple(map(complex, t)), float(np.linalg.norm(g)), hd,
+                         abs(hd) > 1e-8 * scale)
+
+
 def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
     """Newton iteration on the logarithmic gradient with the log-Hessian as
     Jacobian, at most MAX_ITER steps.  Returns a CriticalPoint or a
-    DivergenceReport.
-
-    The arrangement is read once into complex arrays b0, B and a; each
-    iterate and line-search candidate t is evaluated once, as f = b0 + B t
-    and g = B^T (a/f), and each iterate's Hessian is -B^T diag(a/f^2) B.
-
-    Iterates escaping far outside the arrangement's data are rejected: the
-    gradient also decays to zero at infinity, so a plain norm test would
-    accept bogus points there.
+    DivergenceReport.  Each iterate and line-search candidate t is evaluated
+    once, as f = b0 + B t and g = B^T (a/f).  Iterates escaping far outside
+    the arrangement's data are rejected: the gradient also decays to zero at
+    infinity, so a plain norm test would accept bogus points there.
     """
     start = tuple(map(complex, t0))
     escape = 1e6 * _start_box_radius(arr)
-    rows = np.array([[h.b0, *h.b] for h in arr.hyperplanes], dtype=complex)
-    b0, B = rows[:, 0], rows[:, 1:]
-    a = np.array(arr.exponents, dtype=complex)
+    b0, B, a = arr.numeric()
     t = np.array(start)
     f = b0 + B @ t
     if np.min(np.abs(f)) < 1e-12:
@@ -119,11 +122,7 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
             return DivergenceReport(start, "escaped to infinity", it)
         h = -(B.T * (a / f ** 2)) @ B
         if np.linalg.norm(g) <= tol:
-            hd = complex(np.linalg.det(h))
-            # degenerate: |det H| tiny against the median |f|^-2 scale
-            scale = np.sort(np.abs(f) ** -2)[len(f) // 2] ** arr.ambient_dim
-            return CriticalPoint(tuple(map(complex, t)), float(np.linalg.norm(g)), hd,
-                                 abs(hd) > 1e-8 * scale)
+            return _critical_point(t, f, g, h)
         # Newton step for the cleared-denominator system (prod f) * grad:
         # the Jacobian is (prod f) (H + g s^T) with s_m = sum_l b^m_l / f_l,
         # and the polynomial prefactor cancels in the step.  Unlike a raw
@@ -152,14 +151,16 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
 
 
 def _start_box_radius(arr: WeightedArrangement) -> float:
-    return 2.0 * float(max(1, *(abs(x) for h in arr.hyperplanes for x in (h.b0, *h.b))))
+    b0, B, _ = arr.numeric()
+    return 2.0 * float(max(1.0, np.max(np.abs(b0)), np.max(np.abs(B))))
 
 
 def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
                          tol=1e-12) -> list[CriticalPoint]:
     """Multi-start Newton search; deduplicated, deterministically ordered.
 
-    May return fewer points than |chi(U)|; the caller compares counts.
+    May return fewer points than |chi(U)|; the caller compares counts.  The
+    CLI takes chamber_critical_points instead wherever that applies.
     """
     radius = _start_box_radius(arr)
     rng = np.random.default_rng(seed)
@@ -175,12 +176,53 @@ def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
         if isinstance(result, CriticalPoint):
             found.append(result)
     merge = max(1e-6, tol ** 0.5)  # copies found at a loose tol lie further apart
-    found.sort(key=lambda cp: tuple((round(z.real, 9), round(z.imag, 9)) for z in cp.t))
+    found.sort(key=_point_order)
     unique: list[CriticalPoint] = []
     for cp in found:
         if all(max(abs(a - b) for a, b in zip(cp.t, u.t)) >= merge for u in unique):
             unique.append(cp)
     return unique
+
+
+def _point_order(cp: CriticalPoint) -> tuple:
+    return tuple((round(z.real, 9), round(z.imag, 9)) for z in cp.t)
+
+
+def chamber_critical_points(arr: WeightedArrangement, tol=1e-12) -> list[CriticalPoint]:
+    """The critical point of each bounded chamber, the only ones for positive
+    exponents and simple vertices (Varchenko 1995), ordered as by
+    find_critical_points.  Seeds v + eps M_S^-1 s, s in {+-1}^k, fill the
+    chambers at the vertex v of each general-position k-subset S (normals
+    M_S).  A damped Newton ascent on the self-concordant -(1/min a) ln Phi
+    (Nesterov-Nemirovski) accepts at decrement lambda < 1/4 and
+    |g| <= tol max(1, | |B|^T |a/f| |), and gives up past the escape radius."""
+    b0, B, a = arr.numeric()
+    a, c = a.real, 1.0 / a.real.min()
+    seeds = {}  # sign vector of a chamber -> its first seed
+    for subset in map(list, arr.top_minors()):
+        inv = np.linalg.inv(B[subset])
+        v = -inv @ b0[subset]
+        fv = b0 + B @ v
+        eps = 0.25 * min(np.delete(np.abs(fv), subset), default=1.0) / np.abs(B @ inv).sum(1).max()
+        for s in itertools.product((-1.0, 1.0), repeat=len(subset)):
+            side = fv > 0
+            side[subset] = np.array(s) > 0
+            seeds.setdefault(side.tobytes(), v + eps * (inv @ s))
+    escape, found = 1e6 * _start_box_radius(arr), []
+    for x in seeds.values():
+        for _ in range(CHAMBER_MAX_ITER):
+            f = b0 + B @ x
+            g, h = B.T @ (a / f), -(B.T * (a / f ** 2)) @ B
+            d = np.linalg.solve(h, g)
+            lam = np.sqrt(max(0.0, -c * (g @ d)))
+            if lam < 0.25 and np.linalg.norm(g) <= tol * max(
+                    1.0, np.linalg.norm(np.abs(B).T @ np.abs(a / f))):
+                found.append(_critical_point(x, f, g, h))
+                break
+            x = x - (d if lam <= 0.25 else d / (1.0 + lam))
+            if np.max(np.abs(x)) > escape:
+                break
+    return sorted(found, key=_point_order)
 
 
 def group_orbits(points: list[CriticalPoint], group, tol=1e-6) -> list[CriticalPoint]:

@@ -3,11 +3,14 @@ closed-form pairing of special vectors."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from .arrangement import WeightedArrangement
 from .osflag import FlagVector, OSElement, check_length, sparse_dot
-from .scalars import Scalar
+from .scalars import Scalar, is_exact
 
 
 def _weighted_top(arr: WeightedArrangement):
@@ -59,18 +62,26 @@ def shapovalov_map(arr: WeightedArrangement, flag: FlagVector) -> OSElement:
     return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})
 
 
-def special_pairing(arr: WeightedArrangement, t1, t2) -> Scalar:
-    """S^(a)(v(t1), v(t2)) by the direct k-subset formula: sum over
-    general-position k-subsets of D^2 * prod a(H) / (f(t1) f(t2)), where D is
-    the (nonzero) determinant of their coefficient vectors."""
-    if arr.contains_point(t1) or arr.contains_point(t2):
+def special_gram(arr: WeightedArrangement, points):
+    """G_il = S^(a)(v(t_i), v(t_l)) = (U^T diag(c) U)_il over the top_minors() D_S:
+    U_{S,i} = prod_{j in S} 1 / f_j(t_i), c_S = D_S^2 prod_{j in S} a_j.  Exact
+    (dtype object) at rational points and exponents, else complex (numeric view)."""
+    if any(arr.contains_point(t) for t in points):
         raise ValueError("point on arrangement")
-    values1 = arr.evaluate_all(t1)
-    values2 = arr.evaluate_all(t2)
-    total = Fraction(0)
-    for subset, d in arr.top_minors().items():
-        term = d * d
-        for j in subset:
-            term = term * arr.exponents[j] / (values1[j] * values2[j])
-        total = total + term
-    return total
+    minors = arr.top_minors()
+    members = np.array(list(minors), dtype=int)
+    if all(map(is_exact, itertools.chain(arr.exponents, *points))):
+        f = np.array([arr.evaluate_all(t) for t in points], dtype=object).T
+        a = np.array(arr.exponents, dtype=object)
+    else:
+        b0, B, a = arr.numeric()
+        f = b0[:, None] + B @ np.array(points, dtype=complex).T
+    d = np.array(list(minors.values()), dtype=f.dtype)
+    u = 1 / np.prod(f[members], axis=1)
+    c = d * d * np.prod(a[members], axis=1)
+    return u.T @ (c[:, None] * u)
+
+
+def special_pairing(arr: WeightedArrangement, t1, t2) -> Scalar:
+    """S^(a)(v(t1), v(t2)): the off-diagonal entry of special_gram."""
+    return special_gram(arr, [t1, t2]).tolist()[0][1]

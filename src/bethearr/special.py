@@ -13,7 +13,7 @@ from .arrangement import Hyperplane, WeightedArrangement
 from .master import hess_det, log_grad
 from .osflag import FlagVector, apply_delta, evaluate_form, monomial_pairing
 from .scalars import scalar_abs
-from .shapovalov import shapovalov_form, special_pairing
+from .shapovalov import shapovalov_form, special_gram
 
 
 def specialize(arr: WeightedArrangement, t) -> FlagVector:
@@ -66,17 +66,24 @@ def verify_norm_identity(arr: WeightedArrangement, t, tol=1e-8,
                  abs_err <= tol * max(scalar_abs(rhs), 1e-300))
 
 
+def orthogonality_checks(arr: WeightedArrangement, points, tol=1e-10) -> list[dict]:
+    """S^(a)(v(t_i), v(t_l)) against 0 for each pair i < l, in rows named
+    f"orthogonality_{i}_{l}", within tol relative to the geometric mean of the two
+    self-pairings (scale-free in the exponents); one special_gram for all."""
+    gram = special_gram(arr, points).tolist() if points else []
+    rows = []
+    for i, l in itertools.combinations(range(len(points)), 2):
+        abs_err = scalar_abs(gram[i][l])
+        scale = math.sqrt(scalar_abs(gram[i][i]) * scalar_abs(gram[l][l]))
+        rows.append(check(f"orthogonality_{i}_{l}", gram[i][l], 0.0, abs_err,
+                          abs_err <= tol * max(scale, 1e-300)))
+    return rows
+
+
 def verify_orthogonality(arr: WeightedArrangement, t1, t2, tol=1e-10,
                          name="orthogonality") -> dict:
-    """S^(a)(v(t1), v(t2)) against 0, within tol relative to the geometric
-    mean of the two self-pairings; the tolerance is scale-free in the
-    exponents."""
-    value = special_pairing(arr, t1, t2)
-    n1 = scalar_abs(special_pairing(arr, t1, t1))
-    n2 = scalar_abs(special_pairing(arr, t2, t2))
-    abs_err = scalar_abs(value)
-    return check(name, value, 0.0, abs_err,
-                 abs_err <= tol * max(math.sqrt(n1 * n2), 1e-300))
+    """The orthogonality_checks row of the two points."""
+    return {**orthogonality_checks(arr, [t1, t2], tol)[0], "name": name}
 
 
 # -- symmetry actions ------------------------------------------------------

@@ -14,7 +14,23 @@ import itertools
 from fractions import Fraction
 
 from bethearr import linalg
-from bethearr.arrangement import WeightedArrangement
+from bethearr.arrangement import Hyperplane, WeightedArrangement
+
+
+def random_generic(rng, k: int, n: int) -> WeightedArrangement:
+    """n hyperplanes in C^k with integer coefficients in [-9, 9] (normal
+    entries nonzero) and unit exponents, redrawn until generic."""
+    while True:
+        rows = [(rng.randint(-9, 9), *(rng.choice((-1, 1)) * rng.randint(1, 9)
+                                       for _ in range(k))) for _ in range(n)]
+        try:
+            arr = WeightedArrangement(
+                k, [Hyperplane(Fraction(r[0]), tuple(map(Fraction, r[1:]))) for r in rows],
+                [Fraction(1)] * n)
+        except ValueError:  # proportional equations
+            continue
+        if is_generic(arr):
+            return arr
 
 
 def is_generic(arr: WeightedArrangement) -> bool:

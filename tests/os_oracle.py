@@ -25,6 +25,10 @@ subset pairs with the flags by a full dot product of its straightened
 coordinates, zeros included (dense() fills in the zeros that the library's
 sparse coordinates leave out).
 
+Pairwise reference for the Gram matrix of special vectors: one
+S(v(t1), v(t2)) at a time, each term d^2 prod a_j / (f_j(t1) f_j(t2))
+accumulated in Python scalars.
+
 Enumeration references: the vertex test by a scan of the k-subsets, the
 canonical weight function by its sum over k! permutations of chain
 fractions, and the symmetry action on flags by the transposed matrix of
@@ -162,6 +166,17 @@ def shapovalov_map(arr: WeightedArrangement, flag) -> OSElement:
         for i, c in enumerate(coords):
             out[i] = out[i] + prod * p * c
     return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})
+
+
+def special_pairing(arr: WeightedArrangement, t1, t2):
+    values1, values2 = arr.evaluate_all(t1), arr.evaluate_all(t2)
+    total = Fraction(0)
+    for subset, d in arr.top_minors().items():
+        term = d * d
+        for j in subset:
+            term = term * arr.exponents[j] / (values1[j] * values2[j])
+        total = total + term
+    return total
 
 
 def has_vertex(k: int, hyperplanes) -> bool:

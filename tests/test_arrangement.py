@@ -5,6 +5,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -354,6 +355,20 @@ def test_flats_and_flags_match_the_rank_oracle(arr):
 
 @settings(max_examples=40, deadline=None)
 @given(small_arrangements())
+def test_general_position_is_a_look_up(arr):
+    """general_position of every tuple of at most k + 1 indices, in any order
+    and with repeats, equals the rank-per-row reference, and once circuits()
+    has run it makes no elimination."""
+    arr.circuits()
+    with mock.patch.object(WeightedArrangement, "rank_report", None):
+        for size in range(arr.ambient_dim + 2):
+            for s in itertools.combinations_with_replacement(range(arr.n), size):
+                expected = os_oracle.rank_report(arr, s)[2]
+                assert arr.general_position(s) == arr.general_position(s[::-1]) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements())
 def test_vertex_test_matches_the_subset_scan(arr):
     """Every nonempty set of the hyperplanes is accepted exactly when some k
     of them are in general position, as the k-subset scan finds."""
@@ -384,6 +399,20 @@ def test_with_exponents_keeps_geometry(generic3):
     assert arr.hyperplanes == generic3.hyperplanes
     assert arr.exponents == (F(2), F(3), F(5))
     assert arr.dims() == generic3.dims()
+
+
+def test_numeric_view(generic4):
+    """Float equations shared with every re-weighting, complex exponents per
+    arrangement, all read-only."""
+    b0, B, a = generic4.numeric()
+    assert b0.tolist() == [0.0, 0.0, -1.0, -3.0]
+    assert B.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]]
+    assert a.dtype == complex and a.tolist() == [1, 1, 1, 1]
+    assert generic4.numeric()[1] is B
+    with pytest.raises(ValueError):
+        B[0, 0] = 2.0
+    b0w, Bw, aw = with_exponents(generic4, [F(1, 2), 2, F(3), 1.5]).numeric()
+    assert (b0w, Bw) == (b0, B) and aw.tolist() == [0.5, 2, 3, 1.5]
 
 
 def test_with_exponents_shares_the_exponent_free_core(concurrent3):

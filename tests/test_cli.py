@@ -12,7 +12,10 @@ import pytest
 
 from bethearr import gaudin as gd
 from bethearr import linalg
+from bethearr.arrangement import WeightedArrangement
 from bethearr.cli import main
+from bethearr.master import find_critical_points
+from conftest import line
 
 F = Fraction
 
@@ -188,6 +191,32 @@ class TestCritical:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["command"] == "critical"
+
+
+    def test_chamber_path_ignores_the_starts(self, gen4_file, capsys):
+        """Unit exponents and simple vertices: one point per bounded chamber,
+        with no multi-start search, so --starts 0 finds them all."""
+        _, out, _ = run_main(["critical", gen4_file, "--starts", "0"], capsys)
+        report = json.loads(out)
+        assert len(report["points"]) == report["abs_chi"] == 3
+        assert all(p["nondegenerate"] for p in report["points"])
+
+    @pytest.mark.parametrize("case", ["concurrent-lines", "negative-exponent"])
+    def test_multi_start_path_is_unchanged(self, case, generic4, tmp_path, capsys):
+        """A vertex on three lines, or an exponent that is not positive,
+        leaves the search to find_critical_points, seed and starts included."""
+        if case == "concurrent-lines":
+            arr = WeightedArrangement(
+                2, [line(0, 1, 0), line(0, 0, 1), line(0, 1, 1), line(-3, 1, 2)], [F(1)] * 4)
+        else:
+            arr = WeightedArrangement(2, generic4.hyperplanes, [F(1), F(-1), F(1), F(1)])
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(arr.to_json()))
+        _, out, _ = run_main(["critical", str(path), "--seed", "3", "--starts", "40"], capsys)
+        expected = [[[z.real, z.imag] for z in cp.t]
+                    for cp in find_critical_points(arr, seed=3, n_starts=40)]
+        assert expected
+        assert [p["t"] for p in json.loads(out)["points"]] == expected
 
 
 class TestVerify:

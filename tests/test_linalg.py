@@ -157,6 +157,15 @@ def test_rank_mod_p_matches_exact_rank(m):
     assert linalg.rank_mod_p(m) == linalg.rank(m)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(-3 * linalg.PRIME, 3 * linalg.PRIME), min_size=3,
+                         max_size=3), min_size=1, max_size=4))
+def test_rank_mod_p_reduces_ints_as_their_fractions(m):
+    """Int entries of any sign and size are reduced directly; the residues
+    are those of the same entries as Fractions."""
+    assert linalg.rank_mod_p(m) == linalg.rank_mod_p([[F(x) for x in row] for row in m])
+
+
 def test_rank_mod_p_needs_residues_and_bounds_the_rank_from_below():
     m = [[1, F(1, linalg.PRIME)], [0, 1]]
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 handling, orbit grouping."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethearr.arrangement import Hyperplane, WeightedArrangement
+from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
 from bethearr.gaudin import build_discriminantal
-from bethearr.master import (CriticalPoint, DivergenceReport,
+from bethearr.master import (CriticalPoint, DivergenceReport, chamber_critical_points,
                              find_critical_points, group_orbits, hess_det,
                              log_grad, log_hessian, newton_solve)
 from conftest import point_arrangement
+from generic_ops import random_generic
 from os_oracle import symmetric_group
 
 F = Fraction
@@ -153,6 +155,46 @@ class TestKernelAgainstExactCalculus:
             exact = complex(hess_det(arr, cp.t))
             assert abs(cp.hess_det - exact) <= 1e-9 * abs(exact)
             assert np.linalg.norm([complex(x) for x in log_grad(arr, cp.t)]) <= 1e-10
+
+
+GENERIC_LADDER = [(2, n) for n in range(4, 13)] + [(3, n) for n in range(5, 9)]
+
+
+class TestChamberSearch:
+    """A real generic arrangement with positive exponents has one critical
+    point in each of its |chi| = C(n-1, k) bounded chambers, and all of them
+    are nondegenerate."""
+
+    @pytest.mark.parametrize("exponents", ["unit", "p/q"])
+    @pytest.mark.parametrize("k, n", GENERIC_LADDER)
+    def test_one_point_in_each_bounded_chamber(self, k, n, exponents):
+        rng = random.Random(f"chambers/{k}/{n}")
+        arr = random_generic(rng, k, n)
+        if exponents == "p/q":
+            arr = with_exponents(arr, [F(rng.randint(1, 9), rng.randint(1, 5))
+                                       for _ in range(n)])
+        points = chamber_critical_points(arr)
+        assert len(points) == math.comb(n - 1, k)
+        assert all(cp.nondegenerate for cp in points)
+        b0, B, _ = arr.numeric()
+        assert len({tuple(b0 + B @ np.real(cp.t) > 0) for cp in points}) == len(points)
+        for cp in points:
+            assert np.linalg.norm([complex(x) for x in log_grad(arr, cp.t)]) <= 1e-8
+
+    @pytest.mark.parametrize("instance", ["points3", "generic4"])
+    def test_agrees_with_the_multi_start_search(self, instance, request):
+        arr = request.getfixturevalue(instance)
+        chambers = chamber_critical_points(arr)
+        starts = find_critical_points(arr, seed=0, n_starts=200)
+        assert len(chambers) == len(starts) == abs(arr.euler_characteristic())
+        for a, b in zip(chambers, starts):
+            assert max(abs(x - y) for x, y in zip(a.t, b.t)) < 1e-9
+            assert abs(a.hess_det - b.hess_det) <= 1e-9 * abs(b.hess_det)
+
+    def test_unbounded_chambers_give_no_point_at_a_loose_tolerance(self, generic4):
+        """The gradient decays to 0 in an unbounded chamber; the Newton
+        decrement does not, so no point is accepted there."""
+        assert len(chamber_critical_points(generic4, tol=1e-4)) == 3
 
 
 class TestOrbits:

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from bethearr import linalg
 from bethearr.arrangement import with_exponents
 from bethearr.osflag import FlagVector, OSElement, monomial_pairing, pairing
-from bethearr.shapovalov import (shapovalov_form, shapovalov_map,
+from bethearr.master import chamber_critical_points
+from bethearr.shapovalov import (shapovalov_form, shapovalov_map, special_gram,
                                  special_pairing)
-from bethearr.special import specialize
+from bethearr.special import orthogonality_checks, specialize
 from conftest import small_arrangements
 from generic_ops import (dependency_constant, is_generic, k_operator,
-                         l_operator, standard_basis)
+                         l_operator, random_generic, standard_basis)
 import os_oracle
 
 F = Fraction
@@ -123,6 +125,38 @@ class TestSpecialPairing:
         if arr.contains_point(t1) or arr.contains_point(t2):
             return
         assert special_pairing(arr, t1, t2) == special_pairing(arr, t2, t1)
+
+
+class TestSpecialGram:
+    def test_exact_at_rational_points(self, generic4):
+        pts = generic4.sample_points(3)
+        gram = special_gram(generic4, pts)
+        assert gram.tolist() == [[os_oracle.special_pairing(generic4, s, t) for t in pts]
+                                 for s in pts]
+
+    @pytest.mark.parametrize("exponents", ["unit", "complex"])
+    def test_matches_the_pairwise_oracle(self, exponents):
+        """At the 21 critical points of a generic k=2, n=8 arrangement (and at
+        the same points under complex exponents), every entry agrees with
+        the pairwise sum to 1e-12 of the geometric mean of the two
+        self-pairings, and so do the orthogonality rows."""
+        arr = random_generic(random.Random("gram"), 2, 8)
+        points = [cp.t for cp in chamber_critical_points(arr)]
+        assert len(points) == 21
+        if exponents == "complex":
+            arr = with_exponents(arr, [complex(1 + j, 0.5 - j / 4) for j in range(8)])
+        gram = special_gram(arr, points)
+        oracle = np.array([[complex(os_oracle.special_pairing(arr, s, t)) for t in points]
+                           for s in points])
+        scale = np.sqrt(np.outer(np.abs(np.diag(oracle)), np.abs(np.diag(oracle))))
+        assert np.all(np.abs(gram - oracle) <= 1e-12 * scale)
+        rows = orthogonality_checks(arr, points)
+        assert len(rows) == 21 * 20 // 2
+        pairs = itertools.combinations(range(21), 2)
+        for row, (i, l) in zip(rows, pairs):
+            assert row["name"] == f"orthogonality_{i}_{l}"
+            assert abs(row["lhs"] - oracle[i, l]) <= 1e-12 * scale[i, l]
+            assert row["pass"] == (abs(oracle[i, l]) <= 1e-10 * scale[i, l])
 
 
 class TestGenericOperators:
