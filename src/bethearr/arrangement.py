@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +150,28 @@ class WeightedArrangement:
             rows.setflags(write=False)
             self._core.equations = rows[:, 0], rows[:, 1:]
         return (*self._core.equations, self._exponent_array)
+
+    def at(self, points):
+        """(f, B, a): the values f_j(t_i) as an n x len(points) array, the
+        normals B (n x k) and the exponents a.  Exact (dtype object, f of
+        Fractions) when every coordinate and exponent is rational, else
+        from numeric(), with f complex.  ValueError when some f_j(t_i) is 0,
+        or below 1e-12 in modulus at inexact input."""
+        points = list(points)
+        if all(map(is_exact, itertools.chain(self.exponents, *points))):
+            f = np.array([list(map(Fraction, self.evaluate_all(t))) for t in points],
+                         dtype=object).reshape(len(points), self.n).T
+            B = np.array([h.b for h in self.hyperplanes], dtype=object)
+            a = np.array(self.exponents, dtype=object)
+            on = f == 0
+        else:
+            b0, B, a = self.numeric()
+            t = np.array(points, dtype=complex).reshape(len(points), self.ambient_dim)
+            f = b0[:, None] + B @ t.T
+            on = np.abs(f) < 1e-12
+        if on.any():
+            raise ValueError("point on arrangement")
+        return f, B, a
 
     def contains_point(self, t, tol=1e-12) -> bool:
         """True if t lies on some hyperplane (within tol at an inexact point)."""

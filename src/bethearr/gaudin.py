@@ -227,34 +227,6 @@ def _vanishes(x) -> bool:
     return x == 0 or (not isinstance(x, (int, Fraction)) and abs(complex(x)) < 1e-12)
 
 
-def bethe_residual(p: GaudinProblem, t):
-    """Left-hand sides of the Bethe equations; identically log_grad of
-    build_discriminantal at t."""
-    k = p.k
-    if len(t) != k:
-        raise ValueError("wrong number of coordinates")
-    out = []
-    for i in range(k):
-        total = Fraction(0)
-        for s in range(p.n):
-            denom = t[i] - p.z[s]
-            if _vanishes(denom):
-                raise ValueError(f"t_{i+1} collides with z_{s+1}")
-            total = total - p.cartan.weight_pairing(p.level(i), p.weights[s]) / denom
-        for j in range(k):
-            if j == i:
-                continue
-            pairing = p.cartan.bilinear(p.level(i), p.level(j))
-            if pairing == 0:
-                continue
-            denom = t[i] - t[j]
-            if _vanishes(denom):
-                raise ValueError(f"t_{i+1} collides with t_{j+1}")
-            total = total + pairing / denom
-        out.append(total)
-    return out
-
-
 # -- sl2 modules and the weight space ---------------------------------------
 
 

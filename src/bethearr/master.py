@@ -3,17 +3,18 @@ Hessian, Newton search for critical points, non-degeneracy classification,
 symmetry-orbit grouping.
 
 Everything works with ln Phi only; the multivalued master function itself is
-never exponentiated.  log_grad, log_hessian and hess_det accept exact
-rational input and then return exact values; they serve the verifiers.  The
-Newton searches work on the arrangement's numeric view
-(WeightedArrangement.numeric) and call none of them.
+never exponentiated.  log_grad and log_hessian are B^T (a/f) and
+-B^T diag(a/f^2) B read from WeightedArrangement.at: exact at rational
+points and exponents, complex otherwise.  With hess_det they serve the
+verifiers.  The Newton searches evaluate the same formulas once per iterate
+on the arrangement's numeric view (WeightedArrangement.numeric) and call
+none of them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -42,41 +43,16 @@ class DivergenceReport:
 
 
 def log_grad(arr: WeightedArrangement, t):
-    """Gradient of ln Phi: component i = sum_j a_j b^i_j / f_j(t)."""
-    if arr.contains_point(t):
-        raise ValueError("point on arrangement")
-    values = arr.evaluate_all(t)
-    out = []
-    for i in range(arr.ambient_dim):
-        out.append(sum(
-            (a * h.b[i] / v for h, a, v in zip(arr.hyperplanes, arr.exponents, values)
-             if h.b[i] != 0 and a != 0),
-            start=Fraction(0),
-        ))
-    return out
+    """Gradient of ln Phi, B^T (a / f(t)): component i = sum_j a_j b^i_j / f_j(t)."""
+    f, B, a = arr.at([t])
+    return (B.T @ (a / f[:, 0])).tolist()
 
 
 def log_hessian(arr: WeightedArrangement, t):
-    """Hessian of ln Phi: entry (i,l) = -sum_j a_j b^i_j b^l_j / f_j(t)^2."""
-    if arr.contains_point(t):
-        raise ValueError("point on arrangement")
-    values = arr.evaluate_all(t)
-    k = arr.ambient_dim
-    mat = [[Fraction(0)] * k for _ in range(k)]
-    for h, a, v in zip(arr.hyperplanes, arr.exponents, values):
-        if a == 0:
-            continue
-        w = a / (v * v)
-        for i in range(k):
-            if h.b[i] == 0:
-                continue
-            for l in range(i, k):
-                if h.b[l] != 0:
-                    mat[i][l] = mat[i][l] - w * h.b[i] * h.b[l]
-    for i in range(k):
-        for l in range(i + 1, k):
-            mat[l][i] = mat[i][l]
-    return mat
+    """Hessian of ln Phi, -B^T diag(a / f(t)^2) B: entry (i,l) =
+    -sum_j a_j b^i_j b^l_j / f_j(t)^2."""
+    f, B, a = arr.at([t])
+    return (-(B.T * (a / f[:, 0] ** 2)) @ B).tolist()
 
 
 def hess_det(arr: WeightedArrangement, t):

@@ -9,7 +9,6 @@ which keeps only the nonzero coordinates, keyed by basis index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,21 +153,6 @@ def flag_vector(arr: WeightedArrangement, indices) -> FlagVector:
         order, sign = sort_with_sign([level.get(j, p) for j in s])
         coords.append(Fraction(sign if order == tuple(range(p)) else 0))
     return FlagVector(p, tuple(coords))
-
-
-def evaluate_form(arr: WeightedArrangement, subset, t) -> Scalar:
-    """u_S(t) = det(b-rows of S) / prod f_j(t): the coefficient of the top
-    logarithmic form of a k-subset against dt_1^...^dt_k."""
-    subset = tuple(subset)
-    if len(subset) != arr.ambient_dim:
-        raise ValueError("evaluate_form needs a top-degree subset")
-    values = [arr.hyperplanes[j].evaluate(t) for j in subset]
-    for v in values:
-        if (v == 0) if isinstance(v, (int, Fraction)) else abs(complex(v)) < 1e-14:
-            raise ValueError("point on arrangement")
-    ordered, sign = sort_with_sign(subset)
-    d = sign * arr.top_minors().get(ordered, Fraction(0))
-    return d / math.prod(values, start=Fraction(1))
 
 
 def singular_basis(arr: WeightedArrangement) -> list[FlagVector]:

@@ -3,14 +3,13 @@ closed-form pairing of special vectors."""
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from .arrangement import WeightedArrangement
 from .osflag import FlagVector, OSElement, check_length, sparse_dot
-from .scalars import Scalar, is_exact
+from .scalars import Scalar
 
 
 def _weighted_top(arr: WeightedArrangement):
@@ -62,23 +61,21 @@ def shapovalov_map(arr: WeightedArrangement, flag: FlagVector) -> OSElement:
     return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})
 
 
-def special_gram(arr: WeightedArrangement, points):
-    """G_il = S^(a)(v(t_i), v(t_l)) = (U^T diag(c) U)_il over the top_minors() D_S:
-    U_{S,i} = prod_{j in S} 1 / f_j(t_i), c_S = D_S^2 prod_{j in S} a_j.  Exact
-    (dtype object) at rational points and exponents, else complex (numeric view)."""
-    if any(arr.contains_point(t) for t in points):
-        raise ValueError("point on arrangement")
+def top_forms(arr: WeightedArrangement, points):
+    """(u, c) over the subsets S of top_minors(), in its order:
+    u_{S,i} = D_S / prod_{j in S} f_j(t_i), the top logarithmic form of S at
+    t_i against dt_1^...^dt_k, and c_S = prod_{j in S} a_j.  Exact or
+    complex as WeightedArrangement.at."""
+    f, _, a = arr.at(points)
     minors = arr.top_minors()
     members = np.array(list(minors), dtype=int)
-    if all(map(is_exact, itertools.chain(arr.exponents, *points))):
-        f = np.array([arr.evaluate_all(t) for t in points], dtype=object).T
-        a = np.array(arr.exponents, dtype=object)
-    else:
-        b0, B, a = arr.numeric()
-        f = b0[:, None] + B @ np.array(points, dtype=complex).T
     d = np.array(list(minors.values()), dtype=f.dtype)
-    u = 1 / np.prod(f[members], axis=1)
-    c = d * d * np.prod(a[members], axis=1)
+    return d[:, None] / np.prod(f[members], axis=1), np.prod(a[members], axis=1)
+
+
+def special_gram(arr: WeightedArrangement, points):
+    """G_il = S^(a)(v(t_i), v(t_l)) = (u^T diag(c) u)_il with (u, c) = top_forms."""
+    u, c = top_forms(arr, points)
     return u.T @ (c[:, None] * u)
 
 

@@ -11,16 +11,17 @@ from fractions import Fraction
 
 from .arrangement import Hyperplane, WeightedArrangement
 from .master import hess_det, log_grad
-from .osflag import FlagVector, apply_delta, evaluate_form, monomial_pairing
+from .osflag import FlagVector, apply_delta, monomial_pairing
 from .scalars import scalar_abs
-from .shapovalov import shapovalov_form, special_gram
+from .shapovalov import shapovalov_form, special_gram, top_forms
 
 
 def specialize(arr: WeightedArrangement, t) -> FlagVector:
-    """v(t): dual coordinates are the evaluations of the basis top forms."""
+    """v(t): dual coordinates are the values at t of the basis top forms, the
+    basis rows of top_forms."""
     k = arr.ambient_dim
-    coords = tuple(evaluate_form(arr, s, t) for s in arr.basis(k))
-    return FlagVector(k, coords)
+    value = dict(zip(arr.top_minors(), top_forms(arr, [t])[0][:, 0].tolist()))
+    return FlagVector(k, tuple(value[s] for s in arr.basis(k)))
 
 
 def _norm(coords) -> float:

@@ -34,6 +34,12 @@ canonical weight function by its sum over k! permutations of chain
 fractions, and the symmetry action on flags by the transposed matrix of
 the inverse element on A^k.
 
+Term-by-term references for the evaluation at a point: the gradient and
+Hessian of ln Phi, the value u_S(t) of one top form, and the Bethe
+equations of an sl2 Gaudin problem, each summed in Python scalars one
+hyperplane at a time (the library computes them from
+WeightedArrangement.at).
+
 Recursion reference for the sl2 Shapovalov diagonal: S(F^q v, F^q v) from
 S(F^(q-1) v, F^(q-1) v), one factor q (m - q + 1) at a time.
 """
@@ -241,3 +247,92 @@ def flag_action(arr: WeightedArrangement, action, idx: int, flag) -> FlagVector:
                                         len(basis)) for s in basis])
     return FlagVector(flag.degree, tuple(linalg.mat_vec(linalg.transpose(os_matrix),
                                                         list(flag.coords))))
+
+
+def log_grad(arr: WeightedArrangement, t):
+    """Gradient of ln Phi: component i = sum_j a_j b^i_j / f_j(t)."""
+    if arr.contains_point(t):
+        raise ValueError("point on arrangement")
+    values = arr.evaluate_all(t)
+    out = []
+    for i in range(arr.ambient_dim):
+        out.append(sum(
+            (a * h.b[i] / v for h, a, v in zip(arr.hyperplanes, arr.exponents, values)
+             if h.b[i] != 0 and a != 0),
+            start=Fraction(0),
+        ))
+    return out
+
+
+def log_hessian(arr: WeightedArrangement, t):
+    """Hessian of ln Phi: entry (i,l) = -sum_j a_j b^i_j b^l_j / f_j(t)^2,
+    filled on and above the diagonal and mirrored."""
+    if arr.contains_point(t):
+        raise ValueError("point on arrangement")
+    values = arr.evaluate_all(t)
+    k = arr.ambient_dim
+    mat = [[Fraction(0)] * k for _ in range(k)]
+    for h, a, v in zip(arr.hyperplanes, arr.exponents, values):
+        if a == 0:
+            continue
+        w = a / (v * v)
+        for i in range(k):
+            if h.b[i] == 0:
+                continue
+            for l in range(i, k):
+                if h.b[l] != 0:
+                    mat[i][l] = mat[i][l] - w * h.b[i] * h.b[l]
+    for i in range(k):
+        for l in range(i + 1, k):
+            mat[l][i] = mat[i][l]
+    return mat
+
+
+def evaluate_form(arr: WeightedArrangement, subset, t):
+    """u_S(t) = det(b-rows of S) / prod f_j(t): the coefficient of the top
+    logarithmic form of a k-subset against dt_1^...^dt_k."""
+    subset = tuple(subset)
+    if len(subset) != arr.ambient_dim:
+        raise ValueError("evaluate_form needs a top-degree subset")
+    values = [arr.hyperplanes[j].evaluate(t) for j in subset]
+    for v in values:
+        if (v == 0) if isinstance(v, (int, Fraction)) else abs(complex(v)) < 1e-14:
+            raise ValueError("point on arrangement")
+    ordered, sign = sort_with_sign(subset)
+    d = sign * arr.top_minors().get(ordered, Fraction(0))
+    return d / math.prod(values, start=Fraction(1))
+
+
+def _vanishes(x) -> bool:
+    """x is zero, or within 1e-12 of it when inexact."""
+    return x == 0 or (not isinstance(x, (int, Fraction)) and abs(complex(x)) < 1e-12)
+
+
+def bethe_residual(p: GaudinProblem, t):
+    """Left-hand sides of the Bethe equations, one per variable t_i:
+    sum_s -(alpha_c(i), Lambda_s) / (t_i - z_s)
+    + sum_{j != i} (alpha_c(i), alpha_c(j)) / (t_i - t_j),
+    identically log_grad of build_discriminantal at t."""
+    k = p.k
+    if len(t) != k:
+        raise ValueError("wrong number of coordinates")
+    out = []
+    for i in range(k):
+        total = Fraction(0)
+        for s in range(p.n):
+            denom = t[i] - p.z[s]
+            if _vanishes(denom):
+                raise ValueError(f"t_{i+1} collides with z_{s+1}")
+            total = total - p.cartan.weight_pairing(p.level(i), p.weights[s]) / denom
+        for j in range(k):
+            if j == i:
+                continue
+            pairing = p.cartan.bilinear(p.level(i), p.level(j))
+            if pairing == 0:
+                continue
+            denom = t[i] - t[j]
+            if _vanishes(denom):
+                raise ValueError(f"t_{i+1} collides with t_{j+1}")
+            total = total + pairing / denom
+        out.append(total)
+    return out

@@ -7,16 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
-from bethearr.gaudin import build_discriminantal
+from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
 from bethearr.master import (CriticalPoint, DivergenceReport, chamber_critical_points,
                              find_critical_points, group_orbits, hess_det,
                              log_grad, log_hessian, newton_solve)
+from bethearr.shapovalov import special_gram
+from bethearr.special import specialize, verify_norm_identity
 from conftest import point_arrangement
 from generic_ops import random_generic
+import os_oracle
 from os_oracle import symmetric_group
 
 F = Fraction
@@ -69,6 +72,101 @@ class TestGradientHessian:
             fd = (g1 - g0) / (2 * eps)
             assert np.linalg.norm(fd - h[:, m]) <= 1e-5 * max(1.0, np.linalg.norm(h))
 
+
+
+@st.composite
+def weighted_points(draw):
+    """A generic arrangement in C^1..C^3, or the discriminantal one of sl2
+    m=(2,1,1), k=2, re-weighted by zero, negative and p/q exponents, and two
+    rational points off it."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        arr = random_generic(random.Random(draw(st.integers(0, 99))), k,
+                             draw(st.integers(k + 1, k + 3)))
+    else:
+        arr = build_discriminantal(GaudinProblem(
+            CartanDatum.sl2(), ((2,), (1,), (1,)), (2,), (F(0), F(1), F(3))))
+    exponent = st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=5))
+    arr = with_exponents(arr, draw(st.lists(exponent, min_size=arr.n, max_size=arr.n)))
+    coordinate = st.fractions(-5, 5, max_denominator=7)
+    points = [tuple(draw(coordinate) for _ in range(arr.ambient_dim)) for _ in range(2)]
+    assume(not any(arr.contains_point(t) for t in points))
+    return arr, points
+
+
+def _evaluations(arr, points):
+    """log_grad, log_hessian and v(t) at the first point and the special Gram
+    matrix of both, each flattened."""
+    t = points[0]
+    return {"log_grad": log_grad(arr, t),
+            "log_hessian": [x for row in log_hessian(arr, t) for x in row],
+            "specialize": list(specialize(arr, t).coords),
+            "special_gram": [x for row in special_gram(arr, points).tolist() for x in row]}
+
+
+def _oracles(arr, points):
+    """The same values from the term-by-term oracles, and beside each the sum
+    of the moduli of its terms."""
+    t, k = points[0], arr.ambient_dim
+    minors = arr.top_minors()
+    f = np.abs([complex(v) for v in arr.evaluate_all(t)])
+    a = np.abs([complex(x) for x in arr.exponents])
+    B = np.abs([[float(x) for x in h.b] for h in arr.hyperplanes])
+    u = np.abs([[complex(os_oracle.evaluate_form(arr, s, p)) for p in points] for s in minors])
+    c = np.abs([complex(math.prod(arr.exponents[j] for j in s)) for s in minors])
+    return {
+        "log_grad": (os_oracle.log_grad(arr, t), B.T @ (a / f)),
+        "log_hessian": ([x for row in os_oracle.log_hessian(arr, t) for x in row],
+                        ((B.T * (a / f ** 2)) @ B).ravel()),
+        "specialize": ([os_oracle.evaluate_form(arr, s, t) for s in arr.basis(k)],
+                       np.abs([complex(os_oracle.evaluate_form(arr, s, t))
+                               for s in arr.basis(k)])),
+        "special_gram": ([os_oracle.special_pairing(arr, p, q) for p in points for q in points],
+                         (u.T @ (c[:, None] * u)).ravel()),
+    }
+
+
+class TestEvaluationAtPoints:
+    """log_grad, log_hessian, specialize and special_gram, all read from
+    WeightedArrangement.at, against the term-by-term oracles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(weighted_points())
+    def test_exact_at_rational_input(self, case):
+        arr, points = case
+        assert arr.at(points)[0].dtype == object
+        expected = _oracles(arr, points)
+        for name, values in _evaluations(arr, points).items():
+            assert values == expected[name][0], name
+            assert all(type(x) is Fraction for x in values), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(weighted_points(), st.sampled_from(["complex points", "complex exponents"]))
+    def test_numeric_at_inexact_input(self, case, inexact):
+        """Within 1e-12 of the sum of the moduli of the terms."""
+        arr, points = case
+        if inexact == "complex points":
+            points = [tuple(map(complex, t)) for t in points]
+        else:
+            arr = with_exponents(arr, [complex(a, (j % 3 - 1) / 4)
+                                       for j, a in enumerate(arr.exponents)])
+        assert arr.at(points)[0].dtype == complex
+        expected = _oracles(arr, points)
+        for name, values in _evaluations(arr, points).items():
+            oracle, scale = expected[name]
+            assert all(type(x) is complex for x in values), name
+            assert np.all(np.abs(np.subtract(values, np.array(oracle, dtype=complex)))
+                          <= 1e-12 * scale), name
+
+    @pytest.mark.parametrize("evaluate", [
+        specialize, log_grad, log_hessian, verify_norm_identity,
+        lambda arr, t: special_gram(arr, [t]),
+    ], ids=["specialize", "log_grad", "log_hessian", "verify_norm_identity", "special_gram"])
+    def test_one_rule_for_points_on_the_arrangement(self, generic4, evaluate):
+        """|f_1(t)| = 1e-13 is below 1e-12 at an inexact point, so t is on
+        the arrangement for every evaluation."""
+        with pytest.raises(ValueError, match="point on arrangement"):
+            evaluate(generic4, (1e-13, 0.7 + 0.1j))
 
 class TestNewton:
     def test_converges_in_basin(self, points3):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from bethearr import linalg
 from bethearr.osflag import (FlagVector, OSElement, apply_delta, d_A_matrix,
-                             delta_F_matrix, evaluate_form, flag_vector,
+                             delta_F_matrix, flag_vector,
                              monomial_pairing, pairing, singular_basis,
                              straighten, straighten_coords)
+from bethearr.special import specialize
+import os_oracle
 
 F = Fraction
 
@@ -101,13 +103,19 @@ class TestFlagVector:
 
 
 class TestEvaluateForm:
+    """The value of a top form, the coordinate of v(t) at its monomial."""
+
     def test_value(self, generic3):
         # d = 1 for (0,1); f = t1 * t2
-        assert evaluate_form(generic3, (0, 1), (F(2), F(3))) == F(1, 6)
+        assert os_oracle.evaluate_form(generic3, (0, 1), (F(2), F(3))) == F(1, 6)
+        assert generic3.basis(2)[0] == (0, 1)
+        assert specialize(generic3, (F(2), F(3))).coords[0] == F(1, 6)
 
     def test_point_on_arrangement_rejected(self, generic3):
         with pytest.raises(ValueError, match="on arrangement"):
-            evaluate_form(generic3, (0, 1), (F(0), F(3)))
+            os_oracle.evaluate_form(generic3, (0, 1), (F(0), F(3)))
+        with pytest.raises(ValueError, match="on arrangement"):
+            specialize(generic3, (F(0), F(3)))
 
 
 class TestSingularBasis:
