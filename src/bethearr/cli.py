@@ -19,8 +19,7 @@ from .arrangement import CertificateError, WeightedArrangement
 from .master import (CriticalPoint, chamber_critical_points, find_critical_points,
                      newton_solve)
 from .scalars import format_scalar
-from .special import (orthogonality_checks, verify_norm_identity, verify_singular,
-                      verify_singular_at_critical)
+from .special import point_checks
 
 SCHEMA_VERSION = 1
 
@@ -145,27 +144,16 @@ def cmd_critical(args) -> int:
 
 def cmd_verify(args) -> int:
     arr = _load_arrangement(args.file)
-    points = _critical_points(arr, args)
-    tol = args.tol_verify
-    checks = []
-
-    for idx, cp in enumerate(points):
-        checks.append(verify_singular_at_critical(
-            arr, cp.t, tol=max(tol, 1e-8), name=f"singular_at_critical_{idx}"))
-        checks.append(verify_norm_identity(arr, cp.t, tol=tol, name=f"norm_identity_{idx}"))
-
+    points = [cp.t for cp in _critical_points(arr, args)]
     # the standard library's generator: numpy.random would add ~6 MB to the process
     rng = random.Random(args.seed + 1)
-    controls = 0
-    while controls < 20:
+    controls = []
+    while len(controls) < 20:
         t = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                   for _ in range(arr.ambient_dim))
-        if arr.contains_point(t):
-            continue
-        controls += 1
-        checks.append(verify_singular(arr, t, name=f"control_point_{controls}"))
-
-    checks.extend(orthogonality_checks(arr, [cp.t for cp in points], tol=max(tol, 1e-10)))
+        if not arr.contains_point(t):
+            controls.append(t)
+    checks = point_checks(arr, points, controls, args.tol_verify)
 
     ok = all(c["pass"] for c in checks)
     report = {

@@ -45,15 +45,6 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def mat_mul(a, b):
-    bt = transpose(b)
-    return [[dot(row, col) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [dot(row, v) for row in a]
-
-
 class Echelon:
     """Forward row echelon over Fraction, grown one row at a time.
 

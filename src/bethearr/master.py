@@ -5,8 +5,8 @@ symmetry-orbit grouping.
 Everything works with ln Phi only; the multivalued master function itself is
 never exponentiated.  log_grad and log_hessian are B^T (a/f) and
 -B^T diag(a/f^2) B read from WeightedArrangement.at: exact at rational
-points and exponents, complex otherwise.  With hess_det they serve the
-verifiers.  The Newton searches evaluate the same formulas once per iterate
+points and exponents, complex otherwise; hess_det serves the verifiers'
+norm rows.  The Newton searches evaluate the same formulas once per iterate
 on the arrangement's numeric view (WeightedArrangement.numeric) and call
 none of them.
 """

@@ -91,11 +91,6 @@ def delta_F_matrix(arr: WeightedArrangement, p: int):
     return linalg.transpose(d_A_matrix(arr, p - 1))
 
 
-def apply_delta(arr: WeightedArrangement, flag: FlagVector) -> FlagVector:
-    m = delta_F_matrix(arr, flag.degree)
-    return FlagVector(flag.degree - 1, tuple(linalg.mat_vec(m, list(flag.coords))))
-
-
 def check_length(flag: FlagVector, basis) -> None:
     """ValueError unless the flag has one coordinate per monomial of the
     basis of its degree."""

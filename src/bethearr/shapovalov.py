@@ -62,20 +62,20 @@ def shapovalov_map(arr: WeightedArrangement, flag: FlagVector) -> OSElement:
 
 
 def top_forms(arr: WeightedArrangement, points):
-    """(u, c) over the subsets S of top_minors(), in its order:
+    """(u, c, (f, B, a)) over the subsets S of top_minors(), in its order:
     u_{S,i} = D_S / prod_{j in S} f_j(t_i), the top logarithmic form of S at
-    t_i against dt_1^...^dt_k, and c_S = prod_{j in S} a_j.  Exact or
-    complex as WeightedArrangement.at."""
-    f, _, a = arr.at(points)
+    t_i against dt_1^...^dt_k, c_S = prod_{j in S} a_j, and (f, B, a) =
+    WeightedArrangement.at(points), which decides exact or complex."""
+    f, B, a = arr.at(points)
     minors = arr.top_minors()
     members = np.array(list(minors), dtype=int)
     d = np.array(list(minors.values()), dtype=f.dtype)
-    return d[:, None] / np.prod(f[members], axis=1), np.prod(a[members], axis=1)
+    return d[:, None] / np.prod(f[members], axis=1), np.prod(a[members], axis=1), (f, B, a)
 
 
 def special_gram(arr: WeightedArrangement, points):
-    """G_il = S^(a)(v(t_i), v(t_l)) = (u^T diag(c) u)_il with (u, c) = top_forms."""
-    u, c = top_forms(arr, points)
+    """G_il = S^(a)(v(t_i), v(t_l)) = (u^T diag(c) u)_il with (u, c) from top_forms."""
+    u, c, _ = top_forms(arr, points)
     return u.T @ (c[:, None] * u)
 
 

@@ -9,23 +9,31 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arrangement import Hyperplane, WeightedArrangement
-from .master import hess_det, log_grad
-from .osflag import FlagVector, apply_delta, monomial_pairing
+from .master import hess_det
+from .osflag import FlagVector, delta_F_matrix, monomial_pairing
 from .scalars import scalar_abs
 from .shapovalov import shapovalov_form, special_gram, top_forms
+
+
+def _basis_rows(arr: WeightedArrangement) -> list[int]:
+    """The position in top_minors() of each top-degree basis monomial."""
+    index = {s: i for i, s in enumerate(arr.top_minors())}
+    return [index[s] for s in arr.basis(arr.ambient_dim)]
 
 
 def specialize(arr: WeightedArrangement, t) -> FlagVector:
     """v(t): dual coordinates are the values at t of the basis top forms, the
     basis rows of top_forms."""
-    k = arr.ambient_dim
-    value = dict(zip(arr.top_minors(), top_forms(arr, [t])[0][:, 0].tolist()))
-    return FlagVector(k, tuple(value[s] for s in arr.basis(k)))
+    u = top_forms(arr, [t])[0]
+    return FlagVector(arr.ambient_dim, tuple(u[_basis_rows(arr), 0].tolist()))
 
 
-def _norm(coords) -> float:
-    return math.sqrt(sum(scalar_abs(x) ** 2 for x in coords))
+def _column_norms(x) -> list[float]:
+    """Euclidean norm of each column, rounded once at exact input."""
+    return np.sqrt(np.sum(x * np.conj(x), axis=0).real.astype(float)).tolist()
 
 
 def check(name, lhs, rhs, abs_err, ok) -> dict:
@@ -34,51 +42,72 @@ def check(name, lhs, rhs, abs_err, ok) -> dict:
     return {"name": name, "lhs": lhs, "rhs": rhs, "abs_err": abs_err, "pass": ok}
 
 
-def verify_singular(arr: WeightedArrangement, t, tol=1e-8, name="singular") -> dict:
-    """Criticality of t vs singularity of v(t): lhs is |delta v(t)| / max(1,
-    |v(t)|), rhs is |grad ln Phi(t)|.  Both within tol or both above it is a
-    pass; a mixed outcome is a counterexample."""
-    v = specialize(arr, t)
-    delta_norm = _norm(apply_delta(arr, v).coords) / max(1.0, _norm(v.coords))
-    grad_norm = _norm(log_grad(arr, t))
-    return check(name, delta_norm, grad_norm, 0.0,
-                 (grad_norm <= tol) == (delta_norm <= tol))
+def _singular_row(name, delta_norm, grad_norm, tol) -> dict:
+    """Both within tol or both above it is a pass; a mixed outcome is a counterexample."""
+    return check(name, delta_norm, grad_norm, 0.0, (grad_norm <= tol) == (delta_norm <= tol))
 
 
-def verify_singular_at_critical(arr: WeightedArrangement, t, tol=1e-8,
-                                name="singular_at_critical") -> dict:
-    """v(t) is singular at a critical point t: a pass needs both
-    |grad ln Phi(t)| and |delta v(t)| / max(1, |v(t)|) within tol."""
-    row = verify_singular(arr, t, tol)
-    delta_norm = row["lhs"]
-    return check(name, delta_norm, 0.0, delta_norm,
-                 row["rhs"] <= tol and delta_norm <= tol)
-
-
-def verify_norm_identity(arr: WeightedArrangement, t, tol=1e-8,
-                         name="norm_identity") -> dict:
-    """S^(a)(v(t), v(t)) against (-1)^k Hess^(a)(t), within tol relative to
-    |rhs|."""
-    v = specialize(arr, t)
-    lhs = shapovalov_form(arr, v, v)
-    rhs = (-1) ** arr.ambient_dim * hess_det(arr, t)
+def _norm_row(name, lhs, rhs, tol) -> dict:
     abs_err = scalar_abs(lhs - rhs)
-    return check(name, lhs, rhs, abs_err,
-                 abs_err <= tol * max(scalar_abs(rhs), 1e-300))
+    return check(name, lhs, rhs, abs_err, abs_err <= tol * max(scalar_abs(rhs), 1e-300))
 
 
-def orthogonality_checks(arr: WeightedArrangement, points, tol=1e-10) -> list[dict]:
-    """S^(a)(v(t_i), v(t_l)) against 0 for each pair i < l, in rows named
-    f"orthogonality_{i}_{l}", within tol relative to the geometric mean of the two
-    self-pairings (scale-free in the exponents); one special_gram for all."""
-    gram = special_gram(arr, points).tolist() if points else []
+def _orthogonality_rows(gram, tol) -> list[dict]:
+    """Gram entry G_il against 0 for each pair i < l, within tol relative to
+    the geometric mean of |G_ii| and |G_ll| (scale-free in the exponents)."""
     rows = []
-    for i, l in itertools.combinations(range(len(points)), 2):
+    for i, l in itertools.combinations(range(len(gram)), 2):
         abs_err = scalar_abs(gram[i][l])
         scale = math.sqrt(scalar_abs(gram[i][i]) * scalar_abs(gram[l][l]))
         rows.append(check(f"orthogonality_{i}_{l}", gram[i][l], 0.0, abs_err,
                           abs_err <= tol * max(scale, 1e-300)))
     return rows
+
+
+def point_checks(arr: WeightedArrangement, points, controls, tol=1e-8) -> list[dict]:
+    """Every row of `bethearr verify`, in order: per critical point t_i,
+    singular_at_critical_i (|delta v(t_i)| / max(1, |v(t_i)|) and |grad ln
+    Phi(t_i)| both within max(tol, 1e-8)) and norm_identity_i; per control
+    point, control_point_j (verify_singular at 1e-8); then orthogonality_i_l
+    at max(tol, 1e-10).  One top_forms evaluation gives every v(t), as the
+    basis rows of u, and every gradient B^T (a/f); delta is built once, and
+    the norm and orthogonality rows read one Gram matrix u^T diag(c) u."""
+    k, m = arr.ambient_dim, len(points)
+    u, c, (f, B, a) = top_forms(arr, [*points, *controls])
+    v = u[_basis_rows(arr)]
+    delta = np.array(delta_F_matrix(arr, k), dtype=u.dtype)
+    delta_norm = [d / max(1.0, n) for d, n in zip(_column_norms(delta @ v), _column_norms(v))]
+    grad_norm = _column_norms(B.T @ (a[:, None] / f))
+    gram = (u[:, :m].T @ (c[:, None] * u[:, :m])).tolist()
+    rows, critical_tol = [], max(tol, 1e-8)
+    for i, t in enumerate(points):
+        ok = grad_norm[i] <= critical_tol and delta_norm[i] <= critical_tol
+        rows.append(check(f"singular_at_critical_{i}", delta_norm[i], 0.0, delta_norm[i], ok))
+        rows.append(_norm_row(f"norm_identity_{i}", gram[i][i], (-1) ** k * hess_det(arr, t), tol))
+    for j in range(m, u.shape[1]):
+        rows.append(_singular_row(f"control_point_{j - m + 1}", delta_norm[j], grad_norm[j], 1e-8))
+    return rows + _orthogonality_rows(gram, max(tol, 1e-10))
+
+
+def verify_singular(arr: WeightedArrangement, t, tol=1e-8, name="singular") -> dict:
+    """Criticality of t vs singularity of v(t): the control row of
+    point_checks at t, lhs |delta v(t)| / max(1, |v(t)|) and rhs |grad ln
+    Phi(t)|, judged at tol."""
+    row = point_checks(arr, [], [t])[0]
+    return _singular_row(name, row["lhs"], row["rhs"], tol)
+
+
+def verify_norm_identity(arr: WeightedArrangement, t, tol=1e-8,
+                         name="norm_identity") -> dict:
+    """S^(a)(v(t), v(t)), the one entry of special_gram(arr, [t]), against
+    (-1)^k Hess^(a)(t), within tol relative to |rhs|."""
+    lhs = special_gram(arr, [t]).tolist()[0][0]
+    return _norm_row(name, lhs, (-1) ** arr.ambient_dim * hess_det(arr, t), tol)
+
+
+def orthogonality_checks(arr: WeightedArrangement, points, tol=1e-10) -> list[dict]:
+    """The orthogonality rows of point_checks, judged at tol, from one special_gram."""
+    return _orthogonality_rows(special_gram(arr, points).tolist(), tol)
 
 
 def verify_orthogonality(arr: WeightedArrangement, t1, t2, tol=1e-10,
@@ -209,9 +238,7 @@ def verify_isotypic_norm(arr: WeightedArrangement, action: SymmetryAction, t,
     vj = isotypic_project(arr, action, specialize(arr, t))
     lhs = shapovalov_form(arr, vj, vj)
     rhs = Fraction(1, len(action)) * (-1) ** arr.ambient_dim * hess_det(arr, t)
-    abs_err = scalar_abs(lhs - rhs)
-    return check("isotypic_norm", lhs, rhs, abs_err,
-                 abs_err <= tol * max(scalar_abs(rhs), 1e-300))
+    return _norm_row("isotypic_norm", lhs, rhs, tol)
 
 
 def full_symmetric_action(arr: WeightedArrangement, k: int, character="trivial"):

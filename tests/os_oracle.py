@@ -40,6 +40,13 @@ equations of an sl2 Gaudin problem, each summed in Python scalars one
 hyperplane at a time (the library computes them from
 WeightedArrangement.at).
 
+Per-point reference for the rows of `bethearr verify`
+(special.point_checks), one point at a time: v(t) from the term-by-term
+form values, delta v(t) through delta_F_matrix and mat_vec, the gradient
+term by term, and S(v(t), v(t)) through shapovalov_form.
+mat_vec and mat_mul are the list-of-rows products over Python scalars that
+it and the matrix identities in the tests use.
+
 Recursion reference for the sl2 Shapovalov diagonal: S(F^q v, F^q v) from
 S(F^(q-1) v, F^(q-1) v), one factor q (m - q + 1) at a time.
 """
@@ -53,7 +60,17 @@ from fractions import Fraction
 from bethearr import linalg
 from bethearr.arrangement import WeightedArrangement, sort_with_sign
 from bethearr.gaudin import GaudinProblem, TensorVector, weight_basis
-from bethearr.osflag import FlagVector, OSElement, straighten_coords
+from bethearr.osflag import FlagVector, OSElement, delta_F_matrix, straighten_coords
+from bethearr.shapovalov import shapovalov_form as library_shapovalov_form
+
+
+def mat_mul(a, b):
+    bt = linalg.transpose(b)
+    return [[linalg.dot(row, col) for col in bt] for row in a]
+
+
+def mat_vec(a, v):
+    return [linalg.dot(row, v) for row in a]
 
 
 def form_row(arr: WeightedArrangement, subset, points) -> list:
@@ -245,8 +262,8 @@ def flag_action(arr: WeightedArrangement, action, idx: int, flag) -> FlagVector:
     basis = arr.basis(arr.ambient_dim)
     os_matrix = linalg.transpose([dense(straighten_coords(arr, tuple(pi[m] for m in s)),
                                         len(basis)) for s in basis])
-    return FlagVector(flag.degree, tuple(linalg.mat_vec(linalg.transpose(os_matrix),
-                                                        list(flag.coords))))
+    return FlagVector(flag.degree, tuple(mat_vec(linalg.transpose(os_matrix),
+                                                 list(flag.coords))))
 
 
 def log_grad(arr: WeightedArrangement, t):
@@ -301,6 +318,22 @@ def evaluate_form(arr: WeightedArrangement, subset, t):
     ordered, sign = sort_with_sign(subset)
     d = sign * arr.top_minors().get(ordered, Fraction(0))
     return d / math.prod(values, start=Fraction(1))
+
+
+def apply_delta(arr: WeightedArrangement, flag) -> FlagVector:
+    """delta F: delta_F_matrix at the flag's degree times its coordinates."""
+    m = delta_F_matrix(arr, flag.degree)
+    return FlagVector(flag.degree - 1, tuple(mat_vec(m, list(flag.coords))))
+
+
+def point_values(arr: WeightedArrangement, t) -> dict:
+    """The values the rows of `bethearr verify` read at one point, each
+    computed on its own: the vectors delta v(t) and v(t), the gradient of
+    ln Phi and S(v(t), v(t)), exact at rational input."""
+    k = arr.ambient_dim
+    v = FlagVector(k, tuple(evaluate_form(arr, s, t) for s in arr.basis(k)))
+    return {"delta_v": list(apply_delta(arr, v).coords), "v": list(v.coords),
+            "grad": log_grad(arr, t), "norm": library_shapovalov_form(arr, v, v)}
 
 
 def _vanishes(x) -> bool:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bethearr import gaudin as gd
-from bethearr import linalg
+from bethearr import linalg, osflag, shapovalov, special
 from bethearr.arrangement import WeightedArrangement
 from bethearr.cli import main
 from bethearr.master import find_critical_points
@@ -251,6 +251,23 @@ class TestVerify:
         assert not any(c["pass"] for c in rows)
         assert any(c["lhs"] > 1e-8 for c in rows)
 
+
+    def test_one_evaluation_and_one_delta(self, gen4_file, capsys, monkeypatch):
+        """Every row reads one top_forms evaluation over the critical and
+        control points and one d_A_matrix."""
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+            return lambda *args, **kwargs: calls.update([name]) or original(*args, **kwargs)
+
+        for module, name in ((osflag, "d_A_matrix"), (shapovalov, "top_forms"),
+                             (special, "top_forms")):
+            monkeypatch.setattr(module, name, counted(module, name))
+        code, out, _ = run_main(["verify", gen4_file], capsys)
+        assert code == 0
+        assert json.loads(out)["n_points"] == 3
+        assert calls == {"d_A_matrix": 1, "top_forms": 1}
 
     def test_loose_newton_tolerance_reports_each_point_once(self, gen4_file, capsys):
         """Duplicates merge at a radius that grows with --tol-newton, so the

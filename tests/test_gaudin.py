@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bethearr import linalg
 from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
                              bethe_roots, build_discriminantal,
                              canonical_weight_function, composition_flag,
@@ -267,8 +266,8 @@ class TestHamiltonians:
                           (F(0), F(1), F(3)))
         mats = [gaudin_hamiltonian(p, i) for i in range(3)]
         for a, b in itertools.combinations(mats, 2):
-            ab = linalg.mat_mul(a, b)
-            ba = linalg.mat_mul(b, a)
+            ab = os_oracle.mat_mul(a, b)
+            ba = os_oracle.mat_mul(b, a)
             assert ab == ba
 
     def test_commute_with_raising(self, gaudin_3x1):
@@ -280,7 +279,7 @@ class TestHamiltonians:
         for i in range(3):
             k_big = gaudin_hamiltonian(gaudin_3x1, i)
             k_small = gaudin_hamiltonian(smaller, i)
-            assert linalg.mat_mul(e, k_big) == linalg.mat_mul(k_small, e)
+            assert os_oracle.mat_mul(e, k_big) == os_oracle.mat_mul(k_small, e)
 
 
 def _rows(rows):
@@ -353,7 +352,7 @@ class TestVerifyBethe:
         # omega = v is an eigenvector of every K_s with the closed-form eigenvalue
         omega = canonical_weight_function(p, ())
         for s in range(p.n):
-            image = linalg.mat_vec(gaudin_hamiltonian(p, s), list(omega.coords))
+            image = os_oracle.mat_vec(gaudin_hamiltonian(p, s), list(omega.coords))
             assert image == [bethe_eigenvalue(p, (), s) * x for x in omega.coords]
 
 

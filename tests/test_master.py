@@ -10,13 +10,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bethearr import linalg
 from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
 from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
 from bethearr.master import (CriticalPoint, DivergenceReport, chamber_critical_points,
                              find_critical_points, group_orbits, hess_det,
                              log_grad, log_hessian, newton_solve)
 from bethearr.shapovalov import special_gram
-from bethearr.special import specialize, verify_norm_identity
+from bethearr.osflag import delta_F_matrix
+from bethearr.special import point_checks, specialize, verify_norm_identity
 from conftest import point_arrangement
 from generic_ops import random_generic
 import os_oracle
@@ -167,6 +169,87 @@ class TestEvaluationAtPoints:
         the arrangement for every evaluation."""
         with pytest.raises(ValueError, match="point on arrangement"):
             evaluate(generic4, (1e-13, 0.7 + 0.1j))
+
+def _exact_norm(x) -> float:
+    """|x| of a rational vector: the squares summed exactly, rounded once."""
+    return math.sqrt(float(sum((y * y for y in x), start=F(0))))
+
+
+def _moduli(x):
+    return np.abs(np.array(x, dtype=complex))
+
+
+class TestPointChecks:
+    """The rows of point_checks, every point at once, against the per-point
+    path of os_oracle.point_values on the inputs of TestEvaluationAtPoints.
+    Both points serve as critical and as control points, so every row kind
+    is read at each."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(weighted_points())
+    def test_exact_at_rational_input(self, case):
+        self._assert_exact(*case)
+
+    def test_exact_where_the_basis_is_not_a_prefix_of_the_top_subsets(self):
+        """t1, t2 and t1 + t2 meet at the origin, so the broken circuit
+        (1, 2) leaves the basis but not top_minors()."""
+        arr = WeightedArrangement(2, [Hyperplane(F(b0), (F(x), F(y))) for b0, x, y in
+                                      [(0, 1, 0), (0, 0, 1), (0, 1, 1), (-1, 1, 0)]],
+                                  [F(1), F(2), F(-1, 2), F(3)])
+        basis = arr.basis(2)
+        assert basis != list(arr.top_minors())[:len(basis)]
+        self._assert_exact(arr, [(F(1, 3), F(2, 5)), (F(-2, 7), F(3))])
+
+    @staticmethod
+    def _assert_exact(arr, points):
+        rows = {r["name"]: r for r in point_checks(arr, points, points)}
+        sign = (-1) ** arr.ambient_dim
+        for i, t in enumerate(points):
+            old = os_oracle.point_values(arr, t)
+            delta = _exact_norm(old["delta_v"]) / max(1.0, _exact_norm(old["v"]))
+            assert rows[f"singular_at_critical_{i}"]["lhs"] == delta
+            assert rows[f"control_point_{i + 1}"]["lhs"] == delta
+            assert rows[f"control_point_{i + 1}"]["rhs"] == _exact_norm(old["grad"])
+            norm = rows[f"norm_identity_{i}"]
+            assert type(norm["lhs"]) is Fraction and norm["lhs"] == old["norm"]
+            assert norm["rhs"] == sign * linalg.det(os_oracle.log_hessian(arr, t))
+        assert rows["orthogonality_0_1"]["lhs"] == os_oracle.special_pairing(arr, *points)
+
+    @settings(max_examples=25, deadline=None)
+    @given(weighted_points(), st.sampled_from(["complex points", "complex exponents"]))
+    def test_numeric_at_inexact_input(self, case, inexact):
+        """Within 1e-12 relative to the same quantity summed over the moduli
+        of its terms."""
+        arr, points = case
+        if inexact == "complex points":
+            points = [tuple(map(complex, t)) for t in points]
+        else:
+            arr = with_exponents(arr, [complex(a, (j % 3 - 1) / 4)
+                                       for j, a in enumerate(arr.exponents)])
+        rows = {r["name"]: r for r in point_checks(arr, points, points)}
+        k, minors = arr.ambient_dim, arr.top_minors()
+        delta = _moduli(delta_F_matrix(arr, k))
+        a, B = _moduli(arr.exponents), _moduli([h.b for h in arr.hyperplanes])
+        c = _moduli([math.prod(arr.exponents[j] for j in s) for s in minors])
+        u = _moduli([[os_oracle.evaluate_form(arr, s, t) for t in points] for s in minors])
+        for i, t in enumerate(points):
+            old = os_oracle.point_values(arr, t)
+            v = np.linalg.norm(np.array(old["v"], dtype=complex))
+            pairs = [
+                (rows[f"singular_at_critical_{i}"]["lhs"],
+                 np.linalg.norm(np.array(old["delta_v"], dtype=complex)) / max(1.0, v),
+                 np.linalg.norm(delta @ _moduli(old["v"])) / max(1.0, v)),
+                (rows[f"control_point_{i + 1}"]["rhs"],
+                 np.linalg.norm(np.array(old["grad"], dtype=complex)),
+                 np.linalg.norm(B.T @ (a / _moduli(arr.evaluate_all(t))))),
+                (rows[f"norm_identity_{i}"]["lhs"], old["norm"], c @ u[:, i] ** 2),
+            ]
+            for value, oracle, scale in pairs:
+                assert abs(value - complex(oracle)) <= 1e-12 * scale
+        ortho = rows["orthogonality_0_1"]["lhs"]
+        assert type(ortho) is complex
+        assert abs(ortho - os_oracle.special_pairing(arr, *points)) <= 1e-12 * (c @ (u[:, 0] * u[:, 1]))
+
 
 class TestNewton:
     def test_converges_in_basin(self, points3):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from bethearr import osflag
 from bethearr.arrangement import Hyperplane, WeightedArrangement
 from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
 from bethearr.master import find_critical_points, hess_det
@@ -51,6 +52,16 @@ class TestVerifiers:
         for t in generic3.sample_points(5):
             r = verify_norm_identity(generic3, t)
             assert r["lhs"] == r["rhs"]
+
+    def test_norm_identity_builds_no_delta(self, generic4, monkeypatch):
+        calls = []
+        original = osflag.d_A_matrix
+        monkeypatch.setattr(osflag, "d_A_matrix",
+                            lambda *args: calls.append(args) or original(*args))
+        for t in generic4.sample_points(3):
+            assert verify_norm_identity(generic4, t)["pass"]
+        assert verify_singular(generic4, generic4.sample_points(1)[0])["pass"]
+        assert len(calls) == 1   # from verify_singular only
 
     def test_singular_at_critical_and_not_at_random(self, generic4):
         points = find_critical_points(generic4, seed=0, n_starts=200)
