@@ -90,9 +90,11 @@ def _emit(report: dict, args) -> None:
 
 
 def _critical_points(arr, args):
-    """The chamber search for positive exponents and simple vertices, else multi-start."""
+    """The chamber search for positive exponents and simple vertices, else
+    multi-start.  The arrangement has a vertex, so some vertex lies on more
+    than k hyperplanes exactly when some circuit is consistent."""
     if (all(not isinstance(a, complex) and a > 0 for a in arr.exponents)
-            and all(arr.closure(s) == set(s) for s in arr.top_minors())):
+            and not arr.broken_circuits()):
         return chamber_critical_points(arr, tol=args.tol_newton)
     return find_critical_points(arr, seed=args.seed, n_starts=args.starts, tol=args.tol_newton)
 

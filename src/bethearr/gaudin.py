@@ -24,8 +24,7 @@ from .osflag import flag_vector, pairing
 from .scalars import (Scalar, format_scalar, parse_scalar, scalar_abs, to_int,
                       to_rational)
 from .shapovalov import shapovalov_form, shapovalov_map
-from .special import (check, full_symmetric_action, isotypic_project,
-                      permutation_sign, specialize)
+from .special import check, full_symmetric_action, isotypic_project, permutation_sign
 
 
 @dataclass(frozen=True)
@@ -550,7 +549,7 @@ def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> list[di
 
     points = [tuple(t)] + ([tuple(t2)] if t2 is not None else [])
     omegas = [canonical_weight_function(p, pt) for pt in points]
-    projections = [isotypic_project(arr, action, specialize(arr, pt)) for pt in points]
+    projections = [isotypic_project(arr, action, pt) for pt in points]
 
     rows = []
     pairs = itertools.combinations_with_replacement(range(len(points)), 2)

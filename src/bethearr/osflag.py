@@ -115,15 +115,6 @@ def sparse_dot(coords: dict, flag_coords) -> Scalar:
     return sum((c * flag_coords[i] for i, c in coords.items()), start=Fraction(0))
 
 
-def monomial_pairing(arr: WeightedArrangement, monomial, flag: FlagVector) -> Scalar:
-    """Pairing of an arbitrary (possibly non-basis) monomial with a flag
-    vector, through straightening."""
-    if len(monomial) != flag.degree:
-        raise ValueError("degree mismatch in pairing")
-    check_length(flag, arr.basis(flag.degree))
-    return sparse_dot(straighten_coords(arr, monomial), flag.coords)
-
-
 def flag_vector(arr: WeightedArrangement, indices) -> FlagVector:
     """The flag F(H_{i1},...,H_{ip}) as a dual-coordinate vector.
 

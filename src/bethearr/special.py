@@ -1,6 +1,7 @@
 """Special vectors: the specialization map into the top flag space, the
 criticality/norm/orthogonality verifications, and symmetry actions with
-one-dimensional isotypic projections."""
+one-dimensional isotypic projections of special vectors, read from the
+special vectors along the orbit of the point."""
 
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import Hyperplane, WeightedArrangement
+from .arrangement import Hyperplane, WeightedArrangement, sort_with_sign
 from .master import hess_det
-from .osflag import FlagVector, delta_F_matrix, monomial_pairing
+from .osflag import FlagVector, delta_F_matrix
 from .scalars import scalar_abs
 from .shapovalov import shapovalov_form, special_gram, top_forms
 
@@ -128,20 +129,7 @@ def apply_permutation(sigma, t):
 
 
 def permutation_sign(sigma) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return sort_with_sign(sigma)[1]
 
 
 def _invert(sigma):
@@ -173,10 +161,6 @@ class SymmetryAction:
             "characters (trivial, sign) are in scope"
         )
 
-    def rho(self, idx: int) -> int:
-        # for coordinate permutations the volume-form factor is the sign
-        return permutation_sign(self.perms[idx])
-
 
 def _induced_hyperplane_perm(arr: WeightedArrangement, sigma) -> tuple:
     """Index permutation with H_{pi(m)} the image of H_m under the coordinate
@@ -204,27 +188,15 @@ def build_action(arr: WeightedArrangement, perms, character="trivial") -> Symmet
     return SymmetryAction(perms=tuple(perms), hyperplane_perms=hp, character=character)
 
 
-def apply_flag_action(arr, action, idx, flag: FlagVector) -> FlagVector:
-    """R_g on dual coordinates: (R_g F)_S pairs F with e_{pi^-1(S)}, pi the
-    hyperplane permutation of g, so the duality pairing is invariant."""
-    inv = _invert(action.hyperplane_perms[idx])
-    return FlagVector(flag.degree, tuple(monomial_pairing(arr, tuple(inv[j] for j in s), flag)
-                                         for s in arr.basis(flag.degree)))
-
-
-def isotypic_project(arr: WeightedArrangement, action: SymmetryAction,
-                     flag: FlagVector) -> FlagVector:
-    """Projection onto the isotypic component of the (one-dimensional)
-    character: (1/|G|) sum_g conj(chi(g)) R_g."""
-    n = len(arr.basis(arr.ambient_dim))
-    acc = [Fraction(0)] * n
-    for idx in range(len(action)):
-        chi = action.chi(idx)  # real for trivial/sign; conjugation is a no-op
-        img = apply_flag_action(arr, action, idx, flag)
-        for i in range(n):
-            acc[i] = acc[i] + chi * img.coords[i]
-    inv = Fraction(1, len(action))
-    return FlagVector(flag.degree, tuple(inv * x for x in acc))
+def isotypic_project(arr: WeightedArrangement, action: SymmetryAction, t) -> FlagVector:
+    """v_chi(t) = (1/|G|) sum_g chi(g) sign(g) v(g.t), the projection of v(t)
+    onto the isotypic component of the (one-dimensional, real) character,
+    since R_g v(t) = sign(g) v(g.t).  One top_forms evaluation of the orbit
+    gives every v(g.t); exact at rational input, else complex."""
+    u, _, _ = top_forms(arr, [apply_permutation(p, t) for p in action.perms])
+    weights = np.array([Fraction(action.chi(i) * permutation_sign(p), len(action))
+                        for i, p in enumerate(action.perms)], dtype=u.dtype)
+    return FlagVector(arr.ambient_dim, tuple((u[_basis_rows(arr)] @ weights).tolist()))
 
 
 def verify_isotypic_norm(arr: WeightedArrangement, action: SymmetryAction, t,
@@ -235,7 +207,7 @@ def verify_isotypic_norm(arr: WeightedArrangement, action: SymmetryAction, t,
     orbit = {tuple(complex(x) for x in apply_permutation(p, t)) for p in action.perms}
     if len(orbit) != len(action):
         raise ValueError("orbit smaller than the group; identity not applicable")
-    vj = isotypic_project(arr, action, specialize(arr, t))
+    vj = isotypic_project(arr, action, t)
     lhs = shapovalov_form(arr, vj, vj)
     rhs = Fraction(1, len(action)) * (-1) ** arr.ambient_dim * hess_det(arr, t)
     return _norm_row("isotypic_norm", lhs, rhs, tol)

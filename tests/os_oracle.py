@@ -34,6 +34,13 @@ canonical weight function by its sum over k! permutations of chain
 fractions, and the symmetry action on flags by the transposed matrix of
 the inverse element on A^k.
 
+Pairing references for the symmetry action: monomial_pairing pairs a flag
+with any ordered monomial through its straightening, and apply_flag_action
+takes (R_g F)_S as the pairing of F with e_{pi^-1(S)}, pi the hyperplane
+permutation of g.  isotypic_project applies the matrix action to a flag,
+(1/|G|) sum_g chi(g) R_g F, the projector that the library's projection of
+special vectors along the orbit of a point is checked against.
+
 Term-by-term references for the evaluation at a point: the gradient and
 Hessian of ln Phi, the value u_S(t) of one top form, and the Bethe
 equations of an sl2 Gaudin problem, each summed in Python scalars one
@@ -60,7 +67,8 @@ from fractions import Fraction
 from bethearr import linalg
 from bethearr.arrangement import WeightedArrangement, sort_with_sign
 from bethearr.gaudin import GaudinProblem, TensorVector, weight_basis
-from bethearr.osflag import FlagVector, OSElement, delta_F_matrix, straighten_coords
+from bethearr.osflag import (FlagVector, OSElement, check_length, delta_F_matrix, sparse_dot,
+                             straighten_coords)
 from bethearr.shapovalov import shapovalov_form as library_shapovalov_form
 
 
@@ -264,6 +272,33 @@ def flag_action(arr: WeightedArrangement, action, idx: int, flag) -> FlagVector:
                                         len(basis)) for s in basis])
     return FlagVector(flag.degree, tuple(mat_vec(linalg.transpose(os_matrix),
                                                  list(flag.coords))))
+
+
+def monomial_pairing(arr: WeightedArrangement, monomial, flag):
+    """Pairing of an arbitrary (possibly non-basis) monomial with a flag
+    vector, through straightening."""
+    if len(monomial) != flag.degree:
+        raise ValueError("degree mismatch in pairing")
+    check_length(flag, arr.basis(flag.degree))
+    return sparse_dot(straighten_coords(arr, monomial), flag.coords)
+
+
+def apply_flag_action(arr: WeightedArrangement, action, idx: int, flag) -> FlagVector:
+    """R_g on dual coordinates: (R_g F)_S pairs F with e_{pi^-1(S)}, pi the
+    hyperplane permutation of g, so the duality pairing is invariant."""
+    pi = action.hyperplane_perms[idx]
+    inverse = tuple(sorted(range(len(pi)), key=pi.__getitem__))
+    return FlagVector(flag.degree, tuple(monomial_pairing(arr, tuple(inverse[j] for j in s), flag)
+                                         for s in arr.basis(flag.degree)))
+
+
+def isotypic_project(arr: WeightedArrangement, action, flag) -> FlagVector:
+    """(1/|G|) sum_g chi(g) R_g F, with R_g the matrix action flag_action."""
+    total = [Fraction(0)] * len(flag.coords)
+    for idx in range(len(action)):
+        image = flag_action(arr, action, idx, flag)
+        total = [x + action.chi(idx) * y for x, y in zip(total, image.coords)]
+    return FlagVector(flag.degree, tuple(x / len(action) for x in total))
 
 
 def log_grad(arr: WeightedArrangement, t):

@@ -12,7 +12,7 @@ import pytest
 
 from bethearr import gaudin as gd
 from bethearr import linalg, osflag, shapovalov, special
-from bethearr.arrangement import WeightedArrangement
+from bethearr.arrangement import Hyperplane, WeightedArrangement
 from bethearr.cli import main
 from bethearr.master import find_critical_points
 from conftest import line
@@ -201,13 +201,20 @@ class TestCritical:
         assert len(report["points"]) == report["abs_chi"] == 3
         assert all(p["nondegenerate"] for p in report["points"])
 
-    @pytest.mark.parametrize("case", ["concurrent-lines", "negative-exponent"])
+    @pytest.mark.parametrize("case", ["concurrent-lines", "negative-exponent",
+                                      "planes-through-a-line"])
     def test_multi_start_path_is_unchanged(self, case, generic4, tmp_path, capsys):
-        """A vertex on three lines, or an exponent that is not positive,
-        leaves the search to find_critical_points, seed and starts included."""
+        """A vertex on three lines, a line on three planes (so a vertex on
+        four), or an exponent that is not positive, leaves the search to
+        find_critical_points, seed and starts included."""
         if case == "concurrent-lines":
             arr = WeightedArrangement(
                 2, [line(0, 1, 0), line(0, 0, 1), line(0, 1, 1), line(-3, 1, 2)], [F(1)] * 4)
+        elif case == "planes-through-a-line":
+            rows = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 1, -1, 0), (0, 0, 0, 1), (-1, 1, 1, 1),
+                    (-5, 1, 2, 3)]
+            arr = WeightedArrangement(
+                3, [Hyperplane(F(r[0]), tuple(map(F, r[1:]))) for r in rows], [F(1)] * 6)
         else:
             arr = WeightedArrangement(2, generic4.hyperplanes, [F(1), F(-1), F(1), F(1)])
         path = tmp_path / "arr.json"
