@@ -31,8 +31,8 @@ def sort_with_sign(indices):
 
 
 class CertificateError(RuntimeError):
-    """The nbc rows of some degree fall short of full rank modulo
-    linalg.PRIME, so the basis certificate cannot decide."""
+    """The nbc rows of some degree fall short of full rank modulo each of
+    linalg.PRIMES, so the basis certificate cannot decide."""
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,11 @@ class Hyperplane:
         """The row (b0, *b) scaled to coprime integers with the first nonzero
         b entry positive: the same hyperplane and logarithmic form df / f,
         and equal rows exactly for proportional equations."""
-        lead = next(x for x in self.b if x)
-        row = [x / lead for x in (self.b0, *self.b)]
+        row = (self.b0, *self.b)
         lcm = math.lcm(*(x.denominator for x in row))
-        return tuple(int(x * lcm) for x in row)
+        ints = [x.numerator * (lcm // x.denominator) for x in row]
+        g = math.gcd(*ints) * (1 if next(x for x in ints[1:] if x) > 0 else -1)
+        return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,7 @@ class _Core:
         self.bases = {}       # p -> certified nbc basis of A^p
         self.coords = {}      # sorted monomial -> coordinates over its basis
         self.equations = None  # (b0, B) as float arrays
+        self.integer_rows = None  # Hyperplane.integer_row of each hyperplane
 
 
 class WeightedArrangement:
@@ -108,10 +110,10 @@ class WeightedArrangement:
         self.ambient_dim = ambient_dim
         self.hyperplanes = tuple(hyperplanes)
         self.exponents = tuple(exponents)
+        self._core = _Core()
         self._check_distinct()
         if not self.has_vertex():
             raise ValueError("arrangement has no vertex")
-        self._core = _Core()
         self._exponent_array = np.array(self.exponents, dtype=complex)
 
     # -- construction checks ------------------------------------------------
@@ -119,8 +121,8 @@ class WeightedArrangement:
     def _check_distinct(self):
         """ValueError naming the least pair of proportional rows (b, b0)."""
         classes = {}
-        for i, h in enumerate(self.hyperplanes):
-            classes.setdefault(h.integer_row(), []).append(i)
+        for i, row in enumerate(self.integer_rows()):
+            classes.setdefault(row, []).append(i)
         pairs = [c[:2] for c in classes.values() if len(c) > 1]
         if pairs:
             i, j = min(pairs)
@@ -138,6 +140,13 @@ class WeightedArrangement:
     @property
     def n(self) -> int:
         return len(self.hyperplanes)
+
+    def integer_rows(self) -> tuple:
+        """Hyperplane.integer_row of each hyperplane, computed once and
+        shared with every re-weighting."""
+        if self._core.integer_rows is None:
+            self._core.integer_rows = tuple(h.integer_row() for h in self.hyperplanes)
+        return self._core.integer_rows
 
     def evaluate_all(self, t):
         return [h.evaluate(t) for h in self.hyperplanes]
@@ -291,55 +300,71 @@ class WeightedArrangement:
             }
         return core.top_minors
 
-    def certificate_samples(self, p: int):
+    def certificate_samples(self, p: int, prime: int = linalg.PRIME):
         """The endless stream of samples (t, w, inv) of the degree-p basis
-        certificate, drawn from a fixed seed: an integer point t, an integer
-        weight w(I) per p-subset I of coordinates, and the inverses modulo
-        linalg.PRIME of the values f_j(t) of the integer_row equations.  A
-        point where some f_j(t) is 0 modulo the prime is skipped.  The first
-        point drawn depends on k only."""
-        k, rng = self.ambient_dim, random.Random(1)
-        eqs = [h.integer_row() for h in self.hyperplanes]
+        certificate modulo prime, drawn from a fixed seed: an integer point t,
+        an integer weight w(I) per p-subset I of coordinates, and the
+        inverses modulo prime of the values f_j(t) of the integer_rows
+        equations.  A point where some f_j(t) is 0 modulo prime is skipped.
+        The first point drawn depends on k and prime only."""
+        k, rng, eqs = self.ambient_dim, random.Random(1), self.integer_rows()
         while True:
-            t = tuple(rng.randrange(linalg.PRIME) for _ in range(k))
-            w = tuple(rng.randrange(linalg.PRIME) for _ in range(math.comb(k, p)))
-            f = [(e[0] + sum(b * x for b, x in zip(e[1:], t))) % linalg.PRIME for e in eqs]
+            t = tuple(rng.randrange(prime) for _ in range(k))
+            w = tuple(rng.randrange(prime) for _ in range(math.comb(k, p)))
+            f = [(e[0] + sum(b * x for b, x in zip(e[1:], t))) % prime for e in eqs]
             if all(f):
-                yield t, w, [pow(x, -1, linalg.PRIME) for x in f]
+                yield t, w, [pow(x, -1, prime) for x in f]
 
-    def evaluation_matrix(self, p: int):
-        """(nbc_sets(p), rows): residues modulo linalg.PRIME, one row per nbc
-        set S and one column for each of the first len(nbc) + 3 certificate
-        samples (t, w, inv).  With the equations scaled by integer_row, the
-        entry is sum_I w(I) m(I) / prod_{j in S} f_j(t), m(I) = det(b^I_S) / g
-        with g the gcd of these minors (so no row vanishes just because they
-        are all multiples of the prime): a rational combination of the values
-        at t of the logarithmic form of S.  So full rank modulo the prime
-        proves the nbc forms independent over Q."""
-        nbc, eqs = self.nbc_sets(p), [h.integer_row() for h in self.hyperplanes]
-        samples = list(itertools.islice(self.certificate_samples(p), len(nbc) + 3))
-        rows = []
-        for s in nbc:
-            minors = [int(linalg.det([[eqs[j][1 + c] for c in cols] for j in s]))
-                      for cols in itertools.combinations(range(self.ambient_dim), p)]
-            g = math.gcd(*minors)
-            m = [x // g for x in minors]
-            rows.append([sum(a * b for a, b in zip(w, m)) * math.prod(inv[j] for j in s)
-                         % linalg.PRIME for _, w, inv in samples])
+    def evaluation_matrix(self, p: int, prime: int = linalg.PRIME):
+        """(nbc_sets(p), rows): an int64 array of residues modulo prime, one
+        row per nbc set S and one column for each of the first len(nbc) + 3
+        certificate samples (t, w, inv).  With the equations scaled by
+        integer_rows, the entry is sum_I w(I) m(I) / prod_{j in S} f_j(t),
+        m(I) = det(b^I_S) / g with g the gcd of these minors (so no row
+        vanishes just because they are all multiples of the prime): a
+        rational combination of the values at t of the logarithmic form of
+        S.  So full rank modulo the prime proves the nbc forms independent
+        over Q.  The rows are the minors times the weights, whose 16-bit
+        halves keep the int64 products below 2^47 * C(k, p), times inv[S_q]
+        for each position q, linalg.CHUNK rows at a time."""
+        nbc, eqs = self.nbc_sets(p), self.integer_rows()
+        samples = list(itertools.islice(self.certificate_samples(p, prime), len(nbc) + 3))
+        minors = np.empty((len(nbc), math.comb(self.ambient_dim, p)), dtype=np.int64)
+        for i, s in enumerate(nbc):
+            m = [int(linalg.det([[eqs[j][1 + c] for c in cols] for j in s]))
+                 for cols in itertools.combinations(range(self.ambient_dim), p)]
+            g = math.gcd(*m)
+            minors[i] = [x // g % prime for x in m]
+        high, low = np.divmod(np.array([w for _, w, _ in samples], dtype=np.int64).T, 1 << 16)
+        inverses = np.array([inv for _, _, inv in samples], dtype=np.int64).T
+        members = np.array(nbc, dtype=np.intp).reshape(len(nbc), p)
+        rows = np.empty((len(nbc), len(samples)), dtype=np.int64)
+        for i in range(0, len(nbc), linalg.CHUNK):
+            m = minors[i:i + linalg.CHUNK]
+            x = ((m @ high % prime << 16) + m @ low) % prime
+            for j in members[i:i + linalg.CHUNK].T:
+                x = x * inverses[j] % prime
+            rows[i:i + linalg.CHUNK] = x
         return nbc, rows
 
     def basis(self, p: int) -> list[tuple]:
         """The nbc sets of degree p, a basis of A^p: basis_coords shows that
-        they span, and full rank of evaluation_matrix mod the prime that they
-        are independent.  A shortfall, which the nbc basis theorem leaves
-        only to a degenerate reduction modulo PRIME (say, two hyperplanes
-        that coincide there) or to unlucky samples, raises CertificateError."""
+        they span, and full rank of evaluation_matrix modulo one of
+        linalg.PRIMES that they are independent.  The second prime is tried
+        only when the first falls short.  A shortfall at both, which the nbc
+        basis theorem leaves only to degenerate reductions modulo both
+        primes (say, two hyperplanes that coincide there) or to unlucky
+        samples, raises CertificateError."""
         core = self._core
         if p not in core.bases:
-            nbc, rows = self.evaluation_matrix(p)
-            if linalg.rank_mod_p(rows) < len(nbc):
-                raise CertificateError(f"degree {p}: the nbc rows fall short of full rank "
-                                       f"modulo {linalg.PRIME}")
+            for prime in linalg.PRIMES:
+                nbc, rows = self.evaluation_matrix(p, prime)
+                if linalg.rank_mod_p(rows, prime) == len(nbc):
+                    break
+            else:
+                raise CertificateError(
+                    f"degree {p}: the nbc rows fall short of full rank modulo "
+                    + " and ".join(map(str, linalg.PRIMES)))
             core.bases[p] = nbc
         return core.bases[p]
 

@@ -1,5 +1,5 @@
-"""Small dense linear algebra over exact rationals, and over complex floats
-where values at points need it.
+"""Small dense linear algebra over exact rationals, over integer residues
+modulo a prime, and over complex floats where values at points need it.
 
 Matrices are lists of row lists.  Exact arithmetic goes through one engine,
 the incremental row echelon `Echelon`: rows are added one at a time, and the
@@ -7,15 +7,25 @@ echelon answers whether a row is new and, if it is not, its coordinates over
 the rows kept so far.  `rank`, `independent_rows` and `solve_coords` use
 only the echelon (a float entry is read at its exact binary value; a complex
 one raises TypeError): they serve the combinatorics, which the rational
-coefficients of an arrangement fix.  `rank_mod_p`, int64 numpy elimination
-modulo a 31-bit prime, certifies the nbc basis from integer residues.
-`nullspace` and `det` use the echelon on rational input and numpy, with a
-relative tolerance, on anything else, such as a log-Hessian at a complex
-point or a matrix built from complex exponents.
+coefficients of an arrangement fix.  `nullspace` uses the echelon on
+rational input; `det` scales rational rows to integers for one
+fraction-free (Bareiss) elimination.  On anything else, such as a
+log-Hessian at a complex point or a matrix built from complex exponents,
+both use numpy with a relative tolerance.
+
+The nbc basis certificate works on int64 arrays of residues modulo one of
+`PRIMES` (2^31 - 1, then 2^31 - 19), below 2^31 so that a product of two
+fits.  `mul_mod` multiplies two such arrays exactly through float64 BLAS
+products of 15-bit pieces.  `rank_mod_p` eliminates in panels of 256
+columns (each itself in panels of 32, eliminated one pivot at a time) and
+replaces the rows below a panel by their Schur complement, one `mul_mod`
+per chunk of 2,048 rows; a matrix of at most 256 columns is eliminated one
+pivot at a time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -115,25 +125,141 @@ def rank(rows) -> int:
     return len(Echelon(rows))
 
 
-PRIME = 2**31 - 1
+# The basis certificate's primes, tried in order: 2^31 - 1, then the next
+# prime below it.  Residues stay below 2^31, so products of two fit int64.
+PRIMES = (2**31 - 1, 2**31 - 19)
+PRIME = PRIMES[0]
+PANELS = (256, 32)  # panel widths: a panel of one width is eliminated in panels of the next
+CHUNK = 2048  # rows of the trailing update (and of the certificate rows) at a time
 
 
-def rank_mod_p(rows) -> int:
-    """Rank modulo PRIME of an int or Fraction matrix, by int64 elimination
-    (residues stay below 2^31, so products fit).  It never exceeds the rank
-    over Q.  Raises ValueError if a Fraction's denominator is divisible by PRIME."""
-    a = np.array([[x % PRIME if isinstance(x, int) else
-                   x.numerator * pow(x.denominator, -1, PRIME) % PRIME
-                   for x in row] for row in rows], dtype=np.int64, ndmin=2)
-    r = 0
+def _residues(rows, prime) -> np.ndarray:
+    """rows reduced modulo prime as a new 2-d int64 array: an int array
+    directly, int entries by % and Fractions by the inverse of their
+    denominator (ValueError if the prime divides it)."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "i":
+        return np.atleast_2d(rows.astype(np.int64, copy=False)) % prime
+    return np.array([[x % prime if isinstance(x, int) else
+                      x.numerator * pow(x.denominator, -1, prime) % prime
+                      for x in row] for row in rows], dtype=np.int64, ndmin=2)
+
+
+def mul_mod(a, b, prime=PRIME) -> np.ndarray:
+    """a @ b modulo prime for int64 arrays of residues and an inner dimension
+    of at most 256, exactly, by two float64 BLAS products.  The residues are
+    centred (below 2^30 in modulus) and a is split as a1 * 2^15 + a0 with
+    |a1| <= 2^15 and |a0| <= 2^14, so each term of a1 @ b and a0 @ b is
+    below 2^45 and their sums stay below 2^53.  Each product is made
+    positive by adding prime * 2^23 before it is reduced."""
+    if a.shape[1] > 256:
+        raise ValueError(f"inner dimension {a.shape[1]} > 256")
+    half, offset = prime // 2, prime << 23
+    a = np.where(a > half, a - prime, a)
+    b = np.where(b > half, b - prime, b).astype(np.float64)
+    a0 = (a + (1 << 14)) % (1 << 15) - (1 << 14)
+    h = ((a - a0) >> 15).astype(np.float64) @ b
+    x = h.astype(np.int64)
+    x += offset
+    x %= prime
+    x <<= 15
+    np.matmul(a0.astype(np.float64), b, out=h)
+    x += h.astype(np.int64)
+    x += offset
+    x %= prime
+    return x
+
+
+def _echelon_pivots(a, prime):
+    """Forward elimination of the residue array a in place, one pivot column
+    at a time: (pivot rows of a, in pivot order; pivot columns)."""
+    order, cols, r = np.arange(a.shape[0]), [], 0
     for c in range(a.shape[1]):
         nz = r + np.flatnonzero(a[r:, c])
         if nz.size:
             a[[r, nz[0]]] = a[[nz[0], r]]  # nz[1:] are then the rows below r to clear
-            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, PRIME) % PRIME
-            a[nz[1:], c:] = (a[nz[1:], c:] - np.outer(a[nz[1:], c], a[r, c:])) % PRIME
+            order[[r, nz[0]]] = order[[nz[0], r]]
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, prime) % prime
+            a[nz[1:], c:] = (a[nz[1:], c:] - np.outer(a[nz[1:], c], a[r, c:])) % prime
+            cols.append(c)
             r += 1
-    return r
+    return order[:r], np.array(cols, dtype=np.intp)
+
+
+def _inverse_mod(a, prime) -> np.ndarray:
+    """Inverse modulo prime of a square residue array whose leading
+    principal minors are all nonzero, so that no row swaps are needed.  Up
+    to PANELS[-1] rows by Gauss-Jordan elimination in place (step c
+    replaces column c by the inverse's), above that by the block formula
+    over the leading half A and its Schur complement S = D - C A^-1 B:
+    [[A^-1 + A^-1 B S^-1 C A^-1, -A^-1 B S^-1], [-S^-1 C A^-1, S^-1]]."""
+    n = len(a)
+    if n > PANELS[-1]:
+        h = n // 2
+        a_inv = _inverse_mod(a[:h, :h], prime)
+        b = mul_mod(a_inv, a[:h, h:], prime)
+        c = mul_mod(a[h:, :h], a_inv, prime)
+        s_inv = _inverse_mod((a[h:, h:] - mul_mod(a[h:, :h], b, prime)) % prime, prime)
+        sc = mul_mod(s_inv, c, prime)
+        return np.block([[(a_inv + mul_mod(b, sc, prime)) % prime, -mul_mod(b, s_inv, prime) % prime],
+                         [-sc % prime, s_inv]])
+    a = a.copy()
+    for c in range(n):
+        inv = pow(int(a[c, c]), -1, prime)
+        a[c, c] = 1
+        a[c] = a[c] * inv % prime
+        f = a[:, c].copy()
+        f[c] = 0
+        a[:, c] -= f
+        a -= np.outer(f, a[c])
+        a %= prime
+    return a
+
+
+def _pivots(a, prime, widths=PANELS):
+    """(pivot rows in pivot order, pivot columns) of a forward elimination of
+    the residue array a, which is overwritten.
+
+    At most widths[0] columns: one pivot at a time (_echelon_pivots).
+    Wider: each panel of widths[0] columns of the rows not yet used as
+    pivots is eliminated by _pivots with the next widths.  With A the
+    panel's pivot rows at its pivot columns (in pivot order, its leading
+    principal minors are products of pivots, all nonzero), P the other rows
+    there and T1, T2 the two row sets right of the panel, the rows of T2
+    are replaced by the Schur complement T2 - P A^-1 T1, CHUNK rows at a
+    time by mul_mod, and moved up in place; its pivots are those of a."""
+    m, ncols = a.shape
+    if not widths or ncols <= widths[0]:
+        return _echelon_pivots(a, prime)
+    ids, rows, cols = np.arange(m), [], []  # ids: the row of a held in each active row
+    for c0 in range(0, ncols, widths[0]):
+        c1 = c0 + widths[0]
+        piv_rows, piv_cols = _pivots(a[:m, c0:c1].copy(), prime, widths[1:])
+        rows.append(ids[piv_rows])
+        cols.append(c0 + piv_cols)
+        if piv_rows.size == 0:
+            continue
+        others = np.setdiff1d(np.arange(m), piv_rows)
+        m = others.size
+        if m == 0 or c1 >= ncols:
+            break
+        z = mul_mod(_inverse_mod(a[np.ix_(piv_rows, c0 + piv_cols)], prime),
+                    a[piv_rows, c1:], prime)
+        # others[i] >= i, so each chunk writes only rows no later chunk reads
+        for i in range(0, m, CHUNK):
+            src = others[i:i + CHUNK]
+            t2 = a[src, c1:]
+            t2 -= mul_mod(a[np.ix_(src, c0 + piv_cols)], z, prime)
+            t2 %= prime
+            a[i:i + src.size, c1:] = t2
+        ids[:m] = ids[others]
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def rank_mod_p(rows, prime=PRIME) -> int:
+    """Rank modulo prime of an int or Fraction matrix or an int64 array, by
+    blocked elimination (_pivots); it never exceeds the rank over Q.  Raises
+    ValueError if a Fraction's denominator is divisible by prime."""
+    return len(_pivots(_residues(rows, prime), prime)[0])
 
 
 def independent_rows(rows) -> list[int]:
@@ -180,18 +306,35 @@ def nullspace(rows, ncols=None):
     return [list(vh[i].conj()) for i in range(nz, ncols)]
 
 
+def _bareiss(a) -> int:
+    """Determinant of a square int matrix (a list of row lists, overwritten)
+    by fraction-free elimination: after step c every entry below row c is a
+    (c+1) x (c+1) minor, so each division by the previous pivot is exact."""
+    sign, prev = 1, 1
+    for c in range(len(a) - 1):
+        if not a[c][c]:
+            r = next((r for r in range(c + 1, len(a)) if a[r][c]), None)
+            if r is None:
+                return 0
+            a[c], a[r], sign = a[r], a[c], -sign
+        piv, top = a[c][c], a[c]
+        for row in a[c + 1:]:
+            f = row[c]
+            row[c + 1:] = [(x * piv - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = piv
+    return sign * a[-1][-1]
+
+
 def det(rows):
-    """Determinant; exact for rational entries."""
+    """Determinant; exact for rational entries, whose rows are scaled to
+    integers for one fraction-free (Bareiss) elimination."""
     if not rows:
         return Fraction(1)
     if _matrix_exact(rows):
-        ech = Echelon()
-        if not all(map(ech.add, rows)):
-            return Fraction(0)
-        # the kept rows times the pivot permutation are unit upper triangular
-        p = ech.pivots
-        d = Fraction((-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:]))
-        for scale in ech._scales:
-            d *= scale
-        return d
+        ints, scale = [], 1
+        for row in rows:
+            lcm = math.lcm(*(x.denominator for x in row))
+            ints.append([x.numerator * (lcm // x.denominator) for x in row])
+            scale *= lcm
+        return Fraction(_bareiss(ints), scale)
     return complex(np.linalg.det(_to_ndarray(rows)))

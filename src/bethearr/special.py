@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import Hyperplane, WeightedArrangement, sort_with_sign
+from .arrangement import WeightedArrangement, sort_with_sign
 from .master import hess_det
 from .osflag import FlagVector, delta_F_matrix
 from .scalars import scalar_abs
@@ -166,11 +166,14 @@ def _induced_hyperplane_perm(arr: WeightedArrangement, sigma) -> tuple:
     """Index permutation with H_{pi(m)} the image of H_m under the coordinate
     permutation; image equations may differ by a scalar factor."""
     inv = _invert(sigma)
-    index = {h.integer_row(): m for m, h in enumerate(arr.hyperplanes)}
+    rows = arr.integer_rows()
+    index = {row: m for m, row in enumerate(rows)}
     pi = []
-    for m, h in enumerate(arr.hyperplanes):
-        image = Hyperplane(h.b0, tuple(h.b[inv[j]] for j in range(arr.ambient_dim)))
-        match = index.get(image.integer_row())
+    for m, row in enumerate(rows):
+        # the permuted integer row is coprime; its sign makes it an integer_row
+        image = (row[0], *(row[1 + inv[j]] for j in range(arr.ambient_dim)))
+        sign = 1 if next(x for x in image[1:] if x) > 0 else -1
+        match = index.get(tuple(sign * x for x in image))
         if match is None:
             raise ValueError(f"permutation {sigma} does not preserve the arrangement")
         if arr.exponents[match] != arr.exponents[m]:

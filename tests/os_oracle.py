@@ -13,7 +13,10 @@ small arrangements only.
 Exact reference for the basis certificate: each residue of
 evaluation_matrix recomputed as a Fraction from the unscaled equations, as
 the weighted sum of the form's values at the sample point over the gcd of
-the integer minors, then reduced.
+the integer minors, then reduced.  Unblocked references for its rank and
+for determinants: rank_mod_p eliminates one pivot column at a time over
+the whole matrix, and echelon_det reads the determinant off the pivots of
+one Echelon.
 
 Rank-per-row references for the flats: `rank_report` from two ranks,
 `closure` by one rank per hyperplane, and `flag_vector` by a search over
@@ -64,6 +67,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from bethearr import linalg
 from bethearr.arrangement import WeightedArrangement, sort_with_sign
 from bethearr.gaudin import GaudinProblem, TensorVector, weight_basis
@@ -86,7 +91,7 @@ def form_row(arr: WeightedArrangement, subset, points) -> list:
     and each column set (i1<...<ip), the minor det(b^{i}_{j}) over the
     product of the f_j(t)."""
     columns = itertools.combinations(range(arr.ambient_dim), len(subset))
-    minors = [linalg.det([[arr.hyperplanes[j].b[c] for c in cols] for j in subset])
+    minors = [echelon_det([[arr.hyperplanes[j].b[c] for c in cols] for j in subset])
               for cols in columns]
     row = []
     for t in points:
@@ -95,23 +100,50 @@ def form_row(arr: WeightedArrangement, subset, points) -> list:
     return row
 
 
-def certificate_rows(arr: WeightedArrangement, p: int) -> list:
+def certificate_rows(arr: WeightedArrangement, p: int, prime: int = linalg.PRIME) -> list:
     """The certificate rows of the nbc sets at the first N + 3 samples of
-    arr.certificate_samples(p), N = len(nbc): for each sample (t, w, _), the
-    Fraction sum_I w(I) * form_row(S, [t])[I] over the column sets I,
-    divided by the gcd g of the p x p minors of the integer_row normals of
-    S, and reduced modulo PRIME."""
+    arr.certificate_samples(p, prime), N = len(nbc): for each sample
+    (t, w, _), the Fraction sum_I w(I) * form_row(S, [t])[I] over the column
+    sets I, divided by the gcd g of the p x p minors of the integer_row
+    normals of S, and reduced modulo prime."""
     nbc = arr.nbc_sets(p)
-    samples = list(itertools.islice(arr.certificate_samples(p), len(nbc) + 3))
+    samples = list(itertools.islice(arr.certificate_samples(p, prime), len(nbc) + 3))
     rows = []
     for s in nbc:
         normals = [arr.hyperplanes[j].integer_row()[1:] for j in s]
-        g = math.gcd(*(int(linalg.det([[n[c] for c in cols] for n in normals]))
+        g = math.gcd(*(int(echelon_det([[n[c] for c in cols] for n in normals]))
                        for cols in itertools.combinations(range(arr.ambient_dim), p)))
         values = [linalg.dot(w, form_row(arr, s, [t])) / g for t, w, _ in samples]
-        rows.append([x.numerator * pow(x.denominator, -1, linalg.PRIME) % linalg.PRIME
-                     for x in values])
+        rows.append([x.numerator * pow(x.denominator, -1, prime) % prime for x in values])
     return rows
+
+
+def rank_mod_p(rows, prime: int = linalg.PRIME) -> int:
+    """Rank modulo prime of an int matrix by int64 elimination, one pivot
+    column at a time, each pivot clearing the rows below it."""
+    a = np.array(rows, dtype=np.int64, ndmin=2) % prime
+    r = 0
+    for c in range(a.shape[1]):
+        nz = r + np.flatnonzero(a[r:, c])
+        if nz.size:
+            a[[r, nz[0]]] = a[[nz[0], r]]
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, prime) % prime
+            a[nz[1:], c:] = (a[nz[1:], c:] - np.outer(a[nz[1:], c], a[r, c:])) % prime
+            r += 1
+    return r
+
+
+def echelon_det(rows):
+    """Determinant of a rational matrix from one Echelon: 0 if a row is
+    dependent, else the sign of the pivot permutation times the pivots."""
+    ech = linalg.Echelon()
+    if not all(map(ech.add, rows)):
+        return Fraction(0)
+    p = ech.pivots
+    d = Fraction((-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:]))
+    for scale in ech._scales:
+        d *= scale
+    return d
 
 
 def evaluation_coords(arr: WeightedArrangement, p: int):

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,17 @@ class TestHyperplane:
         assert Hyperplane(F(-1, 2), (F(0), F(-3, 4))).integer_row() == (2, 0, 3)
         assert Hyperplane(F(6), (F(4), F(-2))).integer_row() == (3, 2, -1)
         assert Hyperplane(F(-3), (F(-2), F(1))).integer_row() == (3, 2, -1)
+
+    def test_int_and_fraction_coefficients_agree(self):
+        """Plain int coefficients give the same integer row, arrangement and
+        certified dims as the same values as Fractions."""
+        assert Hyperplane(0, (3, 2)).integer_row() == Hyperplane(F(0), (F(3), F(2))).integer_row()
+        assert Hyperplane(-3, (-2, 1)).integer_row() == (3, 2, -1)
+        rows = [(0, 1, 0), (0, 0, 1), (0, 1, 1), (-1, 1, -1)]  # a triple point at 0
+        ints = WeightedArrangement(2, [Hyperplane(b0, b) for b0, *b in rows], [1] * 4)
+        fracs = WeightedArrangement(2, [line(*row) for row in rows], [F(1)] * 4)
+        assert ints.integer_rows() == fracs.integer_rows()
+        assert ints.dims() == fracs.dims() == [1, 4, 5]
 
     def test_rejects_zero_coefficients(self):
         with pytest.raises(ValueError):
@@ -190,8 +202,8 @@ class TestSamplePoints:
         """N rows by N + 3 columns of residues, of full rank modulo PRIME."""
         nbc, rows = generic4.evaluation_matrix(2)
         assert nbc == generic4.nbc_sets(2)
-        assert len(rows) == 6 and all(len(row) == 9 for row in rows)
-        assert all(type(x) is int and 0 <= x < linalg.PRIME for row in rows for x in row)
+        assert rows.dtype == np.int64 and rows.shape == (6, 9)
+        assert 0 <= rows.min() and rows.max() < linalg.PRIME
         assert linalg.rank_mod_p(rows) == 6
 
 
@@ -204,10 +216,28 @@ def _scaled(arr, factors):
 
 class TestCertificate:
     def test_short_rank_mod_p_raises(self, concurrent3, monkeypatch):
-        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows: 0)
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, prime=linalg.PRIME: 0)
         for p in range(3):
             with pytest.raises(RuntimeError, match=f"degree {p}"):
                 concurrent3.basis(p)
+
+    def test_the_second_prime_is_tried_only_after_a_shortfall(self, concurrent3, monkeypatch):
+        """A shortfall at the first prime alone certifies at the second; only
+        one at both raises, naming both primes."""
+        rank_mod_p, seen = linalg.rank_mod_p, []
+
+        def short_at_first(rows, prime=linalg.PRIME):
+            seen.append(prime)
+            return 0 if prime == linalg.PRIMES[0] else rank_mod_p(rows, prime)
+
+        monkeypatch.setattr(linalg, "rank_mod_p", short_at_first)
+        assert concurrent3.dims() == [1, 3, 2]
+        assert seen == list(linalg.PRIMES) * 3
+        arr = WeightedArrangement(2, concurrent3.hyperplanes, concurrent3.exponents)
+        monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, prime=linalg.PRIME: 0)
+        with pytest.raises(CertificateError, match=f"degree 0: .* modulo {linalg.PRIMES[0]} "
+                                                   f"and {linalg.PRIMES[1]}$"):
+            arr.basis(0)
 
     def test_integer_scaling(self, concurrent3):
         """An equation divided by PRIME has coefficients with no residue
@@ -216,7 +246,7 @@ class TestCertificate:
         assert arr.hyperplanes[0].integer_row() == (0, 1, 0)
         for p in range(3):
             assert arr.basis(p) == arr.nbc_sets(p)
-            assert arr.evaluation_matrix(p)[1] == os_oracle.certificate_rows(arr, p)
+            assert arr.evaluation_matrix(p)[1].tolist() == os_oracle.certificate_rows(arr, p)
 
     def test_a_point_on_a_hyperplane_modulo_the_prime_is_skipped(self, generic4):
         """The plane t1 + t2 + b0 = 0 with b0 = PRIME - t1 - t2 at the first
@@ -231,7 +261,7 @@ class TestCertificate:
             nbc, rows = arr.evaluation_matrix(p)
             assert all(len(row) == len(nbc) + 3 for row in rows)
             assert arr.basis(p) == nbc
-            assert rows == os_oracle.certificate_rows(arr, p)
+            assert rows.tolist() == os_oracle.certificate_rows(arr, p)
 
     @pytest.mark.parametrize("lines", [
         [(0, 46341, 2), (1, 2317, 46341), (-1, 1, 1)],
@@ -246,19 +276,24 @@ class TestCertificate:
             nbc, rows = arr.evaluation_matrix(p)
             assert all(any(row) for row in rows)
             assert arr.basis(p) == nbc == arr.nbc_sets(p)
-            assert rows == os_oracle.certificate_rows(arr, p)
+            assert rows.tolist() == os_oracle.certificate_rows(arr, p)
         assert arr.dims() == [1, 3, 3]
 
-    def test_hyperplanes_that_coincide_modulo_the_prime_raise(self):
+    def test_hyperplanes_that_coincide_modulo_the_first_prime_are_decided_at_the_second(self):
         """The lines 46341 t1 + 2 t2 = 0 and 2317 t1 + 46341 t2 = 0 are
-        distinct, but their equations are proportional modulo PRIME, so
-        their degree-1 rows agree there: the certificate cannot decide."""
+        distinct, but their equations are proportional modulo 2^31 - 1, so
+        their degree-1 rows agree there.  Modulo the second prime they are
+        not, and the basis is certified there."""
         arr = WeightedArrangement(2, [line(0, 46341, 2), line(0, 2317, 46341)], [F(1)] * 2)
-        nbc, rows = arr.evaluation_matrix(1)
-        assert nbc == [(0,), (1,)] and rows[0] == rows[1]
-        assert arr.basis(0) == [()]
-        with pytest.raises(CertificateError, match="degree 1"):
-            arr.basis(1)
+        first, second = linalg.PRIMES
+        nbc, rows = arr.evaluation_matrix(1, first)
+        assert nbc == [(0,), (1,)] and rows[0].tolist() == rows[1].tolist()
+        assert linalg.rank_mod_p(rows, first) == 1
+        nbc, rows = arr.evaluation_matrix(1, second)
+        assert rows.tolist() == os_oracle.certificate_rows(arr, 1, second)
+        assert linalg.rank_mod_p(rows, second) == 2
+        assert arr.basis(1) == nbc
+        assert arr.dims() == [1, 2, 1]
 
     def test_dependent_nbc_sets_raise(self, concurrent3, monkeypatch):
         nbc_sets = WeightedArrangement.nbc_sets
@@ -276,15 +311,17 @@ def test_certificate_matches_the_exact_oracle(request, name):
     hyperplanes with non-integer rational coefficients."""
     arr = request.getfixturevalue(name)
     for a in (arr, _scaled(arr, [F(-3, 2), F(5), F(2, 7), F(1, 4)][:arr.n])):
-        for p in range(a.ambient_dim + 1):
-            assert a.evaluation_matrix(p) == (a.nbc_sets(p), os_oracle.certificate_rows(a, p))
+        for p, prime in itertools.product(range(a.ambient_dim + 1), linalg.PRIMES):
+            nbc, rows = a.evaluation_matrix(p, prime)
+            assert nbc == a.nbc_sets(p)
+            assert rows.tolist() == os_oracle.certificate_rows(a, p, prime)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_arrangements())
 def test_certificate_matches_the_exact_oracle_on_random_arrangements(arr):
     for p in range(arr.ambient_dim + 1):
-        assert arr.evaluation_matrix(p)[1] == os_oracle.certificate_rows(arr, p)
+        assert arr.evaluation_matrix(p)[1].tolist() == os_oracle.certificate_rows(arr, p)
 
 
 @settings(max_examples=40, deadline=None)

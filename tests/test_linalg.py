@@ -4,6 +4,7 @@ Leibniz expansion for determinants and the largest nonzero minor for rank."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +68,77 @@ def combine(coeffs, rows):
 @given(matrices(square=True))
 def test_det_matches_leibniz(m):
     assert linalg.det(m) == leibniz_det(m)
+
+
+@st.composite
+def det_cases(draw):
+    """Square int or rational matrices, some made singular by a repeated
+    row and some with a zero leading entry, so that elimination swaps rows."""
+    n = draw(st.integers(1, 5))
+    ints = draw(st.booleans())
+    entry = st.integers(-9, 9) if ints else entries
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        m[draw(st.integers(1, n - 1))] = list(m[0])
+    if draw(st.booleans()):
+        m[0][0] = 0
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(det_cases())
+def test_bareiss_det_matches_the_echelon_det(m):
+    assert linalg.det(m) == os_oracle.echelon_det(m)
+    assert type(linalg.det(m)) is F
+
+
+def _planted(rng, nrows, ncols, prime, dependent=0, zero_cols=()):
+    """Random residues in [2^30, prime) (so above 2^30), with the given rows
+    replaced by combinations of three others and the given columns zero."""
+    a = rng.integers(2**30, prime, (nrows, ncols))
+    a[:, list(zero_cols)] = 0
+    rows = rng.choice(nrows, dependent, replace=False)
+    for i in rows:
+        src = rng.choice(np.setdiff1d(np.arange(nrows), rows), 3, replace=False)
+        coeffs = rng.integers(1, prime, 3)
+        a[i] = sum(int(c) * a[j].astype(object) for c, j in zip(coeffs, src)) % prime
+    return a
+
+
+@pytest.mark.parametrize("prime", linalg.PRIMES)
+@pytest.mark.parametrize("shape, dependent, zero_cols", [
+    ((300, 520), 0, ()),
+    ((300, 520), 37, (3, 255, 256, 300)),
+    ((2100, 300), 0, ()),
+    ((2100, 300), 0, range(20, 70)),
+    ((290, 290), 45, (0, 31, 32, 289)),
+    ((300, 600), 0, range(256, 512)),
+], ids=["wide", "wide-dependent", "tall", "tall-zero-columns", "square-dependent",
+        "zero-panel"])
+def test_blocked_rank_mod_p_matches_the_unblocked_oracle(prime, shape, dependent, zero_cols):
+    """More than one panel of columns, or more than one chunk of rows."""
+    a = _planted(np.random.default_rng(shape[0] + dependent), *shape, prime, dependent, zero_cols)
+    expected = min(shape[0] - dependent, shape[1] - len(zero_cols))
+    assert linalg.rank_mod_p(a, prime) == os_oracle.rank_mod_p(a, prime) == expected
+
+
+@pytest.mark.parametrize("prime", linalg.PRIMES)
+@pytest.mark.parametrize("shape", [(3, 0, 2), (7, 1, 3), (40, 256, 30)])
+def test_mul_mod_is_the_exact_product(prime, shape):
+    """Residues at both ends of [0, prime) and either side of prime / 2, up
+    to the largest inner dimension whose float sums stay exact."""
+    m, inner, n = shape
+    rng = np.random.default_rng(inner)
+    a, b = rng.integers(0, prime, (m, inner)), rng.integers(0, prime, (inner, n))
+    a[0], b[:, 0], a[1], a[2] = prime - 1, prime - 1, prime // 2, prime // 2 + 1
+    exact = (a.astype(object) @ b.astype(object)) % prime if inner else np.zeros((m, n), int)
+    product = linalg.mul_mod(a, b, prime)
+    assert product.dtype == np.int64 and product.tolist() == exact.tolist()
+
+
+def test_mul_mod_refuses_an_inner_dimension_past_256():
+    with pytest.raises(ValueError):
+        linalg.mul_mod(np.ones((2, 257), np.int64), np.ones((257, 2), np.int64))
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@ symmetry actions with isotypic projections."""
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -110,6 +111,16 @@ class TestSymmetryAction:
     def test_matches_a_scaled_image(self):
         action = build_action(self.scaled_pair([F(1), F(1)]), [(0, 1), (1, 0)])
         assert action.hyperplane_perms == ((0, 1), (1, 0))
+
+    def test_matches_images_by_the_cached_integer_rows(self):
+        """The swap maps t1 - t2 = 0 to t2 - t1 = 0, whose integer row is
+        re-signed, and recomputes no integer_row."""
+        arr = WeightedArrangement(2, [Hyperplane(F(0), (F(1), F(0))),
+                                      Hyperplane(F(0), (F(0), F(1))),
+                                      Hyperplane(F(0), (F(1), F(-1)))], [F(1)] * 3)
+        with mock.patch.object(Hyperplane, "integer_row", side_effect=AssertionError):
+            action = build_action(arr, [(0, 1), (1, 0)])
+        assert action.hyperplane_perms == ((0, 1, 2), (1, 0, 2))
 
     def test_rejects_permutation_moving_exponents(self):
         with pytest.raises(ValueError, match=r"does not preserve the exponents \(0 -> 1\)"):
