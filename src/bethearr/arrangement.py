@@ -5,9 +5,12 @@ rational coefficients and an exponent attached to each hyperplane.  Ranks
 and circuits come from exact rational linear algebra.  The basis of each
 degree A^p of the Orlik-Solomon algebra is the set of nbc monomials, and any
 other monomial straightens onto it by the circuit relations, with integer
-coefficients.  The values of the logarithmic forms at sample points only
-certify that basis: with the equations scaled to integers, their residues
-modulo a large prime have full rank.
+coefficients.  When the order passes the level rule (levels(), which the
+discriminantal arrangements pass), the nbc sets are the sets with one
+hyperplane from each of p levels, built from the product of the levels
+with no circuits pass and no certificate.  Otherwise the values of the
+logarithmic forms at sample points certify the basis: with the equations
+scaled to integers, their residues modulo a large prime have full rank.
 """
 
 from __future__ import annotations
@@ -60,9 +63,14 @@ class Hyperplane:
         and equal rows exactly for proportional equations."""
         row = (self.b0, *self.b)
         lcm = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (lcm // x.denominator) for x in row]
-        g = math.gcd(*ints) * (1 if next(x for x in ints[1:] if x) > 0 else -1)
-        return tuple(x // g for x in ints)
+        return _primitive([x.numerator * (lcm // x.denominator) for x in row])
+
+
+def _primitive(ints) -> tuple:
+    """An integer row (b0, *b) divided by its gcd and signed so that its
+    first nonzero b entry is positive."""
+    g = math.gcd(*ints) * (1 if next(x for x in ints[1:] if x) > 0 else -1)
+    return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,10 @@ class _Core:
         self.general = {}       # p -> the same subsets as a set, for look-ups
         self.relations = None   # circuits with a common point, in circuits order
         self.top_minors = None  # general-position k-subset -> det of its b-rows
-        self.bases = {}       # p -> certified nbc basis of A^p
+        self.levels = None      # hyperplanes of each level, or False: see levels()
+        self.nbc = {}           # p -> nbc p-subsets, lex order
+        self.bases = {}       # p -> nbc basis of A^p
+        self.basis_paths = {}  # p -> how bases[p] was found: see basis_path()
         self.coords = {}      # sorted monomial -> coordinates over its basis
         self.equations = None  # (b0, B) as float arrays
         self.integer_rows = None  # Hyperplane.integer_row of each hyperplane
@@ -252,13 +263,80 @@ class WeightedArrangement:
         self.circuits()
         return sorted({c[1:] for c in self._core.relations})
 
+    def levels(self):
+        """The hyperplane indices of each level 0..k-1 when the order
+        satisfies the witness rule, else None.  Memoized.
+
+        The level of a hyperplane is the last coordinate with a nonzero
+        entry in its normal.  For each pair i < j of one level L whose
+        normals are not proportional, eliminating t_L between their
+        integer_rows (scaled as integer_row does) gives the equation of a
+        hyperplane through their intersection, of level < L.  The rule: it
+        is the row of some hyperplane w < i, the pair's witness.  The
+        discriminantal arrangements of gaudin.build_discriminantal satisfy
+        it in their own order (w is t_i - z_s or t_i - t_l).
+
+        Then the nbc p-subsets are exactly the p-subsets with one member in
+        each of p distinct levels (the arrangement is fiber-type; Falk and
+        Randell, Invent. Math. 82 (1985); Bjorner and Ziegler, JCTB 51
+        (1991)):
+        - Such a subset is in general position: its normals are triangular.
+        - Two members of one level are either parallel, so not in general
+          position, or a pair whose rows span w's: {w, i, j} is a
+          consistent circuit, and (i, j) its broken circuit.
+        - Suppose a one-per-level set S contains the broken circuit C - c_0
+          of a consistent circuit C = (c_0 < ... < c_m).  The relation of C
+          has every coefficient nonzero, so its top level L holds at least
+          two members of C; as c_1..c_m have distinct levels, it holds
+          exactly c_0 and one c_a.  Their combination in the relation has no
+          t_L term, so it is a nonzero multiple of w's row, with w the
+          witness of (c_0, c_a).  That gives a relation on
+          D = {w} + C - {c_0, c_a}, every proper subset of which is
+          independent (C - {c_0, c_a} is, and w cannot be eliminated), so D
+          is a consistent circuit with least element w < c_0, broken circuit
+          C - {c_0, c_a} inside S, and top level below L.  Repeating this
+          reaches a top level 0, whose hyperplanes are all parallel, so no
+          two of them lie in a consistent circuit: a contradiction."""
+        core = self._core
+        if core.levels is None:
+            k, rows = self.ambient_dim, self.integer_rows()
+            index = {row: j for j, row in enumerate(rows)}
+            levels = [[] for _ in range(k)]
+            for j, h in enumerate(self.hyperplanes):
+                levels[max(c for c, x in enumerate(h.b) if x)].append(j)
+
+            def witnessed(i, j, L):
+                ci, cj = rows[i][1 + L], rows[j][1 + L]
+                meet = [cj * x - ci * y for x, y in zip(rows[i], rows[j])]
+                return not any(meet[1:]) or index.get(_primitive(meet), i) < i
+
+            ok = all(witnessed(i, j, L) for L, members in enumerate(levels)
+                     for i, j in itertools.combinations(members, 2))
+            core.levels = tuple(map(tuple, levels)) if ok else False
+        return core.levels or None
+
     def nbc_sets(self, p: int) -> list[tuple]:
-        """General-position p-subsets containing no broken circuit, lex order."""
+        """General-position p-subsets containing no broken circuit, lex order.
+        When levels() holds, the product of p distinct levels, sorted, with
+        no circuits() pass; otherwise the candidate_monomials(p) with no
+        subset among the broken circuits.  Memoized; callers must not
+        mutate the result."""
         if not 0 <= p <= self.ambient_dim:
             raise ValueError(f"degree {p} out of range 0..{self.ambient_dim}")
-        broken = self.broken_circuits()
-        return [s for s in self.candidate_monomials(p)
-                if not any(set(b) <= set(s) for b in broken)]
+        core = self._core
+        if p not in core.nbc:
+            levels = self.levels()
+            if levels is not None:
+                core.nbc[p] = sorted(tuple(sorted(s))
+                                     for chosen in itertools.combinations(levels, p)
+                                     for s in itertools.product(*chosen))
+            else:
+                broken = set(self.broken_circuits())
+                sizes = sorted({len(b) for b in broken if len(b) <= p})
+                core.nbc[p] = [s for s in self.candidate_monomials(p)
+                               if not any(b in broken for r in sizes
+                                          for b in itertools.combinations(s, r))]
+        return core.nbc[p]
 
     # -- certified basis and straightening -------------------------------------
 
@@ -348,25 +426,36 @@ class WeightedArrangement:
         return nbc, rows
 
     def basis(self, p: int) -> list[tuple]:
-        """The nbc sets of degree p, a basis of A^p: basis_coords shows that
-        they span, and full rank of evaluation_matrix modulo one of
-        linalg.PRIMES that they are independent.  The second prime is tried
-        only when the first falls short.  A shortfall at both, which the nbc
+        """The nbc sets of degree p, a basis of A^p (basis_coords shows that
+        they span).  When levels() holds they are the one-per-level sets,
+        independent by the nbc basis theorem, and nothing is certified.
+        Otherwise full rank of evaluation_matrix modulo one of linalg.PRIMES
+        shows that they are independent.  The second prime is tried only
+        when the first falls short.  A shortfall at both, which the nbc
         basis theorem leaves only to degenerate reductions modulo both
         primes (say, two hyperplanes that coincide there) or to unlucky
         samples, raises CertificateError."""
         core = self._core
         if p not in core.bases:
-            for prime in linalg.PRIMES:
-                nbc, rows = self.evaluation_matrix(p, prime)
-                if linalg.rank_mod_p(rows, prime) == len(nbc):
-                    break
+            if self.levels() is not None:
+                nbc, path = self.nbc_sets(p), "levels"
             else:
-                raise CertificateError(
-                    f"degree {p}: the nbc rows fall short of full rank modulo "
-                    + " and ".join(map(str, linalg.PRIMES)))
-            core.bases[p] = nbc
+                for prime in linalg.PRIMES:
+                    nbc, rows = self.evaluation_matrix(p, prime)
+                    if linalg.rank_mod_p(rows, prime) == len(nbc):
+                        break
+                else:
+                    raise CertificateError(
+                        f"degree {p}: the nbc rows fall short of full rank modulo "
+                        + " and ".join(map(str, linalg.PRIMES)))
+                path = f"certificate mod {prime}"
+            core.bases[p], core.basis_paths[p] = nbc, path
         return core.bases[p]
+
+    def basis_path(self, p: int) -> str:
+        """How basis(p) was found: "levels", or "certificate mod <prime>"."""
+        self.basis(p)
+        return self._core.basis_paths[p]
 
     def basis_coords(self, subset) -> dict:
         """Coordinates of a sorted monomial e_S over basis(p), p = len(S), as

@@ -124,7 +124,9 @@ def cmd_analyze(args) -> int:
         "has_vertex": True,
     }
     _emit(report, args)
-    print(f"analyze: dims={report['dims']} chi={report['chi']}", file=sys.stderr)
+    paths = ", ".join(f"{p}: {arr.basis_path(p)}" for p in range(arr.ambient_dim + 1))
+    print(f"analyze: dims={report['dims']} chi={report['chi']} basis by degree: {paths}",
+          file=sys.stderr)
     return EXIT_PASS
 
 

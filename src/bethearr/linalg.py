@@ -7,11 +7,11 @@ echelon answers whether a row is new and, if it is not, its coordinates over
 the rows kept so far.  `rank`, `independent_rows` and `solve_coords` use
 only the echelon (a float entry is read at its exact binary value; a complex
 one raises TypeError): they serve the combinatorics, which the rational
-coefficients of an arrangement fix.  `nullspace` uses the echelon on
-rational input; `det` scales rational rows to integers for one
-fraction-free (Bareiss) elimination.  On anything else, such as a
-log-Hessian at a complex point or a matrix built from complex exponents,
-both use numpy with a relative tolerance.
+coefficients of an arrangement fix.  `nullspace` reads its kernel off the
+echelon, reduced once, on rational input; `det` scales rational rows to
+integers for one fraction-free (Bareiss) elimination.  On anything else,
+such as a log-Hessian at a complex point or a matrix built from complex
+exponents, both use numpy with a relative tolerance.
 
 The nbc basis certificate works on int64 arrays of residues modulo one of
 `PRIMES` (2^31 - 1, then 2^31 - 19), below 2^31 so that a product of two
@@ -43,12 +43,6 @@ def _to_ndarray(rows, ncols=None):
     if not rows:
         return np.zeros((0, ncols or 0), dtype=complex)
     return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
-
-
-def dot(u, v):
-    """Sum of a * b over the pairs in order, skipping int or Fraction zeros a."""
-    return sum((a * b for a, b in zip(u, v) if a or not isinstance(a, (int, Fraction))),
-               start=Fraction(0))
 
 
 def transpose(rows):
@@ -283,20 +277,33 @@ def solve_coords(basis_rows, target):
 def nullspace(rows, ncols=None):
     """Basis of the right kernel {v : A v = 0} of the matrix with given rows:
     one vector per non-pivot column, 1 there and 0 in the other non-pivot
-    columns."""
+    columns.  At rational input its entry at pivot column c is minus that
+    of the reduced echelon row with pivot c."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if _matrix_exact(rows):
         ech = Echelon(rows)
+        free = sorted(set(range(ncols)) - set(ech.pivots))
+        # the reduced echelon rows at the free columns, {column: entry}: kept
+        # row j is zero at earlier pivots, so reduce it by the later reduced
+        # rows, from the last up
+        reduced = []
+        for j in reversed(range(len(ech))):
+            e = ech.rows[j]
+            r = {c: e[c] for c in free if e[c]}
+            for later, c in zip(reduced, reversed(ech.pivots[j + 1:])):
+                if e[c]:
+                    for fc, x in later.items():
+                        r[fc] = r.get(fc, 0) - e[c] * x
+            reduced.append({fc: x for fc, x in r.items() if x})
+        reduced.reverse()
         basis = []
-        for fc in sorted(set(range(ncols)) - set(ech.pivots)):
+        for fc in free:
             v = [Fraction(0)] * ncols
             v[fc] = Fraction(1)
-            solved = [fc]
-            # kept row j is zero at earlier pivots: solve from the last row up
-            for e, c in reversed(list(zip(ech.rows, ech.pivots))):
-                v[c] = -dot((e[i] for i in solved), (v[i] for i in solved))
-                solved.append(c)
+            for r, c in zip(reduced, ech.pivots):
+                if fc in r:
+                    v[c] = -r[fc]
             basis.append(v)
         return basis
     a = _to_ndarray(rows, ncols)

@@ -84,6 +84,18 @@ def concurrent3():
 
 
 @pytest.fixture
+def concurrent3_unsorted():
+    """concurrent3 as t1 + t2, t2, t1.  The level-1 pair (0, 1) meets on t1,
+    which comes last, so the witness rule fails and the basis takes the
+    certificate path.  Broken circuit (1, 2), dims [1, 3, 2]."""
+    return WeightedArrangement(
+        2,
+        [line(0, 1, 1), line(0, 0, 1), line(0, 1, 0)],
+        [F(1), F(1), F(1)],
+    )
+
+
+@pytest.fixture
 def points3():
     """k = 1, points {0, 1, 3}, unit exponents.  Critical points are the
     roots of 3 t^2 - 8 t + 3."""

@@ -18,6 +18,12 @@ for determinants: rank_mod_p eliminates one pivot column at a time over
 the whole matrix, and echelon_det reads the determinant off the pivots of
 one Echelon.
 
+Scan reference for the nbc sets: the general-position p-subsets that
+contain no broken circuit, each tested against every broken circuit as a
+set.  With it, the witness order of the level rule: each same-level pair
+of hyperplanes with independent normals and the lower-level hyperplane
+whose row their rows span, found by exact ranks.
+
 Rank-per-row references for the flats: `rank_report` from two ranks,
 `closure` by one rank per hyperplane, and `flag_vector` by a search over
 every ordering of each basis monomial for one whose chain of prefix
@@ -54,8 +60,8 @@ Per-point reference for the rows of `bethearr verify`
 (special.point_checks), one point at a time: v(t) from the term-by-term
 form values, delta v(t) through delta_F_matrix and mat_vec, the gradient
 term by term, and S(v(t), v(t)) through shapovalov_form.
-mat_vec and mat_mul are the list-of-rows products over Python scalars that
-it and the matrix identities in the tests use.
+dot, mat_vec and mat_mul are the list-of-rows products over Python
+scalars that it and the matrix identities in the tests use.
 
 Recursion reference for the sl2 Shapovalov diagonal: S(F^q v, F^q v) from
 S(F^(q-1) v, F^(q-1) v), one factor q (m - q + 1) at a time.
@@ -77,13 +83,19 @@ from bethearr.osflag import (FlagVector, OSElement, check_length, delta_F_matrix
 from bethearr.shapovalov import shapovalov_form as library_shapovalov_form
 
 
+def dot(u, v):
+    """Sum of a * b over the pairs in order, skipping int or Fraction zeros a."""
+    return sum((a * b for a, b in zip(u, v) if a or not isinstance(a, (int, Fraction))),
+               start=Fraction(0))
+
+
 def mat_mul(a, b):
     bt = linalg.transpose(b)
-    return [[linalg.dot(row, col) for col in bt] for row in a]
+    return [[dot(row, col) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [linalg.dot(row, v) for row in a]
+    return [dot(row, v) for row in a]
 
 
 def form_row(arr: WeightedArrangement, subset, points) -> list:
@@ -113,9 +125,29 @@ def certificate_rows(arr: WeightedArrangement, p: int, prime: int = linalg.PRIME
         normals = [arr.hyperplanes[j].integer_row()[1:] for j in s]
         g = math.gcd(*(int(echelon_det([[n[c] for c in cols] for n in normals]))
                        for cols in itertools.combinations(range(arr.ambient_dim), p)))
-        values = [linalg.dot(w, form_row(arr, s, [t])) / g for t, w, _ in samples]
+        values = [dot(w, form_row(arr, s, [t])) / g for t, w, _ in samples]
         rows.append([x.numerator * pow(x.denominator, -1, prime) % prime for x in values])
     return rows
+
+
+def nbc_sets(arr: WeightedArrangement, p: int) -> list:
+    """General-position p-subsets, lex order, with no broken circuit as a
+    subset, by a scan of every broken circuit."""
+    broken = arr.broken_circuits()
+    return [s for s in arr.candidate_monomials(p) if not any(set(b) <= set(s) for b in broken)]
+
+
+def witnesses(arr: WeightedArrangement) -> dict:
+    """{(i, j): w} over the pairs i < j of one level L (the last coordinate
+    of their normals) with independent normals: w is the hyperplane of
+    level < L whose row (b0, *b) their rows span, or None if there is none."""
+    rows = [(h.b0, *h.b) for h in arr.hyperplanes]
+    level = [max(c for c, x in enumerate(h.b) if x) for h in arr.hyperplanes]
+    return {(i, j): next((w for w in range(arr.n) if level[w] < level[i]
+                          and linalg.rank([rows[w], rows[i], rows[j]]) == 2), None)
+            for i, j in itertools.combinations(range(arr.n), 2)
+            if level[i] == level[j]
+            and linalg.rank([arr.hyperplanes[i].b, arr.hyperplanes[j].b]) == 2}
 
 
 def rank_mod_p(rows, prime: int = linalg.PRIME) -> int:
@@ -215,7 +247,7 @@ def _dense_top(arr: WeightedArrangement):
 def shapovalov_form(arr: WeightedArrangement, f1, f2):
     total = Fraction(0)
     for prod, coords in _dense_top(arr):
-        total = total + prod * linalg.dot(coords, f1.coords) * linalg.dot(coords, f2.coords)
+        total = total + prod * dot(coords, f1.coords) * dot(coords, f2.coords)
     return total
 
 
@@ -223,7 +255,7 @@ def shapovalov_map(arr: WeightedArrangement, flag) -> OSElement:
     basis = arr.basis(arr.ambient_dim)
     out = [Fraction(0)] * len(basis)
     for prod, coords in _dense_top(arr):
-        p = linalg.dot(coords, flag.coords)
+        p = dot(coords, flag.coords)
         if p == 0:
             continue
         for i, c in enumerate(coords):

@@ -3,6 +3,7 @@ straightening, dimensions, JSON round trips."""
 
 import itertools
 import json
+import random
 import time
 from fractions import Fraction
 from unittest import mock
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from bethearr import linalg
 from bethearr.arrangement import (CertificateError, Hyperplane, WeightedArrangement,
                                   with_exponents)
-from bethearr.gaudin import GaudinProblem, build_discriminantal
+from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
 from bethearr.osflag import d_A_matrix, flag_vector
 from conftest import line, point_arrangement, small_arrangements
 import os_oracle
@@ -215,13 +216,14 @@ def _scaled(arr, factors):
 
 
 class TestCertificate:
-    def test_short_rank_mod_p_raises(self, concurrent3, monkeypatch):
+    def test_short_rank_mod_p_raises(self, concurrent3_unsorted, monkeypatch):
         monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, prime=linalg.PRIME: 0)
         for p in range(3):
             with pytest.raises(RuntimeError, match=f"degree {p}"):
-                concurrent3.basis(p)
+                concurrent3_unsorted.basis(p)
 
-    def test_the_second_prime_is_tried_only_after_a_shortfall(self, concurrent3, monkeypatch):
+    def test_the_second_prime_is_tried_only_after_a_shortfall(self, concurrent3_unsorted,
+                                                               monkeypatch):
         """A shortfall at the first prime alone certifies at the second; only
         one at both raises, naming both primes."""
         rank_mod_p, seen = linalg.rank_mod_p, []
@@ -231,9 +233,10 @@ class TestCertificate:
             return 0 if prime == linalg.PRIMES[0] else rank_mod_p(rows, prime)
 
         monkeypatch.setattr(linalg, "rank_mod_p", short_at_first)
-        assert concurrent3.dims() == [1, 3, 2]
+        assert concurrent3_unsorted.dims() == [1, 3, 2]
         assert seen == list(linalg.PRIMES) * 3
-        arr = WeightedArrangement(2, concurrent3.hyperplanes, concurrent3.exponents)
+        arr = WeightedArrangement(2, concurrent3_unsorted.hyperplanes,
+                                  concurrent3_unsorted.exponents)
         monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, prime=linalg.PRIME: 0)
         with pytest.raises(CertificateError, match=f"degree 0: .* modulo {linalg.PRIMES[0]} "
                                                    f"and {linalg.PRIMES[1]}$"):
@@ -295,14 +298,125 @@ class TestCertificate:
         assert arr.basis(1) == nbc
         assert arr.dims() == [1, 2, 1]
 
-    def test_dependent_nbc_sets_raise(self, concurrent3, monkeypatch):
+    def test_dependent_nbc_sets_raise(self, concurrent3_unsorted, monkeypatch):
         nbc_sets = WeightedArrangement.nbc_sets
         # (1, 2) is in general position but contains the broken circuit (1, 2)
         monkeypatch.setattr(WeightedArrangement, "nbc_sets",
                             lambda self, p: nbc_sets(self, p) + [(1, 2)] * (p == 2))
-        assert concurrent3.basis(1) == [(0,), (1,), (2,)]
+        assert concurrent3_unsorted.basis(1) == [(0,), (1,), (2,)]
         with pytest.raises(RuntimeError, match="degree 2"):
-            concurrent3.basis(2)
+            concurrent3_unsorted.basis(2)
+
+
+SL3 = CartanDatum(rank=2, a=((2, -1), (-1, 2)), d=(1, 1))
+
+# (Cartan datum, highest weights, k) of discriminantal arrangements
+DISCRIMINANTAL = {
+    "sl2-m1111-k2": (CartanDatum.sl2(), ((1,),) * 4, (2,)),
+    "sl2-m222-k3": (CartanDatum.sl2(), ((2,),) * 3, (3,)),
+    "sl2-m111111-k3": (CartanDatum.sl2(), ((1,),) * 6, (3,)),
+    "sl2-m2222-k4": (CartanDatum.sl2(), ((2,),) * 4, (4,)),
+    "sl3-w1x4-k21": (SL3, ((1, 0),) * 4, (2, 1)),
+}
+
+
+def discriminantal(name):
+    cartan, weights, k = DISCRIMINANTAL[name]
+    z = tuple(map(F, (0, 1, 3, 7, -2, 5)[:len(weights)]))
+    return build_discriminantal(GaudinProblem(cartan, weights, k, z))
+
+
+def witness_orders(arr, rng, count):
+    """count random orders of arr's hyperplanes in which each same-level
+    pair comes after its witness (random linear extensions)."""
+    before = {j: set() for j in range(arr.n)}
+    for (i, j), w in os_oracle.witnesses(arr).items():
+        before[i].add(w)
+        before[j].add(w)
+    for _ in range(count):
+        order = []
+        while len(order) < arr.n:
+            order.append(rng.choice([j for j in range(arr.n)
+                                     if j not in order and before[j] <= set(order)]))
+        yield order
+
+
+class TestLevels:
+    @pytest.mark.parametrize("name", DISCRIMINANTAL)
+    def test_the_product_is_the_certified_nbc_basis(self, name):
+        """The one-per-level sets are the circuits-based nbc sets, and the
+        certificate reaches full rank on them at every degree."""
+        arr = discriminantal(name)
+        levels = arr.levels()
+        assert levels is not None and sorted(itertools.chain(*levels)) == list(range(arr.n))
+        for p in range(arr.ambient_dim + 1):
+            assert arr.basis(p) == arr.nbc_sets(p) == os_oracle.nbc_sets(arr, p)
+            assert arr.basis_path(p) == "levels"
+            nbc, rows = arr.evaluation_matrix(p)
+            assert linalg.rank_mod_p(rows) == len(nbc)
+
+    @pytest.mark.parametrize("name", ["sl2-m1111-k2", "sl2-m222-k3", "sl3-w1x4-k21"])
+    def test_witness_respecting_reorders(self, name):
+        """Orders that keep every witness before its pair, most of them not
+        sorted by level, still take the level path and give the nbc sets,
+        which the certificate confirms."""
+        base = discriminantal(name)
+        unsorted = 0
+        for order in witness_orders(base, random.Random(name), 8):
+            arr = WeightedArrangement(base.ambient_dim, [base.hyperplanes[j] for j in order],
+                                      [base.exponents[j] for j in order])
+            levels = [max(c for c, x in enumerate(h.b) if x) for h in arr.hyperplanes]
+            unsorted += levels != sorted(levels)
+            assert arr.levels() is not None
+            for p in range(arr.ambient_dim + 1):
+                nbc, rows = arr.evaluation_matrix(p)
+                assert nbc == os_oracle.nbc_sets(arr, p)
+                assert linalg.rank_mod_p(rows) == len(nbc)
+        assert unsorted >= 6
+
+    def test_generic_arrangements_take_the_certificate(self, generic4):
+        assert generic4.levels() is None
+        for p in range(3):
+            assert generic4.basis(p) == os_oracle.nbc_sets(generic4, p)
+            assert generic4.basis_path(p) == f"certificate mod {linalg.PRIME}"
+
+    def test_a_witness_after_its_pair_takes_the_certificate(self, concurrent3,
+                                                            concurrent3_unsorted):
+        """t1 + t2, t2 meet on t1, which comes last: the one-per-level sets
+        {0, 2}, {1, 2} are not the nbc sets {0, 1}, {0, 2}, so the order
+        check is needed.  In concurrent3's order t1 comes first."""
+        assert concurrent3.levels() == ((0,), (1, 2))
+        assert concurrent3.basis_path(2) == "levels"
+        arr = concurrent3_unsorted
+        assert os_oracle.witnesses(arr) == {(0, 1): 2}
+        assert arr.levels() is None
+        assert arr.nbc_sets(2) == os_oracle.nbc_sets(arr, 2) == [(0, 1), (0, 2)]
+        assert arr.basis(2) == [(0, 1), (0, 2)]
+        assert arr.basis_path(2).startswith("certificate mod ")
+
+    def test_dims_make_no_circuits_pass(self, monkeypatch):
+        """dims() of m = (1^8), k = 4 (38 hyperplanes) leaves circuits
+        unfound and builds no certificate."""
+        arr = build_discriminantal(GaudinProblem(
+            CartanDatum.sl2(), ((1,),) * 8, (4,), tuple(map(F, (0, 1, 3, 7, -2, 5, 11, -6)))))
+        monkeypatch.setattr(WeightedArrangement, "evaluation_matrix", None)
+        assert arr.dims() == [1, 38, 539, 3382, 7920]
+        assert arr._core.circuits is None
+
+    def test_nbc_sets_are_memoized(self, generic4, concurrent3):
+        for arr in (generic4, concurrent3):
+            assert arr.nbc_sets(2) is arr.nbc_sets(2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_arrangements())
+def test_nbc_sets_match_the_scan_on_random_arrangements(arr):
+    """On either path; the level path exactly when every same-level pair
+    with independent normals has a witness before it."""
+    rule = all(w is not None and w < i for (i, _), w in os_oracle.witnesses(arr).items())
+    assert (arr.levels() is not None) == rule
+    for p in range(arr.ambient_dim + 1):
+        assert arr.nbc_sets(p) == os_oracle.nbc_sets(arr, p)
 
 
 @pytest.mark.parametrize("name", ["generic3", "generic4", "concurrent3", "points3"])

@@ -112,6 +112,23 @@ class TestAnalyze:
         }))
         code, out, err = run_main(["analyze", str(path)], capsys)
         assert code == 0 and json.loads(out)["dims"] == dims
+        prime = linalg.PRIMES[0] if b0 else linalg.PRIMES[1]
+        assert f"1: certificate mod {prime}, 2: certificate mod " in err
+
+    def test_the_summary_names_the_basis_path_of_each_degree(self, gen4_file, tmp_path,
+                                                             capsys, gaudin_3x1):
+        """The one-per-level basis of a discriminantal arrangement and the
+        certificate of a generic one, on stderr only."""
+        code, out, err = run_main(["analyze", gen4_file], capsys)
+        assert err == ("analyze: dims=[1, 4, 6] chi=3 basis by degree: 0: certificate mod "
+                       "2147483647, 1: certificate mod 2147483647, 2: certificate mod "
+                       "2147483647\n")
+        assert "certificate" not in out
+        path = tmp_path / "disc.json"
+        path.write_text(json.dumps(gaudin_3x1.arrangement.to_json()))
+        code, out, err = run_main(["analyze", str(path)], capsys)
+        assert code == 0 and json.loads(out)["dims"] == [1, 3]
+        assert err.endswith("basis by degree: 0: levels, 1: levels\n")
 
     def test_a_certificate_short_at_both_primes_exits_3(self, gen4_file, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "rank_mod_p", lambda rows, prime=linalg.PRIME: 0)

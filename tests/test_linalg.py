@@ -155,6 +155,7 @@ def test_nullspace_is_the_kernel_in_reduced_form(m):
     assert len(kernel) == ncols - minor_rank(m)
     for v in kernel:
         assert os_oracle.mat_vec(m, v) == [0] * len(m)
+        assert all(isinstance(x, Fraction) for x in v)
     # one vector per column that is a combination of the columns before it,
     # 1 there and 0 at the other such columns: the fully reduced echelon basis
     free = [c for c in range(ncols)
