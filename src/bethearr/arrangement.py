@@ -263,7 +263,7 @@ class WeightedArrangement:
         self.circuits()
         return sorted({c[1:] for c in self._core.relations})
 
-    def levels(self):
+    def levels(self) -> tuple | None:
         """The hyperplane indices of each level 0..k-1 when the order
         satisfies the witness rule, else None.  Memoized.
 
