@@ -2,8 +2,9 @@
 
 Discriminantal arrangements compile from Lie-algebra data for any Cartan
 datum; module-level objects (weight-space bases, Hamiltonians, the canonical
-weight function, the tensor Shapovalov form) are implemented for sl2, where
-every module is a string F^p v, p = 0..m.
+weight function, the tensor Shapovalov form S_V, whose Gram matrices are
+shapovalov.gram since it is diagonal on the weight basis) are implemented
+for sl2, where every module is a string F^p v, p = 0..m.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .master import hess_det
 from .osflag import flag_vector, pairing
 from .scalars import (Scalar, format_scalar, parse_scalar, scalar_abs, to_int,
                       to_rational)
-from .shapovalov import shapovalov_form, shapovalov_map
-from .special import check, full_symmetric_action, isotypic_project, permutation_sign
+from .shapovalov import gram, shapovalov_map
+from .special import check, full_symmetric_action, isotypic_values, permutation_sign
 
 
 @dataclass(frozen=True)
@@ -190,17 +191,14 @@ def point_hyperplane_index(p: GaudinProblem, i: int, s: int) -> int:
     return i * p.n + s
 
 
-def build_discriminantal(p: GaudinProblem, diagonal_sign: int = 1) -> WeightedArrangement:
+def build_discriminantal(p: GaudinProblem) -> WeightedArrangement:
     """The discriminantal arrangement of the problem in C^k.
 
     Hyperplanes t_i - z_s carry exponent -(alpha_{c(i)}, Lambda_s) and the
-    diagonals t_i - t_j carry diagonal_sign * (alpha_{c(i)}, alpha_{c(j)}).
-    The default diagonal_sign=1 matches the exponents of the master-function
-    product, so log_grad of the result is the Bethe system; diagonal_sign=-1
-    gives the alternative convention with negated diagonal exponents.
+    diagonals t_i - t_j carry (alpha_{c(i)}, alpha_{c(j)}): the exponents
+    of the master-function product, so log_grad of the result is the Bethe
+    system.
     """
-    if diagonal_sign not in (1, -1):
-        raise ValueError("diagonal_sign must be +1 or -1")
     k = p.k
     if k == 0:
         raise ValueError("k = 0 has no discriminantal arrangement")
@@ -217,7 +215,7 @@ def build_discriminantal(p: GaudinProblem, diagonal_sign: int = 1) -> WeightedAr
         b[i] = Fraction(1)
         b[j] = Fraction(-1)
         hyperplanes.append(Hyperplane(Fraction(0), tuple(b), label=f"t{i+1}-t{j+1}"))
-        exponents.append(diagonal_sign * p.cartan.bilinear(p.level(i), p.level(j)))
+        exponents.append(p.cartan.bilinear(p.level(i), p.level(j)))
     return WeightedArrangement(k, hyperplanes, exponents)
 
 
@@ -252,14 +250,6 @@ class TensorVector:
 
     basis: tuple
     coords: tuple
-
-    def __add__(self, other):
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch")
-        return TensorVector(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c):
-        return TensorVector(self.basis, tuple(c * x for x in self.coords))
 
 
 def canonical_weight_function(p: GaudinProblem, t) -> TensorVector:
@@ -463,6 +453,15 @@ def bethe_eigenvalue(p: GaudinProblem, t, s: int):
     return lam + sum(m[s] / (ti - p.z[s]) for ti in t)
 
 
+def _weight_function_columns(p: GaudinProblem, points, dtype=None):
+    """(w, s) for shapovalov.gram: omega(t) of each point as a column of w,
+    and the S_V weights s; the dtype is numpy's for omega unless given."""
+    weights = p.shapovalov_weights
+    w = np.array([canonical_weight_function(p, t).coords for t in points],
+                 dtype=dtype).reshape(len(points), len(weights)).T
+    return w, np.array(list(weights.values()), dtype=w.dtype)
+
+
 def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
     """Report rows for the Bethe vectors omega(t) of critical points t, one
     point per orbit.  For each point: omega is singular, has norm equal to
@@ -470,26 +469,26 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
     of every Hamiltonian with the closed-form eigenvalue (lhs is the
     Rayleigh quotient) and is orthogonal to the omega of every other point.
     A last row, present even with no points, passes only when their Gram
-    matrix has rank len(points) == dim Sing V: a complete Bethe basis.  For
-    k = 0 the only Bethe vector is omega = v, and the one row checks
-    S(v, v) = 1."""
+    matrix (one shapovalov.gram) has rank len(points) == dim Sing V: a
+    complete Bethe basis.  For k = 0 the only Bethe vector is omega = v,
+    and the one row checks S(v, v) = 1."""
     if p.k == 0:
         omega = canonical_weight_function(p, ())
         norm = tensor_shapovalov(p, omega, omega)
         return [check("trivial_norm", norm, Fraction(1), abs(complex(norm) - 1), norm == 1)]
     raising = np.array(raising_matrix(p), dtype=complex)
-    omegas = [canonical_weight_function(p, t) for t in points]
-    gram = [[complex(tensor_shapovalov(p, a, b)) for b in omegas] for a in omegas]
+    omegas, weights = _weight_function_columns(p, points, complex)
+    values = gram(omegas, weights, omegas).tolist()
     rows = []
-    for idx, (t, omega) in enumerate(zip(points, omegas)):
-        w = np.array([complex(x) for x in omega.coords])
+    for idx, t in enumerate(points):
+        w = omegas[:, idx]
         wnorm = float(np.linalg.norm(w))
         if wnorm == 0.0:
             raise ValueError("weight function vanished at the given point")
         singular_err = float(np.linalg.norm(raising @ w)) / wnorm
         rows.append(check(f"bethe_singular_{idx}", singular_err, 0.0, singular_err,
                           singular_err <= tol))
-        lhs, rhs = gram[idx][idx], complex(hess_det(p.arrangement, tuple(t)))
+        lhs, rhs = values[idx][idx], complex(hess_det(p.arrangement, tuple(t)))
         rows.append(check(f"bethe_norm_{idx}", lhs, rhs, abs(lhs - rhs),
                           abs(lhs - rhs) / max(abs(rhs), 1e-300) <= tol))
         for s, mat in enumerate(p.hamiltonians):
@@ -501,11 +500,11 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
                               err <= tol))
         others = [j for j in range(len(points)) if j != idx]
         for o, j in enumerate(others):
-            value = gram[idx][j]
-            scale = math.sqrt(abs(gram[idx][idx]) * abs(gram[j][j]))
+            value = values[idx][j]
+            scale = math.sqrt(abs(values[idx][idx]) * abs(values[j][j]))
             rows.append(check(f"bethe_orthogonality_{idx}_{o}", value, 0.0, abs(value),
                               abs(value) <= tol * max(scale, 1e-300)))
-    rank = int(np.linalg.matrix_rank(np.array(gram))) if points else 0
+    rank = int(np.linalg.matrix_rank(np.array(values))) if points else 0
     sing_dim = singular_dimension(p)
     rows.append(check("gram_rank_vs_sing_dim", rank, sing_dim, abs(rank - sing_dim),
                       rank == len(points) == sing_dim))
@@ -540,22 +539,23 @@ def verify_shap_correspondence(p: GaudinProblem) -> dict:
 def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> list[dict]:
     """The coordinates of omega over F_I v against the flag-space pairing
     chain: S_V(omega(t), omega(t')) = (-1)^k k_1!...k_r! S^(a)(v-(t), v-(t'))
-    with v- the sign-isotypic projection of the specialization.  One row
+    with v- the sign-isotypic projection of the specialization, each side
+    one shapovalov.gram (of special.isotypic_values on the right).  One row
     per pair of the points t and t2; abs_err is relative to
     max(|lhs|, |rhs|, 1)."""
     arr = p.arrangement
-    action = full_symmetric_action(arr, p.k, "sign")
+    action = full_symmetric_action(arr, "sign")
     factor = Fraction(_factorial_product(p.kvec)) * (-1) ** p.k
 
     points = [tuple(t)] + ([tuple(t2)] if t2 is not None else [])
-    omegas = [canonical_weight_function(p, pt) for pt in points]
-    projections = [isotypic_project(arr, action, pt) for pt in points]
+    omegas, weights = _weight_function_columns(p, points)
+    x, c = isotypic_values(arr, action, points)
+    module_side, flag_side = gram(omegas, weights, omegas).tolist(), gram(x, c, x).tolist()
 
     rows = []
     pairs = itertools.combinations_with_replacement(range(len(points)), 2)
     for i, (i1, i2) in enumerate(pairs):
-        lhs = tensor_shapovalov(p, omegas[i1], omegas[i2])
-        rhs = factor * shapovalov_form(arr, projections[i1], projections[i2])
+        lhs, rhs = module_side[i1][i2], factor * flag_side[i1][i2]
         err = scalar_abs(lhs - rhs)
         scale = max(scalar_abs(lhs), scalar_abs(rhs), 1.0)
         rows.append(check(f"canonical_element_{i}", lhs, rhs, err / scale, err <= tol * scale))

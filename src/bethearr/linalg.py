@@ -275,10 +275,10 @@ def solve_coords(basis_rows, target):
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right kernel {v : A v = 0} of the matrix with given rows:
-    one vector per non-pivot column, 1 there and 0 in the other non-pivot
-    columns.  At rational input its entry at pivot column c is minus that
-    of the reduced echelon row with pivot c."""
+    """Basis of the right kernel {v : A v = 0} of the matrix with given rows.
+    At rational input: per non-pivot column f, 1 at f, 0 at the others and
+    minus the entry at f of the reduced echelon row with pivot c at each
+    pivot column c.  Else the SVD's orthonormal one, in Python complex."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if _matrix_exact(rows):
@@ -310,7 +310,7 @@ def nullspace(rows, ncols=None):
     _, s, vh = np.linalg.svd(a)
     tol = _FLOAT_TOL * max(1.0, s[0] if s.size else 0.0)
     nz = int(np.sum(s > tol))
-    return [list(vh[i].conj()) for i in range(nz, ncols)]
+    return vh[nz:ncols].conj().tolist()
 
 
 def _bareiss(a) -> int:

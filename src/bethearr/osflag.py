@@ -24,17 +24,6 @@ class OSElement:
     degree: int
     coeffs: dict
 
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) + c
-        return OSElement(self.degree, {s: c for s, c in out.items() if c != 0})
-
-    def scale(self, c):
-        return OSElement(self.degree, {s: c * v for s, v in self.coeffs.items()})
-
 
 @dataclass(frozen=True)
 class FlagVector:
@@ -58,12 +47,6 @@ def straighten_coords(arr: WeightedArrangement, monomial) -> dict:
     exceeds the ambient dimension."""
     sorted_m, sign = sort_with_sign(monomial)
     return {i: sign * c for i, c in arr.basis_coords(sorted_m).items()}
-
-
-def straighten(arr: WeightedArrangement, monomial) -> OSElement:
-    coords = straighten_coords(arr, monomial)
-    basis = arr.basis(len(monomial))
-    return OSElement(len(monomial), {basis[i]: c for i, c in coords.items()})
 
 
 def d_A_matrix(arr: WeightedArrangement, p: int):

@@ -1,5 +1,6 @@
-"""Shapovalov map and bilinear form of a weighted arrangement, and the
-closed-form pairing of special vectors."""
+"""Shapovalov map and bilinear form of a weighted arrangement on flags, and
+`gram`: the Gram matrix of vectors known by their values, on which both
+S^(a) and the Gaudin S_V are diagonal."""
 
 from __future__ import annotations
 
@@ -73,10 +74,17 @@ def top_forms(arr: WeightedArrangement, points):
     return d[:, None] / np.prod(f[members], axis=1), np.prod(a[members], axis=1), (f, B, a)
 
 
+def gram(x, c, y):
+    """x^T diag(c) y: the Gram matrix of the columns of x against those of y
+    under the form that is diagonal with weights c on their coordinates."""
+    return x.T @ (c[:, None] * y)
+
+
 def special_gram(arr: WeightedArrangement, points):
-    """G_il = S^(a)(v(t_i), v(t_l)) = (u^T diag(c) u)_il with (u, c) from top_forms."""
+    """G_il = S^(a)(v(t_i), v(t_l)): the gram of the top_forms values u with
+    the exponent products c."""
     u, c, _ = top_forms(arr, points)
-    return u.T @ (c[:, None] * u)
+    return gram(u, c, u)
 
 
 def special_pairing(arr: WeightedArrangement, t1, t2) -> Scalar:

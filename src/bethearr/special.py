@@ -1,7 +1,7 @@
 """Special vectors: the specialization map into the top flag space, the
 criticality/norm/orthogonality verifications, and symmetry actions with
 one-dimensional isotypic projections of special vectors, read from the
-special vectors along the orbit of the point."""
+special vectors along the orbit of the point, all paired by shapovalov.gram."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .arrangement import WeightedArrangement, sort_with_sign
 from .master import hess_det
 from .osflag import FlagVector, delta_F_matrix
 from .scalars import scalar_abs
-from .shapovalov import shapovalov_form, special_gram, top_forms
+from .shapovalov import gram, special_gram, top_forms
 
 
 def _basis_rows(arr: WeightedArrangement) -> list[int]:
@@ -53,14 +53,14 @@ def _norm_row(name, lhs, rhs, tol) -> dict:
     return check(name, lhs, rhs, abs_err, abs_err <= tol * max(scalar_abs(rhs), 1e-300))
 
 
-def _orthogonality_rows(gram, tol) -> list[dict]:
+def _orthogonality_rows(g, tol) -> list[dict]:
     """Gram entry G_il against 0 for each pair i < l, within tol relative to
     the geometric mean of |G_ii| and |G_ll| (scale-free in the exponents)."""
     rows = []
-    for i, l in itertools.combinations(range(len(gram)), 2):
-        abs_err = scalar_abs(gram[i][l])
-        scale = math.sqrt(scalar_abs(gram[i][i]) * scalar_abs(gram[l][l]))
-        rows.append(check(f"orthogonality_{i}_{l}", gram[i][l], 0.0, abs_err,
+    for i, l in itertools.combinations(range(len(g)), 2):
+        abs_err = scalar_abs(g[i][l])
+        scale = math.sqrt(scalar_abs(g[i][i]) * scalar_abs(g[l][l]))
+        rows.append(check(f"orthogonality_{i}_{l}", g[i][l], 0.0, abs_err,
                           abs_err <= tol * max(scale, 1e-300)))
     return rows
 
@@ -72,38 +72,37 @@ def point_checks(arr: WeightedArrangement, points, controls, tol=1e-8) -> list[d
     point, control_point_j (verify_singular at 1e-8); then orthogonality_i_l
     at max(tol, 1e-10).  One top_forms evaluation gives every v(t), as the
     basis rows of u, and every gradient B^T (a/f); delta is built once, and
-    the norm and orthogonality rows read one Gram matrix u^T diag(c) u."""
+    the norm and orthogonality rows read one gram of u."""
     k, m = arr.ambient_dim, len(points)
     u, c, (f, B, a) = top_forms(arr, [*points, *controls])
     v = u[_basis_rows(arr)]
     delta = np.array(delta_F_matrix(arr, k), dtype=u.dtype)
     delta_norm = [d / max(1.0, n) for d, n in zip(_column_norms(delta @ v), _column_norms(v))]
     grad_norm = _column_norms(B.T @ (a[:, None] / f))
-    gram = (u[:, :m].T @ (c[:, None] * u[:, :m])).tolist()
+    g = gram(u[:, :m], c, u[:, :m]).tolist()
     rows, critical_tol = [], max(tol, 1e-8)
     for i, t in enumerate(points):
         ok = grad_norm[i] <= critical_tol and delta_norm[i] <= critical_tol
         rows.append(check(f"singular_at_critical_{i}", delta_norm[i], 0.0, delta_norm[i], ok))
-        rows.append(_norm_row(f"norm_identity_{i}", gram[i][i], (-1) ** k * hess_det(arr, t), tol))
+        rows.append(_norm_row(f"norm_identity_{i}", g[i][i], (-1) ** k * hess_det(arr, t), tol))
     for j in range(m, u.shape[1]):
         rows.append(_singular_row(f"control_point_{j - m + 1}", delta_norm[j], grad_norm[j], 1e-8))
-    return rows + _orthogonality_rows(gram, max(tol, 1e-10))
+    return rows + _orthogonality_rows(g, max(tol, 1e-10))
 
 
-def verify_singular(arr: WeightedArrangement, t, tol=1e-8, name="singular") -> dict:
+def verify_singular(arr: WeightedArrangement, t, tol=1e-8) -> dict:
     """Criticality of t vs singularity of v(t): the control row of
     point_checks at t, lhs |delta v(t)| / max(1, |v(t)|) and rhs |grad ln
     Phi(t)|, judged at tol."""
     row = point_checks(arr, [], [t])[0]
-    return _singular_row(name, row["lhs"], row["rhs"], tol)
+    return _singular_row("singular", row["lhs"], row["rhs"], tol)
 
 
-def verify_norm_identity(arr: WeightedArrangement, t, tol=1e-8,
-                         name="norm_identity") -> dict:
+def verify_norm_identity(arr: WeightedArrangement, t, tol=1e-8) -> dict:
     """S^(a)(v(t), v(t)), the one entry of special_gram(arr, [t]), against
     (-1)^k Hess^(a)(t), within tol relative to |rhs|."""
     lhs = special_gram(arr, [t]).tolist()[0][0]
-    return _norm_row(name, lhs, (-1) ** arr.ambient_dim * hess_det(arr, t), tol)
+    return _norm_row("norm_identity", lhs, (-1) ** arr.ambient_dim * hess_det(arr, t), tol)
 
 
 def orthogonality_checks(arr: WeightedArrangement, points, tol=1e-10) -> list[dict]:
@@ -111,10 +110,9 @@ def orthogonality_checks(arr: WeightedArrangement, points, tol=1e-10) -> list[di
     return _orthogonality_rows(special_gram(arr, points).tolist(), tol)
 
 
-def verify_orthogonality(arr: WeightedArrangement, t1, t2, tol=1e-10,
-                         name="orthogonality") -> dict:
+def verify_orthogonality(arr: WeightedArrangement, t1, t2, tol=1e-10) -> dict:
     """The orthogonality_checks row of the two points."""
-    return {**orthogonality_checks(arr, [t1, t2], tol)[0], "name": name}
+    return {**orthogonality_checks(arr, [t1, t2], tol)[0], "name": "orthogonality"}
 
 
 # -- symmetry actions ------------------------------------------------------
@@ -191,30 +189,41 @@ def build_action(arr: WeightedArrangement, perms, character="trivial") -> Symmet
     return SymmetryAction(perms=tuple(perms), hyperplane_perms=hp, character=character)
 
 
-def isotypic_project(arr: WeightedArrangement, action: SymmetryAction, t) -> FlagVector:
-    """v_chi(t) = (1/|G|) sum_g chi(g) sign(g) v(g.t), the projection of v(t)
-    onto the isotypic component of the (one-dimensional, real) character,
-    since R_g v(t) = sign(g) v(g.t).  One top_forms evaluation of the orbit
-    gives every v(g.t); exact at rational input, else complex."""
-    u, _, _ = top_forms(arr, [apply_permutation(p, t) for p in action.perms])
+def isotypic_values(arr: WeightedArrangement, action: SymmetryAction, points):
+    """(x, c): x_{S,i} is the value on the subset S of top_minors() of
+    v_chi(t_i) = (1/|G|) sum_g chi(g) sign(g) v(g.t_i), the projection of
+    v(t_i) onto the isotypic component of the (one-dimensional, real)
+    character since R_g v(t) = sign(g) v(g.t), and c is that of top_forms,
+    whose one evaluation of every orbit gives each v(g.t_i): exact at
+    rational input, else complex."""
+    points = list(points)
+    orbits = [apply_permutation(p, t) for t in points for p in action.perms]
+    u, c, _ = top_forms(arr, orbits)
     weights = np.array([Fraction(action.chi(i) * permutation_sign(p), len(action))
                         for i, p in enumerate(action.perms)], dtype=u.dtype)
-    return FlagVector(arr.ambient_dim, tuple((u[_basis_rows(arr)] @ weights).tolist()))
+    return u.reshape(len(u), len(points), len(action)) @ weights, c
+
+
+def isotypic_project(arr: WeightedArrangement, action: SymmetryAction, t) -> FlagVector:
+    """v_chi(t) as a flag: the basis rows of isotypic_values."""
+    x, _ = isotypic_values(arr, action, [t])
+    return FlagVector(arr.ambient_dim, tuple(x[_basis_rows(arr), 0].tolist()))
 
 
 def verify_isotypic_norm(arr: WeightedArrangement, action: SymmetryAction, t,
                          tol=1e-8) -> dict:
-    """S^(a)(v_j(t), v_j(t)) against c (-1)^k Hess^(a)(t) with c = 1/|G| for
-    a real one-dimensional character, within tol relative to |rhs|.
-    Requires a free orbit."""
+    """S^(a)(v_j(t), v_j(t)), the gram of isotypic_values, against
+    c (-1)^k Hess^(a)(t) with c = 1/|G| for a real one-dimensional
+    character, within tol relative to |rhs|.  Requires a free orbit."""
     orbit = {tuple(complex(x) for x in apply_permutation(p, t)) for p in action.perms}
     if len(orbit) != len(action):
         raise ValueError("orbit smaller than the group; identity not applicable")
-    vj = isotypic_project(arr, action, t)
-    lhs = shapovalov_form(arr, vj, vj)
+    x, c = isotypic_values(arr, action, [t])
+    lhs = gram(x, c, x).tolist()[0][0]
     rhs = Fraction(1, len(action)) * (-1) ** arr.ambient_dim * hess_det(arr, t)
     return _norm_row("isotypic_norm", lhs, rhs, tol)
 
 
-def full_symmetric_action(arr: WeightedArrangement, k: int, character="trivial"):
-    return build_action(arr, list(itertools.permutations(range(k))), character)
+def full_symmetric_action(arr: WeightedArrangement, character="trivial"):
+    """Every permutation of the arrangement's coordinates."""
+    return build_action(arr, list(itertools.permutations(range(arr.ambient_dim))), character)

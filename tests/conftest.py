@@ -2,14 +2,15 @@
 known, hand-checked properties, and a hypothesis strategy for random small
 arrangements."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import reject
 from hypothesis import strategies as st
 
-from bethearr.arrangement import Hyperplane, WeightedArrangement
-from bethearr.gaudin import CartanDatum, GaudinProblem
+from bethearr.arrangement import Hyperplane, WeightedArrangement, with_exponents
+from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
 
 F = Fraction
 
@@ -24,6 +25,15 @@ def point_arrangement(zs, exponents=None):
     if exponents is None:
         exponents = [F(1)] * len(zs)
     return WeightedArrangement(1, hyperplanes, exponents)
+
+
+def negated_diagonals(p: GaudinProblem) -> WeightedArrangement:
+    """build_discriminantal(p) with its C(k, 2) diagonal exponents, which
+    come last, negated: the convention the Shapovalov correspondence rules
+    out."""
+    arr = build_discriminantal(p)
+    d = math.comb(p.k, 2)
+    return with_exponents(arr, arr.exponents[:-d] + tuple(-a for a in arr.exponents[-d:]))
 
 
 @st.composite

@@ -29,6 +29,9 @@ Rank-per-row references for the flats: `rank_report` from two ranks,
 every ordering of each basis monomial for one whose chain of prefix
 closures is the tuple's.  The search costs p! chains per monomial.
 
+Straightening into an OSElement: the coordinates of an ordered monomial
+keyed by basis monomial rather than basis index.
+
 Dense references for the Shapovalov form and map: every weighted top
 subset pairs with the flags by a full dot product of its straightened
 coordinates, zeros included (dense() fills in the zeros that the library's
@@ -227,6 +230,13 @@ def flag_vector(arr: WeightedArrangement, indices, flat) -> tuple:
                 break
         coords.append(value)
     return tuple(coords)
+
+
+def straighten(arr: WeightedArrangement, monomial) -> OSElement:
+    """straighten_coords of the monomial, keyed by basis monomial."""
+    basis = arr.basis(len(monomial))
+    return OSElement(len(monomial), {basis[i]: c for i, c in
+                                     straighten_coords(arr, monomial).items()})
 
 
 def dense(coords: dict, size: int) -> list:

@@ -18,7 +18,7 @@ from bethearr.master import find_critical_points, hess_det, log_grad, log_hessia
 from bethearr.shapovalov import shapovalov_form, special_pairing
 from bethearr.special import (full_symmetric_action, specialize, verify_norm_identity,
                               verify_singular)
-from conftest import point_arrangement
+from conftest import negated_diagonals, point_arrangement
 import os_oracle
 
 F = Fraction
@@ -169,7 +169,7 @@ def test_criterion_7_shapovalov_correspondence(gaudin_2x2, gaudin_2x1):
     ok = r2["pass"] and r2["lhs"] == 2
     ok = ok and r1["pass"] and r1["lhs"] == 1
     # the negated diagonal convention must break the identity
-    arr_alt = build_discriminantal(gaudin_2x2, diagonal_sign=-1)
+    arr_alt = negated_diagonals(gaudin_2x2)
     basis = weight_basis(gaudin_2x2)
     flags = {c: composition_flag(gaudin_2x2, arr_alt, c) for c in basis}
     alt = [shapovalov_form(arr_alt, flags[c], flags[c]) for c in basis]
@@ -191,7 +191,7 @@ def test_criterion_8_commutativity_and_invariants(gaudin_2x1, gaudin_3x1,
             ok = ok and os_oracle.mat_mul(a, b) == os_oracle.mat_mul(b, a)
 
     arr = build_discriminantal(gaudin_2x2)
-    action = full_symmetric_action(arr, 2)
+    action = full_symmetric_action(arr)
     f1 = specialize(arr, (F(1, 3), F(7, 5)))
     f2 = specialize(arr, (F(9, 4), F(-2, 7)))
     reference = shapovalov_form(arr, f1, f2)

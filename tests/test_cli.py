@@ -327,6 +327,36 @@ class TestGaudin:
             "canonical_element_0", "canonical_element_1", "canonical_element_2",
         ]
 
+    @pytest.mark.parametrize("weights, k, sing_dim", [
+        ((2, 2), 2, 1), ((2, 2, 2), 2, 3), ((1, 1, 1, 1), 2, 2), ((2, 2, 2), 3, 1)])
+    def test_rows_in_order_and_passing(self, tmp_path, capsys, weights, k, sing_dim):
+        """Per orbit idx: bethe_singular_idx, bethe_norm_idx, one
+        bethe_eigenvector_idx_Ks per marked point and one
+        bethe_orthogonality_idx_o per other orbit; then the Gram row, and at
+        k <= 3 the correspondence row and one canonical_element row per pair
+        of the first two orbits.  All pass, and the exit code is 0."""
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "cartan": {"rank": 1, "A": [[2]]},
+            "weights": [[m] for m in weights],
+            "k": [k],
+            "z": [f"{z}/1" for z in (0, 1, 3, 7)[:len(weights)]],
+        }))
+        code, out, _ = run_main(["gaudin", str(path)], capsys)
+        report = json.loads(out)
+        orbits = report["n_orbits"]
+        assert orbits == report["sing_dim"] == sing_dim
+        names = []
+        for idx in range(orbits):
+            names += [f"bethe_singular_{idx}", f"bethe_norm_{idx}"]
+            names += [f"bethe_eigenvector_{idx}_K{s + 1}" for s in range(len(weights))]
+            names += [f"bethe_orthogonality_{idx}_{o}" for o in range(orbits - 1)]
+        names += ["gram_rank_vs_sing_dim", "shapovalov_correspondence"]
+        names += [f"canonical_element_{i}" for i in range(3 if orbits > 1 else 1)]
+        assert [c["name"] for c in report["checks"]] == names
+        assert all(c["pass"] for c in report["checks"]) and report["pass"]
+        assert code == 0
+
     def test_one_arrangement_and_one_set_of_hamiltonians(self, gaudin_file, capsys,
                                                            monkeypatch):
         """A run builds the discriminantal arrangement once and each of the

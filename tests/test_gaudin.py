@@ -24,6 +24,8 @@ from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
 from bethearr.master import (CriticalPoint, find_critical_points, group_orbits, log_grad,
                              newton_solve)
 from bethearr.shapovalov import shapovalov_form
+from bethearr.special import full_symmetric_action, specialize
+from conftest import negated_diagonals
 import os_oracle
 from os_oracle import symmetric_group
 
@@ -81,10 +83,6 @@ class TestDiscriminantal:
         assert arr.n == 5
         assert arr.exponents == (F(-2),) * 4 + (F(2),)
         assert arr.hyperplanes[-1].b == (F(1), F(-1))
-
-    def test_alternative_diagonal_sign(self, gaudin_2x2):
-        arr = build_discriminantal(gaudin_2x2, diagonal_sign=-1)
-        assert arr.exponents[-1] == F(-2)
 
     def test_k0_rejected(self, sl2):
         p = GaudinProblem(sl2, ((1,),), (0,), (F(0),))
@@ -330,6 +328,30 @@ class TestVerifyBethe:
         prod = complex(points[0].hess_det) * complex(points[1].hess_det)
         assert abs(np.linalg.det(gram) - prod) <= 1e-8 * abs(prod)
 
+    @pytest.mark.parametrize("case", ["critical", "arbitrary"])
+    def test_gram_is_pairwise_tensor_shapovalov(self, gaudin_3x1, gaudin_2x2, case):
+        """The norm and orthogonality values are the pairwise
+        tensor_shapovalov values of the omega(t), within 1e-13 relative to
+        the geometric mean of the two norms: at the two critical points of
+        m = (1, 1, 1), k = 1, and at three arbitrary points of m = (2, 2)."""
+        if case == "critical":
+            p = gaudin_3x1
+            points = [cp.t for cp in find_critical_points(p.arrangement, seed=0, n_starts=60)]
+        else:
+            p = gaudin_2x2
+            points = [(0.3 + 0.2j, 2.5 - 0.1j), (F(1, 3), F(5, 2)), (-1.5j, 0.7 + 0.4j)]
+        omegas = [canonical_weight_function(p, t) for t in points]
+        want = [[complex(tensor_shapovalov(p, a, b)) for b in omegas] for a in omegas]
+        rows = _rows(verify_bethe(p, points))
+        for i, j in itertools.product(range(len(points)), repeat=2):
+            if i == j:
+                got = rows[f"bethe_norm_{i}"]["lhs"]
+            else:
+                got = rows[f"bethe_orthogonality_{i}_{j - (j > i)}"]["lhs"]
+            scale = math.sqrt(abs(want[i][i]) * abs(want[j][j]))
+            assert type(got) is complex
+            assert abs(got - want[i][j]) <= 1e-13 * scale
+
     def test_one_of_two_bethe_vectors_fails_the_gram_row(self, gaudin_3x1):
         arr = build_discriminantal(gaudin_3x1)
         points = find_critical_points(arr, seed=0, n_starts=60)
@@ -447,7 +469,7 @@ class TestShapCorrespondence:
     def test_negated_diagonal_convention_fails(self, gaudin_2x2):
         """The correspondence pins the diagonal exponent sign: with the
         negated convention the flag-side values change."""
-        arr = build_discriminantal(gaudin_2x2, diagonal_sign=-1)
+        arr = negated_diagonals(gaudin_2x2)
         basis = weight_basis(gaudin_2x2)
         flags = {c: composition_flag(gaudin_2x2, arr, c) for c in basis}
         values = [shapovalov_form(arr, flags[c], flags[c]) for c in basis]
@@ -471,3 +493,34 @@ class TestCanonicalElement:
             gaudin_2x2, (F(1, 3), F(5, 2)), (F(9, 4), F(-3, 7))
         )
         assert all(r["pass"] for r in rows)
+
+    @pytest.mark.parametrize("weights, k", [((2, 2), 2), ((2, 2, 2), 3)])
+    def test_both_sides_match_the_straightened_oracle(self, sl2, weights, k):
+        """Row (a, b): lhs is tensor_shapovalov(omega(t_a), omega(t_b)) and
+        rhs is (-1)^k k! S^(a)(v-(t_a), v-(t_b)), v- the oracle projector
+        applied to v(t) and S^(a) the dense straightened oracle form.  Equal
+        Fractions at rational points, within 1e-12 relative at complex
+        ones."""
+        p = GaudinProblem(sl2, tuple((m,) for m in weights), (k,),
+                          tuple(map(F, (0, 1, 3)[:len(weights)])))
+        arr = p.arrangement
+        action = full_symmetric_action(arr, "sign")
+        factor = (-1) ** k * math.factorial(k)
+        exact = [tuple(F(2 * i + 1, 7 + i) for i in range(k)),
+                 tuple(F(-3 * i - 2, 5 + 2 * i) for i in range(k))]
+        inexact = [tuple(complex(x) + 0.3j * (i + 1) for i, x in enumerate(t)) for t in exact]
+        for points in (exact, inexact):
+            rows = verify_canonical_element(p, *points)
+            omegas = [canonical_weight_function(p, t) for t in points]
+            flags = [os_oracle.isotypic_project(arr, action, specialize(arr, t)) for t in points]
+            pairs = itertools.combinations_with_replacement(range(2), 2)
+            for row, (a, b) in zip(rows, pairs, strict=True):
+                lhs = tensor_shapovalov(p, omegas[a], omegas[b])
+                rhs = factor * os_oracle.shapovalov_form(arr, flags[a], flags[b])
+                assert rhs != 0
+                if points is exact:
+                    assert isinstance(row["rhs"], F)
+                    assert (row["lhs"], row["rhs"]) == (lhs, rhs)
+                else:
+                    assert abs(row["lhs"] - lhs) <= 1e-12 * abs(lhs)
+                    assert abs(row["rhs"] - rhs) <= 1e-12 * abs(rhs)

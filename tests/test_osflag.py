@@ -3,14 +3,16 @@ duality pairing, flag vectors, form evaluation, singular subspace."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bethearr import linalg
+from bethearr.arrangement import with_exponents
 from bethearr.osflag import (FlagVector, OSElement, d_A_matrix,
                              delta_F_matrix, flag_vector, pairing,
-                             singular_basis, straighten, straighten_coords)
+                             singular_basis, straighten_coords)
 from bethearr.special import specialize
 import os_oracle
 
@@ -37,7 +39,7 @@ class TestStraighten:
         assert straighten_coords(concurrent3, (1, 2)) == {0: F(-1), 1: F(1)}
 
     def test_straighten_element(self, concurrent3):
-        eta = straighten(concurrent3, (2, 1))
+        eta = os_oracle.straighten(concurrent3, (2, 1))
         assert eta.coeffs == {(0, 1): F(1), (0, 2): F(-1)}
 
     def test_non_general_position_vanishes(self):
@@ -125,6 +127,20 @@ class TestSingularBasis:
     def test_killed_by_delta(self, generic4):
         for v in singular_basis(generic4):
             assert all(x == 0 for x in os_oracle.apply_delta(generic4, v).coords)
+
+    def test_complex_exponents_give_python_complex_coordinates(self, generic4):
+        """At complex exponents the basis comes from the SVD of delta; its
+        coordinates are Python complex numbers, whose repr does not depend
+        on the numpy version, with the values of the conjugated right
+        singular vectors of the kernel."""
+        arr = with_exponents(generic4, [complex(a, i + 1) for i, a in
+                                        enumerate(generic4.exponents)])
+        basis = singular_basis(arr)
+        assert len(basis) == 3
+        assert all(type(x) is complex for v in basis for x in v.coords)
+        delta = np.array(delta_F_matrix(arr, 2), dtype=complex)
+        vh = np.linalg.svd(delta)[2]
+        assert [v.coords for v in basis] == [tuple(row) for row in vh[-3:].conj()]
 
 
 @settings(max_examples=30, deadline=None)

@@ -127,7 +127,7 @@ class TestSymmetryAction:
             build_action(self.scaled_pair([F(1), F(2)]), [(1, 0)])
 
     def test_equivariance(self, symmetric2):
-        action = full_symmetric_action(symmetric2, 2)
+        action = full_symmetric_action(symmetric2)
         t = (F(1, 3), F(7, 5))
         for idx, sigma in enumerate(action.perms):
             lhs = specialize(symmetric2, apply_permutation(sigma, t))
@@ -136,7 +136,7 @@ class TestSymmetryAction:
             assert lhs.coords == tuple(rho * x for x in rhs.coords)
 
     def test_form_invariance(self, symmetric2):
-        action = full_symmetric_action(symmetric2, 2)
+        action = full_symmetric_action(symmetric2)
         f1 = specialize(symmetric2, (F(1, 3), F(7, 5)))
         f2 = specialize(symmetric2, (F(9, 4), F(-2, 7)))
         for idx in range(len(action)):
@@ -147,7 +147,7 @@ class TestSymmetryAction:
 
     def test_action_is_representation(self, symmetric2):
         """R_g R_h = R_gh on every unit flag, and the identity acts trivially."""
-        action = full_symmetric_action(symmetric2, 2)
+        action = full_symmetric_action(symmetric2)
         n = len(symmetric2.basis(2))
         units = [FlagVector(2, tuple(F(int(i == j)) for j in range(n))) for i in range(n)]
         act = os_oracle.apply_flag_action
@@ -166,7 +166,7 @@ class TestSymmetryAction:
         else:
             arr = build_discriminantal(GaudinProblem(
                 CartanDatum.sl2(), ((2,), (2,), (2,)), (3,), (F(0), F(1), F(3))))
-        action = full_symmetric_action(arr, arr.ambient_dim, "sign")
+        action = full_symmetric_action(arr, "sign")
         flag = specialize(arr, tuple(F(2 * i + 1, 7 + i) for i in range(arr.ambient_dim)))
         for idx in range(len(action)):
             assert os_oracle.apply_flag_action(arr, action, idx, flag) == \
@@ -175,7 +175,7 @@ class TestSymmetryAction:
     def test_isotypic_projection_idempotent(self, symmetric2):
         """The oracle projector fixes the projection of a special vector."""
         for character in ("trivial", "sign"):
-            action = full_symmetric_action(symmetric2, 2, character)
+            action = full_symmetric_action(symmetric2, character)
             p1 = isotypic_project(symmetric2, action, (F(1, 3), F(7, 5)))
             p2 = os_oracle.isotypic_project(symmetric2, action, p1)
             assert p1.coords == p2.coords
@@ -194,7 +194,7 @@ class TestSymmetryAction:
             arr = build_discriminantal(GaudinProblem(
                 CartanDatum.sl2(), ((2,), (2,), (2,)), (3,), (F(0), F(1), F(3))))
         k = arr.ambient_dim
-        action = full_symmetric_action(arr, k, character)
+        action = full_symmetric_action(arr, character)
         exact = tuple(F(2 * i + 1, 7 + i) for i in range(k))
         got = isotypic_project(arr, action, exact)
         assert all(isinstance(x, F) for x in got.coords)
@@ -213,8 +213,31 @@ class TestSymmetryAction:
             if abs(cp.t[0] - cp.t[1]) > 1e-6 and cp.nondegenerate
         ]
         assert free
-        action = full_symmetric_action(symmetric2, 2, "sign")
+        action = full_symmetric_action(symmetric2, "sign")
         r = verify_isotypic_norm(symmetric2, action, free[0].t)
         scale = max(abs(complex(r["rhs"])), 1.0)
         assert r["abs_err"] <= 1e-8 * scale
         assert r["pass"]
+
+    @pytest.mark.parametrize("character", ["trivial", "sign"])
+    @pytest.mark.parametrize("case", ["symmetric2", "gaudin_2x2"])
+    def test_isotypic_norm_is_the_straightened_form(self, case, character, request):
+        """lhs, the gram of isotypic_values, is S^(a) of the oracle projector
+        applied to v(t), both flags straightened by the dense oracle form:
+        equal Fractions at a rational point, within 1e-12 relative at a
+        complex one."""
+        arr = request.getfixturevalue(case)
+        if case == "gaudin_2x2":
+            arr = arr.arrangement
+        action = full_symmetric_action(arr, character)
+        exact = (F(1, 3), F(7, 5))
+        point = (complex(exact[0], 0.3), complex(exact[1], -0.6))
+        for t in (exact, point):
+            flag = os_oracle.isotypic_project(arr, action, specialize(arr, t))
+            want = os_oracle.shapovalov_form(arr, flag, flag)
+            assert want != 0
+            got = verify_isotypic_norm(arr, action, t)["lhs"]
+            if t is exact:
+                assert isinstance(got, F) and got == want
+            else:
+                assert abs(got - complex(want)) <= 1e-12 * abs(complex(want))
