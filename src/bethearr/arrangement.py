@@ -95,6 +95,7 @@ class _Core:
         self.levels = None      # hyperplanes of each level, or False: see levels()
         self.nbc = {}           # p -> nbc p-subsets, lex order
         self.bases = {}       # p -> nbc basis of A^p
+        self.basis_index = {}  # p -> {basis monomial: its position in bases[p]}
         self.basis_paths = {}  # p -> how bases[p] was found: see basis_path()
         self.coords = {}      # sorted monomial -> coordinates over its basis
         self.equations = None  # (b0, B) as float arrays
@@ -457,6 +458,14 @@ class WeightedArrangement:
         self.basis(p)
         return self._core.basis_paths[p]
 
+    def basis_index(self, p: int) -> dict:
+        """{monomial: position} over basis(p).  Memoized; callers must not
+        mutate the result."""
+        core = self._core
+        if p not in core.basis_index:
+            core.basis_index[p] = {s: i for i, s in enumerate(self.basis(p))}
+        return core.basis_index[p]
+
     def basis_coords(self, subset) -> dict:
         """Coordinates of a sorted monomial e_S over basis(p), p = len(S), as
         {basis index: coefficient} with ascending keys and no zero value.
@@ -472,10 +481,10 @@ class WeightedArrangement:
         subset = tuple(subset)
         core = self._core
         if subset not in core.coords:
-            basis = self.basis(len(subset))
+            index = self.basis_index(len(subset))
             coords = {}
-            if subset in basis:
-                coords[basis.index(subset)] = Fraction(1)
+            if subset in index:
+                coords[index[subset]] = Fraction(1)
             elif self.general_position(subset):
                 circuit = next(c for c in core.relations if set(c[1:]) <= set(subset))
                 rest = tuple(j for j in subset if j not in circuit)

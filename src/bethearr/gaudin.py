@@ -21,10 +21,10 @@ import numpy as np
 from . import linalg
 from .arrangement import Hyperplane, WeightedArrangement
 from .master import hess_det
-from .osflag import flag_vector, pairing
+from .osflag import FlagVector, chain_pairing
 from .scalars import (Scalar, format_scalar, parse_scalar, scalar_abs, to_int,
                       to_rational)
-from .shapovalov import gram, shapovalov_map
+from .shapovalov import gram, top_forms, top_index
 from .special import check, full_symmetric_action, isotypic_values, permutation_sign
 
 
@@ -91,6 +91,7 @@ class GaudinProblem:
             raise ValueError("k vector length must equal the rank")
         if any(k < 0 or k != int(k) for k in self.kvec):
             raise ValueError("k entries must be nonnegative integers")
+        object.__setattr__(self, "kvec", tuple(map(int, self.kvec)))
         if len(self.z) != len(self.weights):
             raise ValueError("need one marked point per weight")
         if len(set(self.z)) != len(self.z):
@@ -137,6 +138,15 @@ class GaudinProblem:
     def shapovalov_weights(self) -> dict:
         """{composition: module_shapovalov_value}, in weight_basis order."""
         return {comp: module_shapovalov_value(self, comp) for comp in weight_basis(self)}
+
+    @cached_property
+    def eigenvalue_constants(self) -> tuple:
+        """lambda_s = sum_{u != s} m_s m_u / (2 (z_s - z_u)): the eigenvalue
+        of K_s on v, the constant term of bethe_eigenvalue."""
+        m = self.sl2_highest_weights()
+        return tuple(sum((Fraction(m[s] * m[u], 2) / (self.z[s] - self.z[u])
+                          for u in range(self.n) if u != s), start=Fraction(0))
+                     for s in range(self.n))
 
     @cached_property
     def singular_vectors(self) -> list:
@@ -277,7 +287,7 @@ def canonical_weight_function(p: GaudinProblem, t) -> TensorVector:
                     key = comp[:s] + (comp[s] + 1,) + comp[s + 1:]
                     grown[key] = grown.get(key, 0) + value * inverse
         partial = grown
-    basis = tuple(weight_basis(p))
+    basis = tuple(p.shapovalov_weights)
     return TensorVector(basis, tuple(partial[comp] for comp in basis))
 
 
@@ -387,7 +397,7 @@ def bethe_roots(p: GaudinProblem) -> list[tuple]:
     # coefficients outside span(1, z): sum K_s vanishes and sum z_s K_s is scalar on Sing
     mix = sum(math.cos(s + 1) * h for s, h in enumerate(restricted))
     z = [complex(x) for x in p.z]
-    lam = [complex(bethe_eigenvalue(p, (), s)) for s in range(p.n)]
+    lam = list(map(complex, p.eigenvalue_constants))
     # coefficients from x^0 up: Z, Q and Z / (x - z_s)
     zpoly = np.polynomial.polynomial.polyfromroots(z)
     others = [np.polynomial.polynomial.polyfromroots(z[:s] + z[s + 1:]) for s in range(p.n)]
@@ -416,28 +426,32 @@ def bethe_roots(p: GaudinProblem) -> list[tuple]:
 # -- flags of the discriminantal arrangement ---------------------------------
 
 
-def _factorial_product(kvec) -> int:
-    out = 1
-    for ki in kvec:
-        out *= math.factorial(int(ki))
-    return out
+def _composition_pairings(p: GaudinProblem, arr: WeightedArrangement, comp,
+                          index: dict) -> dict:
+    """{index[S]: k_1!...k_r! <e_S, f_I>}, zeros dropped: the chain_pairing
+    of each ordering sigma of the variables, signed and summed.  Slot s takes
+    its block of variables in sigma-order, each with the hyperplane t_. - z_s.
+    ValueError unless I is a composition of k into n nonnegative slots."""
+    comp = tuple(comp)
+    if len(comp) != p.n or sum(comp) != p.k or any(j < 0 for j in comp):
+        raise ValueError(f"{comp} is not a composition of k = {p.k} into {p.n} slots")
+    slots = [s for s, j in enumerate(comp) for _ in range(j)]
+    total = {}
+    for sigma in itertools.permutations(range(p.k)):
+        sign = permutation_sign(sigma)
+        indices = [point_hyperplane_index(p, i, s) for i, s in zip(sigma, slots)]
+        for row, value in chain_pairing(arr, indices, index).items():
+            total[row] = total.get(row, 0) + sign * value
+    return {row: value for row, value in total.items() if value}
 
 
-def composition_flag(p: GaudinProblem, arr: WeightedArrangement, comp):
+def composition_flag(p: GaudinProblem, arr: WeightedArrangement, comp) -> FlagVector:
     """f_I: the skew-symmetrized flag of the composition I, normalized by
-    1/(k_1!...k_r!).  Slot s consumes its block of variables in sigma-order,
-    each paired with the point hyperplane t_. - z_s."""
-    k = p.k
-    bounds = list(itertools.accumulate(comp, initial=0))
-    acc = None
-    for sigma in itertools.permutations(range(k)):
-        indices = []
-        for s in range(p.n):
-            for pos in range(bounds[s], bounds[s + 1]):
-                indices.append(point_hyperplane_index(p, sigma[pos], s))
-        fv = flag_vector(arr, tuple(indices)).scale(Fraction(permutation_sign(sigma)))
-        acc = fv if acc is None else acc + fv
-    return acc.scale(Fraction(1, _factorial_product(p.kvec)))
+    1/(k_1!...k_r!), over basis_index(k) (_composition_pairings)."""
+    index = arr.basis_index(p.k)
+    total = _composition_pairings(p, arr, comp, index)
+    factor = math.prod(map(math.factorial, p.kvec))
+    return FlagVector(p.k, tuple(Fraction(total.get(i, 0), factor) for i in range(len(index))))
 
 
 # -- verification reports -----------------------------------------------------
@@ -448,9 +462,7 @@ def bethe_eigenvalue(p: GaudinProblem, t, s: int):
     d log Phi / d z_s (Reshetikhin-Varchenko):
     sum_{u != s} m_s m_u / (2 (z_s - z_u)) + sum_i m_s / (t_i - z_s)."""
     m = p.sl2_highest_weights()
-    lam = sum((Fraction(m[s] * m[u], 2) / (p.z[s] - p.z[u])
-               for u in range(p.n) if u != s), start=Fraction(0))
-    return lam + sum(m[s] / (ti - p.z[s]) for ti in t)
+    return p.eigenvalue_constants[s] + sum(m[s] / (ti - p.z[s]) for ti in t)
 
 
 def _weight_function_columns(p: GaudinProblem, points, dtype=None):
@@ -511,26 +523,39 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
     return rows
 
 
+def composition_gram(p: GaudinProblem) -> list:
+    """S^(a)(f_I, f_J) over the weight_basis compositions, exactly: one gram
+    of the integers X_{S,I} = k_1!...k_r! <e_S, f_I> (_composition_pairings)
+    on the top subsets S that some f_I reaches, with the exponent products
+    c_S of top_forms times their common denominator, divided once."""
+    arr, factor = p.arrangement, math.prod(map(math.factorial, p.kvec))
+    index = top_index(arr)
+    columns = [_composition_pairings(p, arr, comp, index) for comp in weight_basis(p)]
+    rows = sorted(set().union(*columns))
+    x = np.array([[pairs.get(row, 0) for pairs in columns] for row in rows],
+                 dtype=object).reshape(len(rows), len(columns))
+    c = top_forms(arr, [])[1][rows]  # exact, as the exponents are
+    d = math.lcm(*(Fraction(v).denominator for v in c))
+    g = gram(x, np.array([int(v * d) for v in c], dtype=object), x)
+    return [[Fraction(v, d * factor ** 2) for v in row] for row in g.tolist()]
+
+
 def verify_shap_correspondence(p: GaudinProblem) -> dict:
     """Module Shapovalov values against arrangement flag values:
-    S_V(F_I v, F_J v) = (-1)^k factor * S^(a)(f_I, f_J).  lhs is the factor
-    read off the first pair where either side is nonzero, rhs the expected
-    k_1!...k_r!; every such pair must give exactly that factor.  Each f_I
-    is mapped once by the Shapovalov map, and S^(a)(f_I, f_J) is the
-    pairing of that image with f_J."""
-    arr = p.arrangement
+    S_V(F_I v, F_J v) = (-1)^k factor * S^(a)(f_I, f_J), from composition_gram.
+    lhs is the factor read off the first pair where either side is nonzero,
+    rhs the expected k_1!...k_r!; every such pair must give exactly it."""
     weights = p.shapovalov_weights
-    flags = {comp: composition_flag(p, arr, comp) for comp in weights}
-    images = {comp: shapovalov_map(arr, flag) for comp, flag in flags.items()}
+    g = composition_gram(p)
     ratios = []
-    for a, b in itertools.combinations_with_replacement(weights, 2):
+    for (i, a), (j, b) in itertools.combinations_with_replacement(enumerate(weights), 2):
         module_side = weights[a] if a == b else 0
-        arr_side = (-1) ** p.k * pairing(arr, images[a], flags[b])
+        arr_side = (-1) ** p.k * g[i][j]
         if arr_side != 0 and module_side != 0:
             ratios.append(module_side / arr_side)
         elif (arr_side == 0) != (module_side == 0):
             ratios.append(None)
-    expected = Fraction(_factorial_product(p.kvec))
+    expected = Fraction(math.prod(map(math.factorial, p.kvec)))
     ok = bool(ratios) and all(r == expected for r in ratios)
     return check("shapovalov_correspondence", ratios[0] if ratios else None, expected,
                  0 if ok else 1, ok)
@@ -545,7 +570,7 @@ def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> list[di
     max(|lhs|, |rhs|, 1)."""
     arr = p.arrangement
     action = full_symmetric_action(arr, "sign")
-    factor = Fraction(_factorial_product(p.kvec)) * (-1) ** p.k
+    factor = Fraction(math.prod(map(math.factorial, p.kvec))) * (-1) ** p.k
 
     points = [tuple(t)] + ([tuple(t2)] if t2 is not None else [])
     omegas, weights = _weight_function_columns(p, points)

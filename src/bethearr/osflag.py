@@ -4,11 +4,13 @@ Elements of A^p are stored as coordinates over the arrangement's nbc basis;
 flag vectors live in the dual coordinates.  Straightening an ordered
 monomial is a sort with its sign, then the arrangement's straightening of the
 sorted monomial by the circuit relations (WeightedArrangement.basis_coords),
-which keeps only the nonzero coordinates, keyed by basis index.
+which keeps only the nonzero coordinates, keyed by basis index.  Flags pair
+with general-position monomials through their chains of strata, unstraightened.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,27 +20,11 @@ from .scalars import Scalar
 
 
 @dataclass(frozen=True)
-class OSElement:
-    """Element of A^p in coordinates over the certified basis."""
-
-    degree: int
-    coeffs: dict
-
-
-@dataclass(frozen=True)
 class FlagVector:
     """Element of F^p as coordinates in the basis dual to A^p's basis."""
 
     degree: int
     coords: tuple
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return FlagVector(self.degree, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c):
-        return FlagVector(self.degree, tuple(c * x for x in self.coords))
 
 
 def straighten_coords(arr: WeightedArrangement, monomial) -> dict:
@@ -82,46 +68,50 @@ def check_length(flag: FlagVector, basis) -> None:
                          f"coordinates, the basis has {len(basis)}")
 
 
-def pairing(arr: WeightedArrangement, eta: OSElement, flag: FlagVector) -> Scalar:
-    if eta.degree != flag.degree:
-        raise ValueError("degree mismatch in pairing")
-    basis = arr.basis(eta.degree)
-    check_length(flag, basis)
-    pos = {s: i for i, s in enumerate(basis)}
-    return sum(
-        (c * flag.coords[pos[s]] for s, c in eta.coeffs.items()), start=Fraction(0)
-    )
-
-
 def sparse_dot(coords: dict, flag_coords) -> Scalar:
     """Sum of c * flag_coords[i] over sparse coordinates {i: c}, in key order."""
     return sum((c * flag_coords[i] for i, c in coords.items()), start=Fraction(0))
 
 
-def flag_vector(arr: WeightedArrangement, indices) -> FlagVector:
-    """The flag F(H_{i1},...,H_{ip}) as a dual-coordinate vector.
+def chain_pairing(arr: WeightedArrangement, indices, index: dict) -> dict:
+    """{index[S]: +-1} over the monomials S keyed in index that pair to
+    nonzero with the flag F(H_{i1},...,H_{ip}) of an ordered tuple.
 
     The tuple's flag is its chain of strata L_0 > ... > L_{p-1}, L_q the
     intersection of its first q+1 hyperplanes, and hyperplane j has level q
     for the least q with L_q in H_j.  The members of a general-position
-    basis monomial at level <= q are independent equations through L_q, so
-    at most q+1 of them.  Some ordering of the monomial traces the same
-    chain exactly when its levels are 0..p-1; that ordering sorts it by
-    level, and it pairs to the sign of that sort.  Every other basis
-    monomial pairs to 0.
+    monomial at level <= q are independent equations through L_q, so at
+    most q+1 of them.  Some ordering of the monomial traces the same chain
+    exactly when its levels are 0..p-1; that ordering sorts it by level,
+    and it pairs to the sign of that sort.  Every other general-position
+    monomial pairs to 0.  So only the product of the level classes is
+    enumerated.  A member on the flat of the prefix before it, or a prefix
+    with empty intersection (closure), is not in general position:
+    ValueError.
     """
     indices = tuple(indices)
-    if not arr.general_position(indices):
-        raise ValueError(f"tuple {indices} is not in general position")
-    p = len(indices)
-    level = {}
-    for q in reversed(range(p)):
-        level.update(dict.fromkeys(arr.closure(indices[: q + 1]), q))
-    coords = []
-    for s in arr.basis(p):
-        order, sign = sort_with_sign([level.get(j, p) for j in s])
-        coords.append(Fraction(sign if order == tuple(range(p)) else 0))
-    return FlagVector(p, tuple(coords))
+    classes, flat = [], frozenset()
+    for q, j in enumerate(indices):
+        if j in flat:
+            raise ValueError(f"tuple {indices} is not in general position")
+        closed = arr.closure(indices[: q + 1])
+        classes.append(closed - flat)
+        flat = closed
+    pairs = {}
+    for chosen in itertools.product(*classes):
+        s, sign = sort_with_sign(chosen)
+        if s in index:
+            pairs[index[s]] = sign
+    return pairs
+
+
+def flag_vector(arr: WeightedArrangement, indices) -> FlagVector:
+    """The flag F(H_{i1},...,H_{ip}) as a dual-coordinate vector: its
+    chain_pairing over basis_index(p)."""
+    indices = tuple(indices)
+    index = arr.basis_index(len(indices))
+    pairs = chain_pairing(arr, indices, index)
+    return FlagVector(len(indices), tuple(Fraction(pairs.get(i, 0)) for i in range(len(index))))
 
 
 def singular_basis(arr: WeightedArrangement) -> list[FlagVector]:

@@ -1,6 +1,6 @@
-"""Shapovalov map and bilinear form of a weighted arrangement on flags, and
-`gram`: the Gram matrix of vectors known by their values, on which both
-S^(a) and the Gaudin S_V are diagonal."""
+"""Shapovalov form of a weighted arrangement on flags, top-form values on
+the general-position top subsets (top_forms, top_index), and `gram`: the
+Gram matrix of vectors known by their values, on which S^(a) and S_V are diagonal."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arrangement import WeightedArrangement
-from .osflag import FlagVector, OSElement, check_length, sparse_dot
+from .osflag import FlagVector, check_length, sparse_dot
 from .scalars import Scalar
 
 
@@ -26,40 +26,23 @@ def _weighted_top(arr: WeightedArrangement):
             yield prod, arr.basis_coords(subset)
 
 
-def _top_basis(arr: WeightedArrangement, flags, what: str) -> list:
-    """The top-degree basis, once each flag is checked to be a top-degree
-    flag with one coordinate per basis monomial."""
-    k = arr.ambient_dim
-    if any(f.degree != k for f in flags):
-        raise ValueError(f"{what} is defined on top-degree flags")
-    basis = arr.basis(k)
-    for f in flags:
-        check_length(f, basis)
-    return basis
-
-
 def shapovalov_form(arr: WeightedArrangement, f1: FlagVector, f2: FlagVector) -> Scalar:
     """S^(a)(F1, F2): sum over general-position k-subsets of the exponent
     product times both pairings, each taken over the subset's nonzero
     straightened coordinates only."""
-    _top_basis(arr, (f1, f2), "Shapovalov form")
+    if f1.degree != arr.ambient_dim or f2.degree != arr.ambient_dim:
+        raise ValueError("Shapovalov form is defined on top-degree flags")
+    for f in (f1, f2):
+        check_length(f, arr.basis(arr.ambient_dim))
     total = Fraction(0)
     for prod, coords in _weighted_top(arr):
         total = total + prod * sparse_dot(coords, f1.coords) * sparse_dot(coords, f2.coords)
     return total
 
 
-def shapovalov_map(arr: WeightedArrangement, flag: FlagVector) -> OSElement:
-    """The Shapovalov image of a top-degree flag in A^k coordinates."""
-    basis = _top_basis(arr, (flag,), "Shapovalov map")
-    out = [Fraction(0)] * len(basis)
-    for prod, coords in _weighted_top(arr):
-        p = sparse_dot(coords, flag.coords)
-        if p == 0:
-            continue
-        for i, c in coords.items():
-            out[i] = out[i] + prod * p * c
-    return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})
+def top_index(arr: WeightedArrangement) -> dict:
+    """{subset: position} over top_minors(), the row order of top_forms."""
+    return {s: i for i, s in enumerate(arr.top_minors())}
 
 
 def top_forms(arr: WeightedArrangement, points):

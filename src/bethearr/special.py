@@ -16,12 +16,12 @@ from .arrangement import WeightedArrangement, sort_with_sign
 from .master import hess_det
 from .osflag import FlagVector, delta_F_matrix
 from .scalars import scalar_abs
-from .shapovalov import gram, special_gram, top_forms
+from .shapovalov import gram, special_gram, top_forms, top_index
 
 
 def _basis_rows(arr: WeightedArrangement) -> list[int]:
     """The position in top_minors() of each top-degree basis monomial."""
-    index = {s: i for i, s in enumerate(arr.top_minors())}
+    index = top_index(arr)
     return [index[s] for s in arr.basis(arr.ambient_dim)]
 
 

@@ -29,13 +29,16 @@ Rank-per-row references for the flats: `rank_report` from two ranks,
 every ordering of each basis monomial for one whose chain of prefix
 closures is the tuple's.  The search costs p! chains per monomial.
 
-Straightening into an OSElement: the coordinates of an ordered monomial
-keyed by basis monomial rather than basis index.
+Straightening into an element of A^p as {basis monomial: coefficient}:
+the coordinates of an ordered monomial keyed by basis monomial rather than
+basis index.  pairing pairs such an element with a flag, one
+monomial_pairing per monomial.
 
 Dense references for the Shapovalov form and map: every weighted top
 subset pairs with the flags by a full dot product of its straightened
 coordinates, zeros included (dense() fills in the zeros that the library's
-sparse coordinates leave out).
+sparse coordinates leave out).  The map sends a flag to its element of A^k,
+{basis monomial: coefficient}, and pairs with a second flag to the form.
 
 Pairwise reference for the Gram matrix of special vectors: one
 S(v(t1), v(t2)) at a time, each term d^2 prod a_j / (f_j(t1) f_j(t2))
@@ -81,7 +84,7 @@ import numpy as np
 from bethearr import linalg
 from bethearr.arrangement import WeightedArrangement, sort_with_sign
 from bethearr.gaudin import GaudinProblem, TensorVector, weight_basis
-from bethearr.osflag import (FlagVector, OSElement, check_length, delta_F_matrix, sparse_dot,
+from bethearr.osflag import (FlagVector, check_length, delta_F_matrix, sparse_dot,
                              straighten_coords)
 from bethearr.shapovalov import shapovalov_form as library_shapovalov_form
 
@@ -232,11 +235,17 @@ def flag_vector(arr: WeightedArrangement, indices, flat) -> tuple:
     return tuple(coords)
 
 
-def straighten(arr: WeightedArrangement, monomial) -> OSElement:
+def straighten(arr: WeightedArrangement, monomial) -> dict:
     """straighten_coords of the monomial, keyed by basis monomial."""
     basis = arr.basis(len(monomial))
-    return OSElement(len(monomial), {basis[i]: c for i, c in
-                                     straighten_coords(arr, monomial).items()})
+    return {basis[i]: c for i, c in straighten_coords(arr, monomial).items()}
+
+
+def pairing(arr: WeightedArrangement, eta: dict, flag):
+    """Pairing of an element {monomial: coefficient} of A^p with a flag of
+    degree p: the sum of each coefficient times its monomial_pairing."""
+    check_length(flag, arr.basis(flag.degree))
+    return sum((c * monomial_pairing(arr, s, flag) for s, c in eta.items()), start=Fraction(0))
 
 
 def dense(coords: dict, size: int) -> list:
@@ -261,7 +270,7 @@ def shapovalov_form(arr: WeightedArrangement, f1, f2):
     return total
 
 
-def shapovalov_map(arr: WeightedArrangement, flag) -> OSElement:
+def shapovalov_map(arr: WeightedArrangement, flag) -> dict:
     basis = arr.basis(arr.ambient_dim)
     out = [Fraction(0)] * len(basis)
     for prod, coords in _dense_top(arr):
@@ -270,7 +279,7 @@ def shapovalov_map(arr: WeightedArrangement, flag) -> OSElement:
             continue
         for i, c in enumerate(coords):
             out[i] = out[i] + prod * p * c
-    return OSElement(arr.ambient_dim, {s: c for s, c in zip(basis, out) if c != 0})
+    return {s: c for s, c in zip(basis, out) if c != 0}
 
 
 def special_pairing(arr: WeightedArrangement, t1, t2):

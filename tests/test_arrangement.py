@@ -17,7 +17,8 @@ from bethearr import linalg
 from bethearr.arrangement import (CertificateError, Hyperplane, WeightedArrangement,
                                   with_exponents)
 from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
-from bethearr.osflag import d_A_matrix, flag_vector
+from bethearr.osflag import chain_pairing, d_A_matrix, flag_vector
+from bethearr.shapovalov import top_index
 from conftest import line, point_arrangement, small_arrangements
 import os_oracle
 from os_oracle import evaluation_coords
@@ -473,7 +474,9 @@ def test_flats_and_flags_match_the_rank_oracle(arr):
     """rank_report and closure of every subset, circuits, candidate monomials
     and broken circuits, and flag_vector of every general-position ordered
     tuple, equal their rank-per-row references.
-    The flag search reads each subset's reference closure, computed once."""
+    The flag search reads each subset's reference closure, computed once.
+    On the top subsets, chain_pairing of a top-degree tuple is the pairing of
+    its flag_vector with each straightened monomial."""
     flats, reports = {}, {}
     for p in range(arr.n + 1):
         for s in itertools.combinations(range(arr.n), p):
@@ -500,8 +503,12 @@ def test_flats_and_flags_match_the_rank_oracle(arr):
     for p in range(1, arr.ambient_dim + 1):
         for s in arr.candidate_monomials(p):
             for ordered in itertools.permutations(s):
-                assert flag_vector(arr, ordered).coords == os_oracle.flag_vector(
-                    arr, ordered, flat)
+                flag = flag_vector(arr, ordered)
+                assert flag.coords == os_oracle.flag_vector(arr, ordered, flat)
+                if p == arr.ambient_dim:
+                    pairs = chain_pairing(arr, ordered, top_index(arr))
+                    assert [pairs.get(i, 0) for i in range(len(arr.top_minors()))] == [
+                        os_oracle.monomial_pairing(arr, top, flag) for top in arr.top_minors()]
 
 
 @settings(max_examples=40, deadline=None)

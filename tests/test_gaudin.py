@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
                              bethe_roots, build_discriminantal,
                              canonical_weight_function, composition_flag,
-                             gaudin_hamiltonian, module_shapovalov_value,
+                             composition_gram, gaudin_hamiltonian, module_shapovalov_value,
                              point_hyperplane_index, raising_matrix,
                              singular_dimension, tensor_shapovalov, verify_bethe,
                              verify_canonical_element,
                              verify_shap_correspondence, weight_basis)
+from bethearr.arrangement import WeightedArrangement
 from bethearr.master import (CriticalPoint, find_critical_points, group_orbits, log_grad,
                              newton_solve)
+from bethearr.osflag import flag_vector
 from bethearr.shapovalov import shapovalov_form
 from bethearr.special import full_symmetric_action, specialize
 from conftest import negated_diagonals
@@ -59,6 +61,12 @@ class TestGaudinProblem:
         datum = CartanDatum(2, ((2, -1), (-1, 2)), (F(1), F(1)))
         p = GaudinProblem(datum, ((1, 0),), (2, 1), (F(0),))
         assert [p.level(i) for i in range(3)] == [0, 0, 1]
+
+    def test_integral_k_entries_are_stored_as_ints(self, sl2):
+        """k = (2.0,) is accepted as (2,), so k_1!...k_r! is defined."""
+        p = GaudinProblem(sl2, ((2,), (2,)), (2.0,), (F(0), F(1)))
+        assert p.kvec == (2,) and type(p.kvec[0]) is int
+        assert verify_shap_correspondence(p)["pass"]
 
     def test_json_round_trip(self, gaudin_3x1):
         again = GaudinProblem.from_json(
@@ -304,6 +312,16 @@ class TestVerifyBethe:
         assert [e["rhs"] for e in eigen] == [F(3, 2), F(-3, 2)]
         assert all(e["abs_err"] <= 1e-12 for e in eigen)
 
+    def test_eigenvalue_constants(self, sl2):
+        """The constant terms lambda_s of bethe_eigenvalue, computed once per
+        problem: sum lambda_s = 0 and sum z_s lambda_s = sum_{s<u} m_s m_u / 2."""
+        p = _sl2_problem((2, 1, 3), 2, (0, 1, 3))
+        lam = p.eigenvalue_constants
+        assert lam is p.eigenvalue_constants
+        assert lam == tuple(bethe_eigenvalue(p, (), s) for s in range(3))
+        assert sum(lam) == 0
+        assert sum(z * x for z, x in zip(p.z, lam)) == F(2 * 1 + 2 * 3 + 1 * 3, 2)
+
     def test_eigenvector_check_fails_off_critical_points(self, gaudin_2x1):
         eigen = _eigenvector_rows(verify_bethe(gaudin_2x1, [(F(1, 3),)]))
         assert eigen and not any(e["pass"] for e in eigen)
@@ -465,6 +483,35 @@ class TestShapCorrespondence:
         flags = [composition_flag(p, arr, c) for c in weight_basis(p)]
         assert time.process_time() - start < 5
         assert len(flags) == 7 and all(any(f.coords) for f in flags)
+
+    @pytest.mark.parametrize("weights, k", [((2, 2), 2), ((2, 2, 2), 3)])
+    def test_gram_matches_the_pairwise_oracle(self, sl2, weights, k):
+        """composition_gram, one Gram over the top subsets, equals the dense
+        oracle form of each pair of composition flags."""
+        p = GaudinProblem(sl2, tuple((m,) for m in weights), (k,),
+                          tuple(map(F, (0, 1, 3)[:len(weights)])))
+        flags = [composition_flag(p, p.arrangement, c) for c in weight_basis(p)]
+        assert composition_gram(p) == [[os_oracle.shapovalov_form(p.arrangement, f, g)
+                                        for g in flags] for f in flags]
+
+    def test_flags_make_no_circuits_pass(self, sl2, monkeypatch):
+        """flag_vector and composition_flag of m = (1^8), k = 4 read the
+        levels and the prefix closures only: circuits() is never called."""
+        p = GaudinProblem(sl2, ((1,),) * 8, (4,), tuple(map(F, (0, 1, 3, 7, -2, 5, 11, -6))))
+        monkeypatch.setattr(WeightedArrangement, "circuits", None)
+        monkeypatch.setattr(WeightedArrangement, "evaluation_matrix", None)
+        arr = p.arrangement
+        flag = flag_vector(arr, [point_hyperplane_index(p, i, i) for i in range(4)])
+        assert flag.coords.count(1) == 1 and flag.coords.count(0) == len(flag.coords) - 1
+        assert any(composition_flag(p, arr, (1, 1, 1, 1, 0, 0, 0, 0)).coords)
+        assert arr._core.circuits is None
+
+    @pytest.mark.parametrize("comp", [(1, 0), (1, 1, 0), (1,), (3, 0), (3, -1)])
+    def test_rejects_what_is_not_a_composition_of_k(self, gaudin_2x2, comp):
+        """At m = (2, 2), k = 2 a composition has 2 nonnegative entries
+        summing to 2; anything else raises instead of giving another flag."""
+        with pytest.raises(ValueError, match="composition"):
+            composition_flag(gaudin_2x2, gaudin_2x2.arrangement, comp)
 
     def test_negated_diagonal_convention_fails(self, gaudin_2x2):
         """The correspondence pins the diagonal exponent sign: with the

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from bethearr import linalg
 from bethearr.arrangement import with_exponents
-from bethearr.osflag import (FlagVector, OSElement, d_A_matrix,
-                             delta_F_matrix, flag_vector, pairing,
-                             singular_basis, straighten_coords)
+from bethearr.osflag import (FlagVector, d_A_matrix, delta_F_matrix, flag_vector,
+                             singular_basis, sparse_dot, straighten_coords)
 from bethearr.special import specialize
 import os_oracle
 
@@ -40,7 +39,7 @@ class TestStraighten:
 
     def test_straighten_element(self, concurrent3):
         eta = os_oracle.straighten(concurrent3, (2, 1))
-        assert eta.coeffs == {(0, 1): F(1), (0, 2): F(-1)}
+        assert eta == {(0, 1): F(1), (0, 2): F(-1)}
 
     def test_non_general_position_vanishes(self):
         from conftest import line
@@ -77,11 +76,16 @@ class TestPairing:
                 assert os_oracle.monomial_pairing(generic3, s2, flag) == expected
 
     def test_pairing_linear(self, generic3):
-        eta = OSElement(2, {(0, 1): F(2), (1, 2): F(3)})
+        """sparse_dot of the straightened coordinates of 2 e_01 + 3 e_12 is
+        the same combination of the two monomial pairings."""
         flag = FlagVector(2, (F(1), F(-1), F(4)))
+        coords = {}
+        for monomial, c in [((0, 1), F(2)), ((1, 2), F(3))]:
+            for i, x in straighten_coords(generic3, monomial).items():
+                coords[i] = coords.get(i, 0) + c * x
         expected = F(2) * os_oracle.monomial_pairing(generic3, (0, 1), flag) + \
             F(3) * os_oracle.monomial_pairing(generic3, (1, 2), flag)
-        assert pairing(generic3, eta, flag) == expected
+        assert sparse_dot(dict(sorted(coords.items())), flag.coords) == expected
 
 
 class TestFlagVector:
@@ -101,6 +105,19 @@ class TestFlagVector:
     def test_rejects_dependent_tuple(self, concurrent3):
         with pytest.raises(ValueError):
             flag_vector(concurrent3, (0, 1, 2))
+
+    def test_rejects_repeats_and_parallel_pairs(self):
+        """A repeated member lies on the flat before it, and two parallel
+        lines have empty intersection: neither tuple is in general position."""
+        from conftest import line
+        from bethearr.arrangement import WeightedArrangement
+        arr = WeightedArrangement(
+            2, [line(0, 1, 0), line(1, 1, 0), line(0, 0, 1)], [F(1)] * 3
+        )
+        with pytest.raises(ValueError, match="general position"):
+            flag_vector(arr, (2, 2))
+        with pytest.raises(ValueError, match="empty intersection"):
+            flag_vector(arr, (0, 1))
 
 
 class TestEvaluateForm:

@@ -1,5 +1,5 @@
-"""Shapovalov form and map, the closed-form pairing of special vectors, and
-the generic-arrangement operator oracle."""
+"""Shapovalov form, the closed-form pairing of special vectors, and the
+generic-arrangement operator oracle."""
 
 import itertools
 import random
@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from bethearr import linalg
 from bethearr.arrangement import with_exponents
-from bethearr.osflag import FlagVector, OSElement, pairing
+from bethearr.osflag import FlagVector
 from bethearr.master import chamber_critical_points
-from bethearr.shapovalov import (shapovalov_form, shapovalov_map, special_gram,
-                                 special_pairing)
+from bethearr.shapovalov import shapovalov_form, special_gram, special_pairing
 from bethearr.special import orthogonality_checks, specialize
 from conftest import small_arrangements
 from generic_ops import (dependency_constant, is_generic, k_operator,
@@ -44,10 +43,9 @@ class TestShapovalovForm:
     @pytest.mark.parametrize("call", [
         lambda arr, f: shapovalov_form(arr, f, FlagVector(2, (F(1),) * 6)),
         lambda arr, f: shapovalov_form(arr, FlagVector(2, (F(1),) * 6), f),
-        shapovalov_map,
-        lambda arr, f: pairing(arr, OSElement(2, {(2, 3): F(1)}), f),
+        lambda arr, f: os_oracle.pairing(arr, {(2, 3): F(1)}, f),
         lambda arr, f: os_oracle.monomial_pairing(arr, (3, 2), f),
-    ], ids=["form-left", "form-right", "map", "pairing", "monomial-pairing"])
+    ], ids=["form-left", "form-right", "pairing", "monomial-pairing"])
     def test_flag_length_checked(self, generic4, call, size):
         """generic4 has 6 basis monomials in degree 2; a flag with any other
         number of coordinates is rejected, not truncated."""
@@ -61,20 +59,22 @@ class TestShapovalovForm:
         assert shapovalov_form(doubled, f, f) == 4 * shapovalov_form(generic3, f, f)
 
     def test_map_reproduces_form(self, generic3):
+        """The dense map of f1, paired with f2, is the form."""
         f1 = FlagVector(2, (F(1), F(-1), F(2)))
         f2 = FlagVector(2, (F(0), F(3), F(1)))
-        eta = shapovalov_map(generic3, f1)
-        assert pairing(generic3, eta, f2) == shapovalov_form(generic3, f1, f2)
+        eta = os_oracle.shapovalov_map(generic3, f1)
+        assert os_oracle.pairing(generic3, eta, f2) == shapovalov_form(generic3, f1, f2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_arrangements(), st.data())
 def test_form_and_map_match_the_dense_oracle(arr, data):
-    """The form and map over nonzero straightened coordinates equal the
-    dense references: exactly on random rational flags, and to the last bit
-    (== and repr) on special vectors at random complex points.  Zero
-    exponents (drawn, or forced on at most one hyperplane) drop the top
-    subsets that contain them; the others keep their non-unit coordinates."""
+    """The form over nonzero straightened coordinates equals the dense
+    reference: exactly on random rational flags, where the dense map paired
+    with the second flag gives it too, and to the last bit (== and repr) on
+    special vectors at random complex points.  Zero exponents (drawn, or
+    forced on at most one hyperplane) drop the top subsets that contain
+    them; the others keep their non-unit coordinates."""
     exponents = data.draw(st.lists(rational, min_size=arr.n, max_size=arr.n))
     for j in data.draw(st.sets(st.integers(0, arr.n - 1), max_size=1)):
         exponents[j] = F(0)
@@ -83,8 +83,9 @@ def test_form_and_map_match_the_dense_oracle(arr, data):
     coords = st.lists(rational, min_size=len(arr.basis(k)), max_size=len(arr.basis(k)))
     f1 = FlagVector(k, tuple(data.draw(coords)))
     f2 = FlagVector(k, tuple(data.draw(coords)))
-    assert shapovalov_form(arr, f1, f2) == os_oracle.shapovalov_form(arr, f1, f2)
-    assert shapovalov_map(arr, f1) == os_oracle.shapovalov_map(arr, f1)
+    form = shapovalov_form(arr, f1, f2)
+    assert form == os_oracle.shapovalov_form(arr, f1, f2)
+    assert form == os_oracle.pairing(arr, os_oracle.shapovalov_map(arr, f1), f2)
 
     # Generic floats: a component that is exactly zero in every term could
     # take a different sign of zero in the two sums.
@@ -93,10 +94,9 @@ def test_form_and_map_match_the_dense_oracle(arr, data):
               for _ in range(2))
     assume(not arr.contains_point(t1) and not arr.contains_point(t2))
     v1, v2 = specialize(arr, t1), specialize(arr, t2)
-    for got, expected in [(shapovalov_form(arr, v1, v2), os_oracle.shapovalov_form(arr, v1, v2)),
-                          (shapovalov_map(arr, v1), os_oracle.shapovalov_map(arr, v1))]:
-        assert got == expected
-        assert repr(got) == repr(expected)
+    got, expected = shapovalov_form(arr, v1, v2), os_oracle.shapovalov_form(arr, v1, v2)
+    assert got == expected
+    assert repr(got) == repr(expected)
 
 
 class TestSpecialPairing:
