@@ -61,9 +61,7 @@ class Hyperplane:
         """The row (b0, *b) scaled to coprime integers with the first nonzero
         b entry positive: the same hyperplane and logarithmic form df / f,
         and equal rows exactly for proportional equations."""
-        row = (self.b0, *self.b)
-        lcm = math.lcm(*(x.denominator for x in row))
-        return _primitive([x.numerator * (lcm // x.denominator) for x in row])
+        return _primitive(linalg.integer_row((self.b0, *self.b))[0])
 
 
 def _primitive(ints) -> tuple:
@@ -144,8 +142,8 @@ class WeightedArrangement:
         """Some k hyperplanes meet in a point exactly when the normals b_j
         have rank k: k independent normals give k consistent equations."""
         normals = linalg.Echelon()
-        return any(normals.add(h.b) and len(normals) == self.ambient_dim
-                   for h in self.hyperplanes)
+        return any(normals.add(row[1:]) and len(normals) == self.ambient_dim
+                   for row in self.integer_rows())
 
     # -- basic properties ---------------------------------------------------
 
@@ -206,11 +204,16 @@ class WeightedArrangement:
 
     # -- ranks and circuits -------------------------------------------------
 
+    def _row(self, j) -> tuple:
+        """integer_rows()[j] in the order (b, b0)."""
+        row = self.integer_rows()[j]
+        return (*row[1:], row[0])
+
     def _equations(self, subset) -> linalg.Echelon:
-        """One echelon of the rows (b, b0) of the subset's hyperplanes; the
-        b0 column, last, holds a pivot exactly when they have no common
-        point."""
-        return linalg.Echelon([*self.hyperplanes[j].b, self.hyperplanes[j].b0] for j in subset)
+        """One echelon of the integer rows (b, b0) of the subset's
+        hyperplanes; the b0 column, last, holds a pivot exactly when they
+        have no common point."""
+        return linalg.Echelon(map(self._row, subset))
 
     def rank_report(self, subset) -> SubsetRankReport:
         subset = tuple(subset)
@@ -232,8 +235,7 @@ class WeightedArrangement:
         equations = self._equations(subset)
         if self.ambient_dim in equations.pivots:
             raise ValueError(f"subset {tuple(subset)} has empty intersection")
-        return frozenset(j for j, h in enumerate(self.hyperplanes)
-                         if equations.spans([*h.b, h.b0]))
+        return frozenset(j for j in range(self.n) if equations.spans(self._row(j)))
 
     def circuits(self) -> list[tuple]:
         """Minimal dependent subsets (2 to k+1 members), by size then lex; the same
@@ -476,11 +478,14 @@ class WeightedArrangement:
         with R = S - B, and the relation sum_i (-1)^i e_{C - c_i} = 0 gives
         e_B = sum_{i>=1} (-1)^(i+1) e_{C - c_i}.  Each resulting monomial
         is S with some c_i replaced by c_0 < c_i, so the index sum falls and
-        the recursion is less than p * n deep.
+        the recursion is less than p * n deep.  An unsorted S, or one with
+        an index outside 0..n-1, raises ValueError.
         Memoized; callers must not mutate the result."""
         subset = tuple(subset)
         core = self._core
         if subset not in core.coords:
+            if list(subset) != sorted(subset) or not all(0 <= j < self.n for j in subset):
+                raise ValueError(f"monomial {subset} is not sorted within 0..{self.n - 1}")
             index = self.basis_index(len(subset))
             coords = {}
             if subset in index:

@@ -24,7 +24,7 @@ from .master import hess_det
 from .osflag import FlagVector, chain_pairing
 from .scalars import (Scalar, format_scalar, parse_scalar, scalar_abs, to_int,
                       to_rational)
-from .shapovalov import gram, top_forms, top_index
+from .shapovalov import gram
 from .special import check, full_symmetric_action, isotypic_values, permutation_sign
 
 
@@ -426,11 +426,11 @@ def bethe_roots(p: GaudinProblem) -> list[tuple]:
 # -- flags of the discriminantal arrangement ---------------------------------
 
 
-def _composition_pairings(p: GaudinProblem, arr: WeightedArrangement, comp,
-                          index: dict) -> dict:
-    """{index[S]: k_1!...k_r! <e_S, f_I>}, zeros dropped: the chain_pairing
-    of each ordering sigma of the variables, signed and summed.  Slot s takes
-    its block of variables in sigma-order, each with the hyperplane t_. - z_s.
+def _composition_pairings(p: GaudinProblem, arr: WeightedArrangement, comp) -> dict:
+    """{S: k_1!...k_r! <e_S, f_I>} over sorted top subsets S, zeros
+    dropped: the chain_pairing of each ordering sigma of the variables,
+    signed and summed.  Slot s takes its block of variables in sigma-order,
+    each with the hyperplane t_. - z_s.
     ValueError unless I is a composition of k into n nonnegative slots."""
     comp = tuple(comp)
     if len(comp) != p.n or sum(comp) != p.k or any(j < 0 for j in comp):
@@ -440,18 +440,17 @@ def _composition_pairings(p: GaudinProblem, arr: WeightedArrangement, comp,
     for sigma in itertools.permutations(range(p.k)):
         sign = permutation_sign(sigma)
         indices = [point_hyperplane_index(p, i, s) for i, s in zip(sigma, slots)]
-        for row, value in chain_pairing(arr, indices, index).items():
-            total[row] = total.get(row, 0) + sign * value
-    return {row: value for row, value in total.items() if value}
+        for s, value in chain_pairing(arr, indices).items():
+            total[s] = total.get(s, 0) + sign * value
+    return {s: value for s, value in total.items() if value}
 
 
 def composition_flag(p: GaudinProblem, arr: WeightedArrangement, comp) -> FlagVector:
     """f_I: the skew-symmetrized flag of the composition I, normalized by
-    1/(k_1!...k_r!), over basis_index(k) (_composition_pairings)."""
-    index = arr.basis_index(p.k)
-    total = _composition_pairings(p, arr, comp, index)
+    1/(k_1!...k_r!), over basis(k) (_composition_pairings)."""
+    total = _composition_pairings(p, arr, comp)
     factor = math.prod(map(math.factorial, p.kvec))
-    return FlagVector(p.k, tuple(Fraction(total.get(i, 0), factor) for i in range(len(index))))
+    return FlagVector(p.k, tuple(Fraction(total.get(s, 0), factor) for s in arr.basis(p.k)))
 
 
 # -- verification reports -----------------------------------------------------
@@ -526,16 +525,16 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
 def composition_gram(p: GaudinProblem) -> list:
     """S^(a)(f_I, f_J) over the weight_basis compositions, exactly: one gram
     of the integers X_{S,I} = k_1!...k_r! <e_S, f_I> (_composition_pairings)
-    on the top subsets S that some f_I reaches, with the exponent products
-    c_S of top_forms times their common denominator, divided once."""
+    on the top subsets S that some f_I reaches (each in general position:
+    see chain_pairing), with the exponent products c_S = prod_{j in S} a_j
+    times their common denominator, divided once."""
     arr, factor = p.arrangement, math.prod(map(math.factorial, p.kvec))
-    index = top_index(arr)
-    columns = [_composition_pairings(p, arr, comp, index) for comp in weight_basis(p)]
+    columns = [_composition_pairings(p, arr, comp) for comp in weight_basis(p)]
     rows = sorted(set().union(*columns))
-    x = np.array([[pairs.get(row, 0) for pairs in columns] for row in rows],
+    x = np.array([[pairs.get(s, 0) for pairs in columns] for s in rows],
                  dtype=object).reshape(len(rows), len(columns))
-    c = top_forms(arr, [])[1][rows]  # exact, as the exponents are
-    d = math.lcm(*(Fraction(v).denominator for v in c))
+    c = [math.prod((arr.exponents[j] for j in s), start=Fraction(1)) for s in rows]
+    d = math.lcm(*(v.denominator for v in c))
     g = gram(x, np.array([int(v * d) for v in c], dtype=object), x)
     return [[Fraction(v, d * factor ** 2) for v in row] for row in g.tolist()]
 

@@ -2,16 +2,19 @@
 modulo a prime, and over complex floats where values at points need it.
 
 Matrices are lists of row lists.  Exact arithmetic goes through one engine,
-the incremental row echelon `Echelon`: rows are added one at a time, and the
-echelon answers whether a row is new and, if it is not, its coordinates over
-the rows kept so far.  `rank`, `independent_rows` and `solve_coords` use
-only the echelon (a float entry is read at its exact binary value; a complex
-one raises TypeError): they serve the combinatorics, which the rational
-coefficients of an arrangement fix.  `nullspace` reads its kernel off the
-echelon, reduced once, on rational input; `det` scales rational rows to
-integers for one fraction-free (Bareiss) elimination.  On anything else,
-such as a log-Hessian at a complex point or a matrix built from complex
-exponents, both use numpy with a relative tolerance.
+the incremental fraction-free echelon `Echelon`: rows are scaled to
+integers as they are added (`integer_row`) and eliminated one at a time
+with exact integer divisions, and the echelon answers whether a row is new
+or in the span of the rows kept so far.  `rank` and `independent_rows` use
+only the echelon (a float entry is read at its exact binary value; a
+complex one raises TypeError): they serve the combinatorics, which the
+rational coefficients of an arrangement fix.  On rational input `nullspace`
+reads its kernel off the echelon, reduced once (each kept row divided by
+its pivot), `solve_coords` reads its coefficients off that kernel, and
+`det` is the echelon's last pivot with the sign of its pivot-column order,
+divided by the rows' scales.  On anything else, such as a log-Hessian at a
+complex point or a matrix built from complex exponents, `nullspace` and
+`det` use numpy with a relative tolerance.
 
 The nbc basis certificate works on int64 arrays of residues modulo one of
 `PRIMES` (2^31 - 1, then 2^31 - 19), below 2^31 so that a product of two
@@ -49,69 +52,65 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-class Echelon:
-    """Forward row echelon over Fraction, grown one row at a time.
+def integer_row(row) -> tuple[list[int], int]:
+    """(d * row, d) with d the least positive integer that makes every
+    entry an integer.  Entries are read as Fractions: a float at its exact
+    binary value, and a complex entry raises TypeError."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    d = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row], d
 
-    Kept row j is stored reduced against kept rows 0..j-1 and scaled so that
-    its pivot, its first nonzero entry, is 1; every later kept row is zero in
-    that column.  One pass over the kept rows in order therefore reduces any
-    row against their span.  Kept rows are never reduced against later ones.
-    The pivot columns are the leading columns of the row space, the same set
-    a fully reduced echelon form has.
+
+class Echelon:
+    """Forward row echelon over the integers, grown one row at a time by
+    fraction-free elimination (Bareiss, Math. Comp. 22 (1968)).
+
+    A row is scaled to integers once, when it is added (integer_row).  Kept
+    row i is stored reduced against kept rows 0..i-1; its pivot p_i is its
+    entry at its pivot column c_i, its first nonzero one, and every later
+    kept row is zero in that column.  A row v is reduced against the kept
+    rows in order, v <- (p_i v - v[c_i] e_i) / p_(i-1) with p_(-1) = 1;
+    each division is exact (Sylvester's identity), and after step i v[c]
+    is the minor of kept rows 0..i and v at the columns c_0, ..., c_i, c.
+    So p_i is the minor of kept rows 0..i at their pivot columns, in pivot
+    order.  The pivot columns are the leading columns of the row space,
+    the same set a fully reduced echelon form has.
     """
 
     def __init__(self, rows=()):
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        # kept row j, as added, == scales[j] * rows[j] + sum_{i<j} mults[j][i] * rows[i]
-        self._mults: list[list[Fraction]] = []
-        self._scales: list[Fraction] = []
         for row in rows:
             self.add(row)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, row):
-        """(residual of row against the kept rows, multiplier of each)."""
-        v = [Fraction(x) for x in row]
-        mults = []
+    def _reduce(self, row) -> list[int]:
+        """The residual of row, scaled to integers, against the kept rows."""
+        v, prev = integer_row(row)[0], 1
         for e, c in zip(self.rows, self.pivots):
-            f = v[c]
-            mults.append(f)
+            p, f = e[c], v[c]
             if f:
-                v = [x - f * y if y else x for x, y in zip(v, e)]
-        return v, mults
+                v = [(p * x - f * y) // prev for x, y in zip(v, e)]
+            elif p != prev:
+                v = [p * x // prev for x in v]
+            prev = p
+        return v
 
     def add(self, row) -> bool:
         """Keep row if it is independent of the kept rows; True if kept."""
-        v, mults = self._reduce(row)
+        v = self._reduce(row)
         c = next((i for i, x in enumerate(v) if x), None)
         if c is None:
             return False
-        scale = v[c]
-        self.rows.append([x / scale for x in v])
+        self.rows.append(v)
         self.pivots.append(c)
-        self._mults.append(mults)
-        self._scales.append(scale)
         return True
 
     def spans(self, row) -> bool:
         """True if row is in the span of the kept rows."""
-        return not any(self._reduce(row)[0])
-
-    def coords(self, row) -> list:
-        """Coefficients x with sum_j x_j * (kept row j as added) == row;
-        raises ValueError if row is not in their span."""
-        v, x = self._reduce(row)
-        if any(v):
-            raise ValueError("target not in span of basis rows")
-        for j in reversed(range(len(x))):
-            x[j] /= self._scales[j]
-            if x[j]:
-                for i, m in enumerate(self._mults[j]):
-                    x[i] -= x[j] * m
-        return x
+        return not any(self._reduce(row))
 
 
 def rank(rows) -> int:
@@ -263,15 +262,21 @@ def independent_rows(rows) -> list[int]:
 
 
 def solve_coords(basis_rows, target):
-    """Coefficients x with sum_i x_i * basis_rows[i] == target, exactly.
+    """Coefficients x with sum_i x_i * basis_rows[i] == target, exactly,
+    read off the nullspace of the columns [basis rows | target]: its one
+    vector has 1 at the target's column and -x at the others.
 
     Raises ValueError if basis_rows are linearly dependent or target is not
     in their span.
     """
-    ech = Echelon()
-    if not all(map(ech.add, basis_rows)):
+    m = len(basis_rows)
+    columns = transpose([list(map(Fraction, row)) for row in (*basis_rows, target)])
+    kernel = nullspace(columns, m + 1)
+    if not kernel:
+        raise ValueError("target not in span of basis rows")
+    if not kernel[0][m]:  # a free column before the target's: a dependency
         raise ValueError("basis rows are linearly dependent")
-    return ech.coords(target)
+    return [-x for x in kernel[0][:m]]
 
 
 def nullspace(rows, ncols=None):
@@ -285,16 +290,18 @@ def nullspace(rows, ncols=None):
         ech = Echelon(rows)
         free = sorted(set(range(ncols)) - set(ech.pivots))
         # the reduced echelon rows at the free columns, {column: entry}: kept
-        # row j is zero at earlier pivots, so reduce it by the later reduced
-        # rows, from the last up
+        # row j, divided by its pivot, is zero at earlier pivots, so reduce
+        # it by the later reduced rows, from the last up
         reduced = []
         for j in reversed(range(len(ech))):
             e = ech.rows[j]
-            r = {c: e[c] for c in free if e[c]}
+            p = e[ech.pivots[j]]
+            r = {c: Fraction(e[c], p) for c in free if e[c]}
             for later, c in zip(reduced, reversed(ech.pivots[j + 1:])):
                 if e[c]:
+                    f = Fraction(e[c], p)
                     for fc, x in later.items():
-                        r[fc] = r.get(fc, 0) - e[c] * x
+                        r[fc] = r.get(fc, 0) - f * x
             reduced.append({fc: x for fc, x in r.items() if x})
         reduced.reverse()
         basis = []
@@ -313,35 +320,20 @@ def nullspace(rows, ncols=None):
     return vh[nz:ncols].conj().tolist()
 
 
-def _bareiss(a) -> int:
-    """Determinant of a square int matrix (a list of row lists, overwritten)
-    by fraction-free elimination: after step c every entry below row c is a
-    (c+1) x (c+1) minor, so each division by the previous pivot is exact."""
-    sign, prev = 1, 1
-    for c in range(len(a) - 1):
-        if not a[c][c]:
-            r = next((r for r in range(c + 1, len(a)) if a[r][c]), None)
-            if r is None:
-                return 0
-            a[c], a[r], sign = a[r], a[c], -sign
-        piv, top = a[c][c], a[c]
-        for row in a[c + 1:]:
-            f = row[c]
-            row[c + 1:] = [(x * piv - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
-        prev = piv
-    return sign * a[-1][-1]
-
-
 def det(rows):
-    """Determinant; exact for rational entries, whose rows are scaled to
-    integers for one fraction-free (Bareiss) elimination."""
+    """Determinant; exact for rational entries, from one Echelon of the
+    rows: 0 if a row is dependent, else the sign of the pivot-column order
+    times the last pivot, divided by the rows' integer scales.  ValueError
+    unless the matrix is square."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"determinant of a non-square matrix with {len(rows)} rows")
     if not rows:
         return Fraction(1)
     if _matrix_exact(rows):
-        ints, scale = [], 1
-        for row in rows:
-            lcm = math.lcm(*(x.denominator for x in row))
-            ints.append([x.numerator * (lcm // x.denominator) for x in row])
-            scale *= lcm
-        return Fraction(_bareiss(ints), scale)
+        ints, ech = [integer_row(row) for row in rows], Echelon()
+        if not all(ech.add(row) for row, _ in ints):
+            return Fraction(0)
+        p = ech.pivots
+        sign = (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
+        return Fraction(sign * ech.rows[-1][p[-1]], math.prod(d for _, d in ints))
     return complex(np.linalg.det(_to_ndarray(rows)))

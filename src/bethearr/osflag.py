@@ -73,9 +73,9 @@ def sparse_dot(coords: dict, flag_coords) -> Scalar:
     return sum((c * flag_coords[i] for i, c in coords.items()), start=Fraction(0))
 
 
-def chain_pairing(arr: WeightedArrangement, indices, index: dict) -> dict:
-    """{index[S]: +-1} over the monomials S keyed in index that pair to
-    nonzero with the flag F(H_{i1},...,H_{ip}) of an ordered tuple.
+def chain_pairing(arr: WeightedArrangement, indices) -> dict:
+    """{S: +-1} over the sorted monomials S that pair to nonzero with the
+    flag F(H_{i1},...,H_{ip}) of an ordered tuple.
 
     The tuple's flag is its chain of strata L_0 > ... > L_{p-1}, L_q the
     intersection of its first q+1 hyperplanes, and hyperplane j has level q
@@ -85,9 +85,10 @@ def chain_pairing(arr: WeightedArrangement, indices, index: dict) -> dict:
     exactly when its levels are 0..p-1; that ordering sorts it by level,
     and it pairs to the sign of that sort.  Every other general-position
     monomial pairs to 0.  So only the product of the level classes is
-    enumerated.  A member on the flat of the prefix before it, or a prefix
-    with empty intersection (closure), is not in general position:
-    ValueError.
+    enumerated, and each member of it is in general position: its members
+    at levels <= q cut out L_q, of codimension q+1.  A member on the flat
+    of the prefix before it, or a prefix with empty intersection (closure),
+    is not in general position: ValueError.
     """
     indices = tuple(indices)
     classes, flat = [], frozenset()
@@ -97,21 +98,16 @@ def chain_pairing(arr: WeightedArrangement, indices, index: dict) -> dict:
         closed = arr.closure(indices[: q + 1])
         classes.append(closed - flat)
         flat = closed
-    pairs = {}
-    for chosen in itertools.product(*classes):
-        s, sign = sort_with_sign(chosen)
-        if s in index:
-            pairs[index[s]] = sign
-    return pairs
+    return dict(map(sort_with_sign, itertools.product(*classes)))
 
 
 def flag_vector(arr: WeightedArrangement, indices) -> FlagVector:
     """The flag F(H_{i1},...,H_{ip}) as a dual-coordinate vector: its
-    chain_pairing over basis_index(p)."""
+    chain_pairing over basis(p)."""
     indices = tuple(indices)
-    index = arr.basis_index(len(indices))
-    pairs = chain_pairing(arr, indices, index)
-    return FlagVector(len(indices), tuple(Fraction(pairs.get(i, 0)) for i in range(len(index))))
+    pairs = chain_pairing(arr, indices)
+    return FlagVector(len(indices), tuple(Fraction(pairs.get(s, 0))
+                                          for s in arr.basis(len(indices))))
 
 
 def singular_basis(arr: WeightedArrangement) -> list[FlagVector]:

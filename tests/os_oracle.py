@@ -15,8 +15,15 @@ evaluation_matrix recomputed as a Fraction from the unscaled equations, as
 the weighted sum of the form's values at the sample point over the gcd of
 the integer minors, then reduced.  Unblocked references for its rank and
 for determinants: rank_mod_p eliminates one pivot column at a time over
-the whole matrix, and echelon_det reads the determinant off the pivots of
-one Echelon.
+the whole matrix, echelon_det reads the determinant off the pivots of
+one Echelon, and reduced_nullspace reads the kernel off its Gauss-Jordan
+reduction.
+
+The Fraction echelon that the library's integer one is checked against:
+`Echelon` keeps each row reduced against the earlier ones and scaled to
+pivot 1, with the bookkeeping that gives a spanned row's coordinates over
+the rows as added (`coords`).  `rank` is its length.  Every rank an oracle
+here needs is that one, so no oracle checks the engine against itself.
 
 Scan reference for the nbc sets: the general-position p-subsets that
 contain no broken circuit, each tested against every broken circuit as a
@@ -150,10 +157,99 @@ def witnesses(arr: WeightedArrangement) -> dict:
     rows = [(h.b0, *h.b) for h in arr.hyperplanes]
     level = [max(c for c, x in enumerate(h.b) if x) for h in arr.hyperplanes]
     return {(i, j): next((w for w in range(arr.n) if level[w] < level[i]
-                          and linalg.rank([rows[w], rows[i], rows[j]]) == 2), None)
+                          and rank([rows[w], rows[i], rows[j]]) == 2), None)
             for i, j in itertools.combinations(range(arr.n), 2)
             if level[i] == level[j]
-            and linalg.rank([arr.hyperplanes[i].b, arr.hyperplanes[j].b]) == 2}
+            and rank([arr.hyperplanes[i].b, arr.hyperplanes[j].b]) == 2}
+
+
+class Echelon:
+    """Forward row echelon over Fraction, grown one row at a time.
+
+    Kept row j is stored reduced against kept rows 0..j-1 and scaled so that
+    its pivot, its first nonzero entry, is 1; every later kept row is zero in
+    that column.  One pass over the kept rows in order therefore reduces any
+    row against their span.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: list[list[Fraction]] = []
+        self.pivots: list[int] = []
+        # kept row j, as added, == scales[j] * rows[j] + sum_{i<j} mults[j][i] * rows[i]
+        self._mults: list[list[Fraction]] = []
+        self._scales: list[Fraction] = []
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, row):
+        """(residual of row against the kept rows, multiplier of each)."""
+        v = [Fraction(x) for x in row]
+        mults = []
+        for e, c in zip(self.rows, self.pivots):
+            f = v[c]
+            mults.append(f)
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, e)]
+        return v, mults
+
+    def add(self, row) -> bool:
+        """Keep row if it is independent of the kept rows; True if kept."""
+        v, mults = self._reduce(row)
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        scale = v[c]
+        self.rows.append([x / scale for x in v])
+        self.pivots.append(c)
+        self._mults.append(mults)
+        self._scales.append(scale)
+        return True
+
+    def spans(self, row) -> bool:
+        """True if row is in the span of the kept rows."""
+        return not any(self._reduce(row)[0])
+
+    def coords(self, row) -> list:
+        """Coefficients x with sum_j x_j * (kept row j as added) == row;
+        raises ValueError if row is not in their span."""
+        v, x = self._reduce(row)
+        if any(v):
+            raise ValueError("target not in span of basis rows")
+        for j in reversed(range(len(x))):
+            x[j] /= self._scales[j]
+            if x[j]:
+                for i, m in enumerate(self._mults[j]):
+                    x[i] -= x[j] * m
+        return x
+
+
+def rank(rows) -> int:
+    """Exact rank of a rational matrix: the length of one Fraction Echelon."""
+    return len(Echelon(rows))
+
+
+def reduced_nullspace(rows, ncols: int) -> list:
+    """Kernel basis of a rational matrix from the reduced row echelon form,
+    by Gauss-Jordan on the rows of one Echelon: per non-pivot column f, 1
+    at f, 0 at the others and minus the reduced row's entry at f at each
+    pivot column."""
+    ech = Echelon(rows)
+    reduced = [list(row) for row in ech.rows]
+    for i, c in enumerate(ech.pivots):
+        for j, row in enumerate(reduced):
+            if j != i and row[c]:
+                reduced[j] = [x - row[c] * y for x, y in zip(row, reduced[i])]
+    basis = []
+    for f in sorted(set(range(ncols)) - set(ech.pivots)):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(reduced, ech.pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def rank_mod_p(rows, prime: int = linalg.PRIME) -> int:
@@ -174,7 +270,7 @@ def rank_mod_p(rows, prime: int = linalg.PRIME) -> int:
 def echelon_det(rows):
     """Determinant of a rational matrix from one Echelon: 0 if a row is
     dependent, else the sign of the pivot permutation times the pivots."""
-    ech = linalg.Echelon()
+    ech = Echelon()
     if not all(map(ech.add, rows)):
         return Fraction(0)
     p = ech.pivots
@@ -192,18 +288,18 @@ def evaluation_coords(arr: WeightedArrangement, p: int):
     subsets = list(itertools.combinations(range(arr.n), p))
     points = arr.sample_points(len(arr.candidate_monomials(p)) + 3)
     rows = {s: form_row(arr, s, points) for s in subsets}
-    echelon = linalg.Echelon()
+    echelon = Echelon()
     if not all(echelon.add(rows[s]) for s in nbc):
         raise ValueError(f"degree {p}: nbc rows are dependent")
-    return linalg.rank(list(rows.values())), {s: echelon.coords(rows[s]) for s in subsets}
+    return rank(list(rows.values())), {s: echelon.coords(rows[s]) for s in subsets}
 
 
 def rank_report(arr: WeightedArrangement, subset):
     """(coefficient rank, consistent, general position) of a subset, from
     the ranks of its b-rows and of its rows (b, b0)."""
-    coeff_rank = linalg.rank([list(arr.hyperplanes[j].b) for j in subset])
-    consistent = linalg.rank([[*arr.hyperplanes[j].b, arr.hyperplanes[j].b0]
-                              for j in subset]) == coeff_rank
+    coeff_rank = rank([list(arr.hyperplanes[j].b) for j in subset])
+    consistent = rank([[*arr.hyperplanes[j].b, arr.hyperplanes[j].b0]
+                       for j in subset]) == coeff_rank
     return coeff_rank, consistent, consistent and coeff_rank == len(subset)
 
 
@@ -211,9 +307,9 @@ def closure(arr: WeightedArrangement, subset) -> frozenset:
     """Hyperplanes containing the stratum of a consistent subset: those
     whose row (b, b0) leaves the rank of the subset's rows unchanged."""
     rows = [[*arr.hyperplanes[j].b, arr.hyperplanes[j].b0] for j in subset]
-    base = linalg.rank(rows)
+    base = rank(rows)
     return frozenset(j for j, h in enumerate(arr.hyperplanes)
-                     if linalg.rank(rows + [[*h.b, h.b0]]) == base)
+                     if rank(rows + [[*h.b, h.b0]]) == base)
 
 
 def flag_vector(arr: WeightedArrangement, indices, flat) -> tuple:
@@ -297,7 +393,7 @@ def has_vertex(k: int, hyperplanes) -> bool:
     """True if some k of the hyperplanes are in general position: a scan of
     the k-subsets in lex order for one whose normals have rank k (k such
     equations are consistent)."""
-    return any(linalg.rank([list(hyperplanes[j].b) for j in subset]) == k
+    return any(rank([list(hyperplanes[j].b) for j in subset]) == k
                for subset in itertools.combinations(range(len(hyperplanes)), k))
 
 

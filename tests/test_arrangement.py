@@ -18,7 +18,6 @@ from bethearr.arrangement import (CertificateError, Hyperplane, WeightedArrangem
                                   with_exponents)
 from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
 from bethearr.osflag import chain_pairing, d_A_matrix, flag_vector
-from bethearr.shapovalov import top_index
 from conftest import line, point_arrangement, small_arrangements
 import os_oracle
 from os_oracle import evaluation_coords
@@ -454,6 +453,20 @@ def test_straightening_matches_the_evaluation_oracle(arr):
             assert sparse == {i: c for i, c in enumerate(coords[s]) if c != 0}
 
 
+@pytest.mark.parametrize("monomial", [(1, 0), (0, 9), (-1, 2), (3, 1, 0)])
+def test_basis_coords_rejects_unsorted_or_unknown_monomials(generic4, monomial):
+    """An unsorted monomial, or one naming no hyperplane, is refused rather
+    than read as zero or left to fail inside the circuit recursion."""
+    with pytest.raises(ValueError):
+        generic4.basis_coords(monomial)
+
+
+def test_basis_coords_keeps_repeated_and_sorted_monomials(generic4):
+    """A repeated index is sorted, and e_H e_H = 0 has no coordinates."""
+    assert generic4.basis_coords((1, 1)) == {}
+    assert generic4.basis_coords((0, 1)) == {0: 1}
+
+
 def test_cancelling_circuit_terms_leave_no_zero_coordinate():
     """Straightening (4, 5, 6) on these seven planes gives two terms on basis
     monomial 6 that cancel; the coordinate is dropped, not stored as 0.  The
@@ -475,8 +488,9 @@ def test_flats_and_flags_match_the_rank_oracle(arr):
     and broken circuits, and flag_vector of every general-position ordered
     tuple, equal their rank-per-row references.
     The flag search reads each subset's reference closure, computed once.
-    On the top subsets, chain_pairing of a top-degree tuple is the pairing of
-    its flag_vector with each straightened monomial."""
+    chain_pairing of a top-degree tuple reaches only general-position top
+    subsets, and on them it is the pairing of its flag_vector with each
+    straightened monomial."""
     flats, reports = {}, {}
     for p in range(arr.n + 1):
         for s in itertools.combinations(range(arr.n), p):
@@ -506,8 +520,9 @@ def test_flats_and_flags_match_the_rank_oracle(arr):
                 flag = flag_vector(arr, ordered)
                 assert flag.coords == os_oracle.flag_vector(arr, ordered, flat)
                 if p == arr.ambient_dim:
-                    pairs = chain_pairing(arr, ordered, top_index(arr))
-                    assert [pairs.get(i, 0) for i in range(len(arr.top_minors()))] == [
+                    pairs = chain_pairing(arr, ordered)
+                    assert set(pairs) <= set(arr.top_minors())
+                    assert [pairs.get(top, 0) for top in arr.top_minors()] == [
                         os_oracle.monomial_pairing(arr, top, flag) for top in arr.top_minors()]
 
 

@@ -506,6 +506,17 @@ class TestShapCorrespondence:
         assert any(composition_flag(p, arr, (1, 1, 1, 1, 0, 0, 0, 0)).coords)
         assert arr._core.circuits is None
 
+    def test_correspondence_makes_no_circuits_pass_and_no_minors(self, sl2, monkeypatch):
+        """The correspondence row numbers and weights the top subsets that
+        the flags reach by the subsets themselves: neither circuits() nor
+        top_minors() is called."""
+        p = GaudinProblem(sl2, ((2,),) * 3, (3,), (F(0), F(1), F(3)))
+        monkeypatch.setattr(WeightedArrangement, "circuits", None)
+        monkeypatch.setattr(WeightedArrangement, "top_minors", None)
+        r = verify_shap_correspondence(p)
+        assert r["pass"] and r["lhs"] == 6
+        assert p.arrangement._core.circuits is None and p.arrangement._core.top_minors is None
+
     @pytest.mark.parametrize("comp", [(1, 0), (1, 1, 0), (1,), (3, 0), (3, -1)])
     def test_rejects_what_is_not_a_composition_of_k(self, gaudin_2x2, comp):
         """At m = (2, 2), k = 2 a composition has 2 nonnegative entries

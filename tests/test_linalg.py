@@ -1,5 +1,7 @@
 """The exact elimination engine checked against independent oracles: the
-Leibniz expansion for determinants and the largest nonzero minor for rank."""
+Leibniz expansion for determinants, the largest nonzero minor for rank, and
+the Fraction echelon of tests/os_oracle.py for pivots, spans, kernels and
+determinants."""
 
 import itertools
 from fractions import Fraction
@@ -88,8 +90,64 @@ def det_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(det_cases())
 def test_bareiss_det_matches_the_echelon_det(m):
+    """The fraction-free determinant against the oracle Fraction echelon's."""
     assert linalg.det(m) == os_oracle.echelon_det(m)
     assert type(linalg.det(m)) is F
+
+
+@pytest.mark.parametrize("m", [[[1, 2]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[]]])
+@pytest.mark.parametrize("kind", [F, float])
+def test_det_refuses_a_non_square_matrix(m, kind):
+    """Both the exact and the numpy path."""
+    with pytest.raises(ValueError):
+        linalg.det([[kind(x) for x in row] for row in m])
+
+
+big_entries = st.one_of(
+    entries,
+    st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False, width=32),
+    st.integers(2**63, 2**70),
+    st.fractions(min_value=-2**66, max_value=2**66, max_denominator=2**64 + 13),
+)
+
+
+@st.composite
+def echelon_cases(draw):
+    """(rows, probe rows): rational matrices with float entries, zero
+    rows, repeated rows and entries above 2^63, and rows to test for
+    membership in their span: the rows themselves, combinations of them
+    and arbitrary ones."""
+    ncols = draw(st.integers(1, 5))
+    rows = [[draw(big_entries) for _ in range(ncols)] for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        repeat = rows and draw(st.booleans())
+        extra = list(draw(st.sampled_from(rows))) if repeat else [0] * ncols
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    probes = list(rows)
+    if rows:
+        coeffs = [draw(entries) for _ in rows]
+        probes.append(combine(coeffs, [[F(x) for x in row] for row in rows]))
+    probes.append([draw(big_entries) for _ in range(ncols)])
+    return rows, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_cases())
+def test_integer_echelon_matches_the_fraction_oracle(case):
+    """Same kept rows and pivot columns, the same span answers, the same
+    kernel and, for a square matrix, the same determinant."""
+    rows, probes = case
+    ech, oracle = linalg.Echelon(), os_oracle.Echelon()
+    assert [ech.add(row) for row in rows] == [oracle.add(row) for row in rows]
+    assert len(ech) == len(oracle) and ech.pivots == oracle.pivots
+    assert all(isinstance(x, int) for row in ech.rows for x in row)
+    assert [ech.spans(v) for v in probes] == [oracle.spans(v) for v in probes]
+    exact = [[F(x) for x in row] for row in rows]
+    ncols = len(probes[0])
+    assert linalg.nullspace(exact, ncols) == os_oracle.reduced_nullspace(exact, ncols)
+    square = [row[:len(rows)] for row in exact]
+    if rows and len(rows) <= ncols:
+        assert linalg.det(square) == os_oracle.echelon_det(square)
 
 
 def _planted(rng, nrows, ncols, prime, dependent=0, zero_cols=()):
@@ -199,7 +257,8 @@ def test_solve_coords_rejects_dependent_basis_rows():
 
 
 def test_echelon_coords_are_over_the_kept_rows():
-    ech = linalg.Echelon()
+    """The oracle Fraction echelon that evaluation_coords solves with."""
+    ech = os_oracle.Echelon()
     assert ech.add([0, 2, 1])
     assert ech.add([1, 1, 0])
     assert not ech.add([2, 4, 1])
