@@ -24,13 +24,22 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .scalars import Scalar, format_scalar, is_exact, parse_scalar, to_int, to_rational
+from .scalars import (Scalar, format_scalar, is_exact, parse_scalar, to_int, to_rational,
+                      vanishes)
 
 
 def sort_with_sign(indices):
     """(sorted tuple, (-1)^(number of inversions)) of a tuple of indices."""
     inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
     return tuple(sorted(indices)), (-1) ** inversions
+
+
+def apply_permutation(sigma, t):
+    """Coordinate permutation acting on a point: (sigma.t)_{sigma(i)} = t_i."""
+    out = [None] * len(t)
+    for src, dst in enumerate(sigma):
+        out[dst] = t[src]
+    return tuple(out)
 
 
 class CertificateError(RuntimeError):
@@ -174,33 +183,25 @@ class WeightedArrangement:
         """(f, B, a): the values f_j(t_i) as an n x len(points) array, the
         normals B (n x k) and the exponents a.  Exact (dtype object, f of
         Fractions) when every coordinate and exponent is rational, else
-        from numeric(), with f complex.  ValueError when some f_j(t_i) is 0,
-        or below 1e-12 in modulus at inexact input."""
+        from numeric(), with f complex.  ValueError when some f_j(t_i)
+        vanishes (scalars.vanishes)."""
         points = list(points)
         if all(map(is_exact, itertools.chain(self.exponents, *points))):
             f = np.array([list(map(Fraction, self.evaluate_all(t))) for t in points],
                          dtype=object).reshape(len(points), self.n).T
             B = np.array([h.b for h in self.hyperplanes], dtype=object)
             a = np.array(self.exponents, dtype=object)
-            on = f == 0
         else:
             b0, B, a = self.numeric()
             t = np.array(points, dtype=complex).reshape(len(points), self.ambient_dim)
             f = b0[:, None] + B @ t.T
-            on = np.abs(f) < 1e-12
-        if on.any():
+        if vanishes(f).any():
             raise ValueError("point on arrangement")
         return f, B, a
 
-    def contains_point(self, t, tol=1e-12) -> bool:
-        """True if t lies on some hyperplane (within tol at an inexact point)."""
-        for v in self.evaluate_all(t):
-            if is_exact(v):
-                if v == 0:
-                    return True
-            elif abs(complex(v)) < tol:
-                return True
-        return False
+    def contains_point(self, t) -> bool:
+        """True if some f_j(t) vanishes (scalars.vanishes)."""
+        return any(map(vanishes, self.evaluate_all(t)))
 
     # -- ranks and circuits -------------------------------------------------
 

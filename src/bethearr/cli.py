@@ -9,6 +9,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import gaudin as gd
 from .arrangement import CertificateError, WeightedArrangement
 from .master import (CriticalPoint, chamber_critical_points, find_critical_points,
-                     newton_solve)
+                     newton_solve, point_key)
 from .scalars import format_scalar
 from .special import point_checks
 
@@ -38,8 +39,9 @@ class PreconditionError(Exception):
 
 
 def _render(value):
-    """JSON-ready rendering: rationals as "p/q", complex as [re, im]."""
-    if isinstance(value, (bool, int, float)):
+    """JSON-ready rendering: rationals as "p/q", complex as [re, im];
+    TypeError on a value of any type a report does not hold."""
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (Fraction, complex)):
         return format_scalar(value)
@@ -47,7 +49,7 @@ def _render(value):
         return {str(k): _render(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_render(v) for v in value]
-    return str(value)
+    raise TypeError(f"cannot render a {type(value).__name__} in a report")
 
 
 def _load_json(path: str) -> dict:
@@ -99,16 +101,6 @@ def _critical_points(arr, args):
     return find_critical_points(arr, seed=args.seed, n_starts=args.starts, tol=args.tol_newton)
 
 
-def _point_report(cp: CriticalPoint) -> dict:
-    return {
-        "t": list(cp.t),
-        "grad_residual": cp.grad_residual,
-        "hess_det": cp.hess_det,
-        "nondegenerate": cp.nondegenerate,
-        "orbit_id": cp.orbit_id,
-    }
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -138,7 +130,7 @@ def cmd_critical(args) -> int:
         "seed": args.seed,
         "n_starts": args.starts,
         "abs_chi": abs(arr.euler_characteristic()),
-        "points": [_point_report(cp) for cp in points],
+        "points": [dataclasses.asdict(cp) for cp in points],
     }
     _emit(report, args)
     print(f"critical: found {len(points)} points, |chi|={report['abs_chi']}",
@@ -191,8 +183,8 @@ def cmd_gaudin(args) -> int:
         points = [cp for cp in (newton_solve(arr, t, tol=args.tol_newton) for t in seeds)
                   if isinstance(cp, CriticalPoint)]
         # one orbit per polished seed; keep those with k distinct coordinates
-        representatives = [cp for cp in points if cp.nondegenerate and len(
-            {round(x.real, 9) + 1j * round(x.imag, 9) for x in map(complex, cp.t)}) == k]
+        representatives = [cp for cp in points
+                           if cp.nondegenerate and len(set(point_key(cp.t))) == k]
         report["n_points"] = len(points)
         report["n_orbits"] = len(representatives)
 

@@ -20,12 +20,13 @@ import numpy as np
 
 from . import linalg
 from .arrangement import Hyperplane, WeightedArrangement
-from .master import hess_det
+from .master import hess_det, point_key
 from .osflag import FlagVector, chain_pairing
 from .scalars import (Scalar, format_scalar, parse_scalar, scalar_abs, to_int,
-                      to_rational)
+                      to_rational, vanishes)
 from .shapovalov import gram
-from .special import check, full_symmetric_action, isotypic_values, permutation_sign
+from .special import (check, full_symmetric_action, isotypic_values, norm_row,
+                      orthogonality_row, permutation_sign)
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,7 @@ class GaudinProblem:
     @cached_property
     def hamiltonians(self) -> list:
         """The K_s of gaudin_hamiltonian as complex arrays, built on first use."""
-        return [np.array([[complex(x) for x in row] for row in gaudin_hamiltonian(self, s)])
-                for s in range(self.n)]
+        return [np.array(gaudin_hamiltonian(self, s), dtype=complex) for s in range(self.n)]
 
     # -- JSON ----------------------------------------------------------------
 
@@ -229,29 +229,20 @@ def build_discriminantal(p: GaudinProblem) -> WeightedArrangement:
     return WeightedArrangement(k, hyperplanes, exponents)
 
 
-def _vanishes(x) -> bool:
-    """x is zero, or within 1e-12 of it when inexact."""
-    return x == 0 or (not isinstance(x, (int, Fraction)) and abs(complex(x)) < 1e-12)
-
-
 # -- sl2 modules and the weight space ---------------------------------------
 
 
+def _compositions(m, k) -> list[tuple]:
+    """Compositions (j_1..j_n) of k with 0 <= j_s <= m_s, in lex order."""
+    if not m:
+        return [()] if k == 0 else []
+    return [(j, *tail) for j in range(min(m[0], k) + 1) for tail in _compositions(m[1:], k - j)]
+
+
 def weight_basis(p: GaudinProblem) -> list[tuple]:
-    """Compositions (j_1..j_n) of k with j_s <= m_s, lex order: the basis
-    F_I v of the weight space V[Lambda - k alpha]."""
-    m = p.sl2_highest_weights()
-    k = p.k
-
-    def rec(pos, remaining):
-        if pos == len(m):
-            return [()] if remaining == 0 else []
-        out = []
-        for j in range(min(m[pos], remaining) + 1):
-            out.extend((j,) + tail for tail in rec(pos + 1, remaining - j))
-        return out
-
-    return sorted(rec(0, k))
+    """The compositions of k bounded by the highest weights m_s, lex order:
+    the basis F_I v of the weight space V[Lambda - k alpha]."""
+    return _compositions(p.sl2_highest_weights(), p.k)
 
 
 @dataclass(frozen=True)
@@ -277,7 +268,7 @@ def canonical_weight_function(p: GaudinProblem, t) -> TensorVector:
     for i, ti in enumerate(t):
         inverses = []
         for s, zs in enumerate(p.z):
-            if _vanishes(ti - zs):
+            if vanishes(ti - zs):
                 raise ValueError(f"t_{i+1} collides with z_{s+1}")
             inverses.append(1 / (ti - zs))
         grown = {}
@@ -317,11 +308,9 @@ def raising_matrix(p: GaudinProblem):
     """Matrix of e_total from the weight space of degree k to degree k-1
     (rows indexed by the degree-(k-1) basis)."""
     m = p.sl2_highest_weights()
-    src = weight_basis(p)
-    dst_problem = GaudinProblem(p.cartan, p.weights, (p.k - 1,), p.z)
-    dst = weight_basis(dst_problem)
+    src, dst = weight_basis(p), _compositions(m, p.k - 1)
     pos = {comp: i for i, comp in enumerate(dst)}
-    mat = [[Fraction(0)] * len(src) for _ in dst]
+    mat = [[0] * len(src) for _ in dst]
     for col, comp in enumerate(src):
         for s in range(p.n):
             j = comp[s]
@@ -344,7 +333,7 @@ def gaudin_hamiltonian(p: GaudinProblem, i: int):
     basis = weight_basis(p)
     pos = {comp: idx for idx, comp in enumerate(basis)}
     size = len(basis)
-    mat = [[Fraction(0)] * size for _ in range(size)]
+    mat = [[0] * size for _ in range(size)]
 
     def add(row_comp, col, value):
         if row_comp in pos:
@@ -392,7 +381,7 @@ def bethe_roots(p: GaudinProblem) -> list[tuple]:
     m = p.sl2_highest_weights()
     if not p.singular_vectors:
         return []
-    basis, _ = np.linalg.qr(np.array([[complex(x) for x in v] for v in p.singular_vectors]).T)
+    basis, _ = np.linalg.qr(np.array(p.singular_vectors, dtype=complex).T)
     restricted = [basis.conj().T @ h @ basis for h in p.hamiltonians]
     # coefficients outside span(1, z): sum K_s vanishes and sum z_s K_s is scalar on Sing
     mix = sum(math.cos(s + 1) * h for s, h in enumerate(restricted))
@@ -420,7 +409,7 @@ def bethe_roots(p: GaudinProblem) -> list[tuple]:
             continue
         roots.append(tuple(sorted(map(complex, np.roots(vh[-1].conj()[::-1])),
                                   key=lambda x: (x.real, x.imag))))
-    return sorted(roots, key=lambda t: [(round(x.real, 9), round(x.imag, 9)) for x in t])
+    return sorted(roots, key=point_key)
 
 
 # -- flags of the discriminantal arrangement ---------------------------------
@@ -499,9 +488,8 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
         singular_err = float(np.linalg.norm(raising @ w)) / wnorm
         rows.append(check(f"bethe_singular_{idx}", singular_err, 0.0, singular_err,
                           singular_err <= tol))
-        lhs, rhs = values[idx][idx], complex(hess_det(p.arrangement, tuple(t)))
-        rows.append(check(f"bethe_norm_{idx}", lhs, rhs, abs(lhs - rhs),
-                          abs(lhs - rhs) / max(abs(rhs), 1e-300) <= tol))
+        rows.append(norm_row(f"bethe_norm_{idx}", values[idx][idx],
+                             complex(hess_det(p.arrangement, tuple(t))), tol))
         for s, mat in enumerate(p.hamiltonians):
             kw = mat @ w
             rayleigh = complex(np.vdot(w, kw) / np.vdot(w, w))
@@ -511,10 +499,7 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
                               err <= tol))
         others = [j for j in range(len(points)) if j != idx]
         for o, j in enumerate(others):
-            value = values[idx][j]
-            scale = math.sqrt(abs(values[idx][idx]) * abs(values[j][j]))
-            rows.append(check(f"bethe_orthogonality_{idx}_{o}", value, 0.0, abs(value),
-                              abs(value) <= tol * max(scale, 1e-300)))
+            rows.append(orthogonality_row(f"bethe_orthogonality_{idx}_{o}", values, idx, j, tol))
     rank = int(np.linalg.matrix_rank(np.array(values))) if points else 0
     sing_dim = singular_dimension(p)
     rows.append(check("gram_rank_vs_sing_dim", rank, sing_dim, abs(rank - sing_dim),

@@ -42,12 +42,6 @@ def _matrix_exact(rows) -> bool:
     return all(is_exact(x) for row in rows for x in row)
 
 
-def _to_ndarray(rows, ncols=None):
-    if not rows:
-        return np.zeros((0, ncols or 0), dtype=complex)
-    return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
-
-
 def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
@@ -313,8 +307,7 @@ def nullspace(rows, ncols=None):
                     v[c] = -r[fc]
             basis.append(v)
         return basis
-    a = _to_ndarray(rows, ncols)
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(np.array(rows, dtype=complex))
     tol = _FLOAT_TOL * max(1.0, s[0] if s.size else 0.0)
     nz = int(np.sum(s > tol))
     return vh[nz:ncols].conj().tolist()
@@ -336,4 +329,4 @@ def det(rows):
         p = ech.pivots
         sign = (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
         return Fraction(sign * ech.rows[-1][p[-1]], math.prod(d for _, d in ints))
-    return complex(np.linalg.det(_to_ndarray(rows)))
+    return complex(np.linalg.det(np.array(rows, dtype=complex)))

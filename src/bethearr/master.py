@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .arrangement import WeightedArrangement
+from .arrangement import WeightedArrangement, apply_permutation
+from .scalars import vanishes
 
 MAX_ITER = 50  # Newton steps per start
 CHAMBER_MAX_ITER = 500  # damped Newton steps per chamber
@@ -72,7 +73,7 @@ def _critical_point(t, f, g, h) -> CriticalPoint:
     hd = complex(np.linalg.det(h))
     scale = np.sort(np.abs(f) ** -2)[len(f) // 2] ** len(t)
     return CriticalPoint(tuple(map(complex, t)), float(np.linalg.norm(g)), hd,
-                         abs(hd) > 1e-8 * scale)
+                         bool(abs(hd) > 1e-8 * scale))
 
 
 def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
@@ -88,7 +89,7 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
     b0, B, a = arr.numeric()
     t = np.array(start)
     f = b0 + B @ t
-    if np.min(np.abs(f)) < 1e-12:
+    if vanishes(f).any():
         raise ValueError("start point lies on the arrangement")
     g = B.T @ (a / f)
     merit = _log_residual(f, g)
@@ -114,7 +115,7 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
         for _ in range(20):
             cand = t - lam * step
             fc = b0 + B @ cand
-            if np.min(np.abs(fc)) > 1e-12:  # before a / fc can divide by zero
+            if not vanishes(fc).any():  # before a / fc can divide by zero
                 gc = B.T @ (a / fc)
                 mc = _log_residual(fc, gc)
                 if mc < merit:
@@ -152,7 +153,7 @@ def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
         if isinstance(result, CriticalPoint):
             found.append(result)
     merge = max(1e-6, tol ** 0.5)  # copies found at a loose tol lie further apart
-    found.sort(key=_point_order)
+    found.sort(key=lambda cp: point_key(cp.t))
     unique: list[CriticalPoint] = []
     for cp in found:
         if all(max(abs(a - b) for a, b in zip(cp.t, u.t)) >= merge for u in unique):
@@ -160,8 +161,10 @@ def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
     return unique
 
 
-def _point_order(cp: CriticalPoint) -> tuple:
-    return tuple((round(z.real, 9), round(z.imag, 9)) for z in cp.t)
+def point_key(t) -> tuple:
+    """The coordinates of t rounded to 9 places, real and imaginary parts
+    apart: points are ordered by their keys, and the same point has one key."""
+    return tuple((round(z.real, 9), round(z.imag, 9)) for z in t)
 
 
 def chamber_critical_points(arr: WeightedArrangement, tol=1e-12) -> list[CriticalPoint]:
@@ -198,7 +201,7 @@ def chamber_critical_points(arr: WeightedArrangement, tol=1e-12) -> list[Critica
             x = x - (d if lam <= 0.25 else d / (1.0 + lam))
             if np.max(np.abs(x)) > escape:
                 break
-    return sorted(found, key=_point_order)
+    return sorted(found, key=lambda cp: point_key(cp.t))
 
 
 def group_orbits(points: list[CriticalPoint], group, tol=1e-6) -> list[CriticalPoint]:
@@ -217,9 +220,7 @@ def group_orbits(points: list[CriticalPoint], group, tol=1e-6) -> list[CriticalP
             continue
         orbit[i] = next_id
         for g in perms:
-            gt = [None] * len(points[i].t)
-            for src, dst in enumerate(g):
-                gt[dst] = points[i].t[src]
+            gt = apply_permutation(g, points[i].t)
             for j in range(i + 1, n):
                 if orbit[j] == -1 and max(
                     abs(a - b) for a, b in zip(gt, points[j].t)

@@ -42,7 +42,7 @@ def d_A_matrix(arr: WeightedArrangement, p: int):
         raise ValueError(f"degree {p} out of range 0..{arr.ambient_dim - 1}")
     src = arr.basis(p)
     dst = arr.basis(p + 1)
-    matrix = [[Fraction(0)] * len(src) for _ in dst]
+    matrix = [[0] * len(src) for _ in dst]
     for col, s in enumerate(src):
         for j, a in enumerate(arr.exponents):
             if a == 0 or j in s:

@@ -15,10 +15,22 @@ from typing import Union
 
 Scalar = Union[int, Fraction, float, complex]
 
+# A value of modulus below this at an inexact point counts as zero: the
+# point lies on the arrangement (vanishes).
+ON_ARRANGEMENT_TOL = 1e-12
+
 
 def is_exact(x) -> bool:
     """True if x is an exact rational (int or Fraction)."""
     return isinstance(x, Rational)
+
+
+def vanishes(x):
+    """x == 0 when x is exact, else |x| < ON_ARRANGEMENT_TOL.  Elementwise
+    on a numpy array, exact when its dtype is object."""
+    if is_exact(x) or getattr(x, "dtype", None) == object:
+        return x == 0
+    return abs(x) < ON_ARRANGEMENT_TOL
 
 
 def to_rational(x):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import WeightedArrangement, sort_with_sign
+from .arrangement import WeightedArrangement, apply_permutation, sort_with_sign
 from .master import hess_det
 from .osflag import FlagVector, delta_F_matrix
 from .scalars import scalar_abs
@@ -48,21 +48,24 @@ def _singular_row(name, delta_norm, grad_norm, tol) -> dict:
     return check(name, delta_norm, grad_norm, 0.0, (grad_norm <= tol) == (delta_norm <= tol))
 
 
-def _norm_row(name, lhs, rhs, tol) -> dict:
+def norm_row(name, lhs, rhs, tol) -> dict:
+    """A norm against its expected value, within tol relative to |rhs|."""
     abs_err = scalar_abs(lhs - rhs)
     return check(name, lhs, rhs, abs_err, abs_err <= tol * max(scalar_abs(rhs), 1e-300))
 
 
+def orthogonality_row(name, g, i, l, tol) -> dict:
+    """Gram entry G_il against 0, within tol relative to the geometric mean
+    of |G_ii| and |G_ll| (scale-free in the exponents)."""
+    abs_err = scalar_abs(g[i][l])
+    scale = math.sqrt(scalar_abs(g[i][i]) * scalar_abs(g[l][l]))
+    return check(name, g[i][l], 0.0, abs_err, abs_err <= tol * max(scale, 1e-300))
+
+
 def _orthogonality_rows(g, tol) -> list[dict]:
-    """Gram entry G_il against 0 for each pair i < l, within tol relative to
-    the geometric mean of |G_ii| and |G_ll| (scale-free in the exponents)."""
-    rows = []
-    for i, l in itertools.combinations(range(len(g)), 2):
-        abs_err = scalar_abs(g[i][l])
-        scale = math.sqrt(scalar_abs(g[i][i]) * scalar_abs(g[l][l]))
-        rows.append(check(f"orthogonality_{i}_{l}", g[i][l], 0.0, abs_err,
-                          abs_err <= tol * max(scale, 1e-300)))
-    return rows
+    """orthogonality_row for each pair i < l."""
+    return [orthogonality_row(f"orthogonality_{i}_{l}", g, i, l, tol)
+            for i, l in itertools.combinations(range(len(g)), 2)]
 
 
 def point_checks(arr: WeightedArrangement, points, controls, tol=1e-8) -> list[dict]:
@@ -84,7 +87,7 @@ def point_checks(arr: WeightedArrangement, points, controls, tol=1e-8) -> list[d
     for i, t in enumerate(points):
         ok = grad_norm[i] <= critical_tol and delta_norm[i] <= critical_tol
         rows.append(check(f"singular_at_critical_{i}", delta_norm[i], 0.0, delta_norm[i], ok))
-        rows.append(_norm_row(f"norm_identity_{i}", g[i][i], (-1) ** k * hess_det(arr, t), tol))
+        rows.append(norm_row(f"norm_identity_{i}", g[i][i], (-1) ** k * hess_det(arr, t), tol))
     for j in range(m, u.shape[1]):
         rows.append(_singular_row(f"control_point_{j - m + 1}", delta_norm[j], grad_norm[j], 1e-8))
     return rows + _orthogonality_rows(g, max(tol, 1e-10))
@@ -102,7 +105,7 @@ def verify_norm_identity(arr: WeightedArrangement, t, tol=1e-8) -> dict:
     """S^(a)(v(t), v(t)), the one entry of special_gram(arr, [t]), against
     (-1)^k Hess^(a)(t), within tol relative to |rhs|."""
     lhs = special_gram(arr, [t]).tolist()[0][0]
-    return _norm_row("norm_identity", lhs, (-1) ** arr.ambient_dim * hess_det(arr, t), tol)
+    return norm_row("norm_identity", lhs, (-1) ** arr.ambient_dim * hess_det(arr, t), tol)
 
 
 def orthogonality_checks(arr: WeightedArrangement, points, tol=1e-10) -> list[dict]:
@@ -116,14 +119,6 @@ def verify_orthogonality(arr: WeightedArrangement, t1, t2, tol=1e-10) -> dict:
 
 
 # -- symmetry actions ------------------------------------------------------
-
-
-def apply_permutation(sigma, t):
-    """Coordinate permutation acting on a point: (sigma.t)_{sigma(i)} = t_i."""
-    out = [None] * len(t)
-    for src, dst in enumerate(sigma):
-        out[dst] = t[src]
-    return tuple(out)
 
 
 def permutation_sign(sigma) -> int:
@@ -152,12 +147,7 @@ class SymmetryAction:
     def chi(self, idx: int):
         if self.character == "trivial":
             return 1
-        if self.character == "sign":
-            return permutation_sign(self.perms[idx])
-        raise ValueError(
-            f"character {self.character!r} unsupported: only one-dimensional "
-            "characters (trivial, sign) are in scope"
-        )
+        return permutation_sign(self.perms[idx])
 
 
 def _induced_hyperplane_perm(arr: WeightedArrangement, sigma) -> tuple:
@@ -184,6 +174,12 @@ def _induced_hyperplane_perm(arr: WeightedArrangement, sigma) -> tuple:
 
 
 def build_action(arr: WeightedArrangement, perms, character="trivial") -> SymmetryAction:
+    """The action of perms with a one-dimensional character, trivial or
+    sign; ValueError on any other character, or on a permutation that does
+    not preserve the arrangement and its exponents."""
+    if character not in ("trivial", "sign"):
+        raise ValueError(f"character {character!r} unsupported: only one-dimensional "
+                         "characters (trivial, sign) are in scope")
     perms = [tuple(p) for p in perms]
     hp = tuple(_induced_hyperplane_perm(arr, p) for p in perms)
     return SymmetryAction(perms=tuple(perms), hyperplane_perms=hp, character=character)
@@ -221,7 +217,7 @@ def verify_isotypic_norm(arr: WeightedArrangement, action: SymmetryAction, t,
     x, c = isotypic_values(arr, action, [t])
     lhs = gram(x, c, x).tolist()[0][0]
     rhs = Fraction(1, len(action)) * (-1) ** arr.ambient_dim * hess_det(arr, t)
-    return _norm_row("isotypic_norm", lhs, rhs, tol)
+    return norm_row("isotypic_norm", lhs, rhs, tol)
 
 
 def full_symmetric_action(arr: WeightedArrangement, character="trivial"):

@@ -13,7 +13,7 @@ import pytest
 from bethearr import gaudin as gd
 from bethearr import linalg, osflag, shapovalov, special
 from bethearr.arrangement import Hyperplane, WeightedArrangement
-from bethearr.cli import main
+from bethearr.cli import _render, main
 from bethearr.master import find_critical_points
 from conftest import line
 
@@ -186,6 +186,17 @@ class TestAnalyze:
         assert "input error" in err
 
 
+@pytest.mark.parametrize("value", [np.bool_(True), object()])
+def test_render_rejects_what_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        _render({"x": [value]})
+
+
+def test_render_passes_none_and_strings_through():
+    assert _render({"a": None, "b": "x", "c": (F(1, 2), 1j)}) == {
+        "a": None, "b": "x", "c": ["1/2", [0.0, 1.0]]}
+
+
 class TestCritical:
     def test_finds_three_points(self, gen4_file, capsys):
         code, out, _ = run_main(
@@ -211,6 +222,24 @@ class TestCritical:
         assert out == ""
         assert json.loads(target.read_text())["command"] == "critical"
 
+
+    @pytest.mark.parametrize("starts", ["0", "40"])
+    def test_point_fields_are_json_bool_and_null(self, gen4_file, generic4, tmp_path,
+                                                  capsys, starts):
+        """Each point is its CriticalPoint record: nondegenerate a JSON
+        boolean and orbit_id null, on the chamber and the multi-start path."""
+        path = gen4_file
+        if starts != "0":
+            arr = WeightedArrangement(2, generic4.hyperplanes, [F(1), F(-1), F(1), F(1)])
+            path = tmp_path / "arr.json"
+            path.write_text(json.dumps(arr.to_json()))
+        _, out, _ = run_main(["critical", str(path), "--starts", starts], capsys)
+        points = json.loads(out)["points"]
+        assert points
+        for p in points:
+            assert set(p) == {"t", "grad_residual", "hess_det", "nondegenerate", "orbit_id"}
+            assert type(p["nondegenerate"]) is bool
+            assert p["orbit_id"] is None
 
     def test_chamber_path_ignores_the_starts(self, gen4_file, capsys):
         """Unit exponents and simple vertices: one point per bounded chamber,

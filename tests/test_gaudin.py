@@ -287,6 +287,18 @@ class TestHamiltonians:
             k_small = gaudin_hamiltonian(smaller, i)
             assert os_oracle.mat_mul(e, k_big) == os_oracle.mat_mul(k_small, e)
 
+    @pytest.mark.parametrize("weights, k", [((2, 2, 2), 2), ((1,) * 6, 3)])
+    def test_complex_arrays_are_the_exact_matrices_converted(self, sl2, weights, k):
+        """hamiltonians converts each exact K_s with one np.array call; it is
+        bit for bit the complex() of each entry."""
+        z = (F(0), F(1), F(3), F(7), F(-2), F(5))[:len(weights)]
+        p = GaudinProblem(sl2, tuple((m,) for m in weights), (k,), z)
+        for s, h in enumerate(p.hamiltonians):
+            exact = gaudin_hamiltonian(p, s)
+            expected = np.array([[complex(x) for x in row] for row in exact])
+            assert h.dtype == complex and h.shape == expected.shape
+            assert h.tobytes() == expected.tobytes()
+
 
 def _rows(rows):
     return {r["name"]: r for r in rows}

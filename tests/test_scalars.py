@@ -4,11 +4,12 @@ non-finite values are rejected."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bethearr.arrangement import Hyperplane
 from bethearr.gaudin import CartanDatum, GaudinProblem
-from bethearr.scalars import parse_scalar, to_rational
+from bethearr.scalars import ON_ARRANGEMENT_TOL, parse_scalar, to_rational, vanishes
 
 F = Fraction
 
@@ -57,3 +58,19 @@ def test_marked_points_are_rational():
         GaudinProblem(sl2, ((1,), (1,)), (1,), (0.5, F(1, 2)))
     with pytest.raises(ValueError):
         GaudinProblem(sl2, ((1,), (1,)), (1,), (F(0), 1j))
+
+
+class TestVanishes:
+    def test_exact_values_vanish_only_at_zero(self):
+        assert vanishes(0) and vanishes(F(0))
+        assert not vanishes(F(1, 10 ** 30))
+
+    def test_inexact_values_vanish_below_the_threshold(self):
+        assert vanishes(0.5 * ON_ARRANGEMENT_TOL) and vanishes(1j * 0.5 * ON_ARRANGEMENT_TOL)
+        assert not vanishes(complex(ON_ARRANGEMENT_TOL, 0))
+
+    def test_arrays_elementwise(self):
+        exact = np.array([F(0), F(1, 10 ** 30)], dtype=object)
+        assert vanishes(exact).tolist() == [True, False]
+        inexact = np.array([1e-13, 1e-3j])
+        assert vanishes(inexact).tolist() == [True, False]

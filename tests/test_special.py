@@ -102,6 +102,10 @@ class TestSymmetryAction:
         with pytest.raises(ValueError, match="preserve"):
             build_action(generic4, [(1, 0)])
 
+    def test_rejects_an_unknown_character(self, symmetric2):
+        with pytest.raises(ValueError, match="character 'bogus' unsupported"):
+            build_action(symmetric2, [(0, 1), (1, 0)], "bogus")
+
     @staticmethod
     def scaled_pair(exponents):
         """2 t1 - 2 and t2 - 1: the swap maps each onto a multiple of the other."""
