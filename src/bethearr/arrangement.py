@@ -134,6 +134,7 @@ class WeightedArrangement:
         if not self.has_vertex():
             raise ValueError("arrangement has no vertex")
         self._exponent_array = np.array(self.exponents, dtype=complex)
+        self._weighted_top = None
 
     # -- construction checks ------------------------------------------------
 
@@ -503,6 +504,21 @@ class WeightedArrangement:
             core.coords[subset] = {row: c for row, c in sorted(coords.items()) if c}
         return core.coords[subset]
 
+    def weighted_top(self) -> tuple:
+        """(prod_{j in S} a_j, basis_coords(S)) of each general-position
+        k-subset S whose exponent product is nonzero, in candidate_monomials(k)
+        order: the terms of the Shapovalov form.  It depends on the exponents,
+        so it is held on this instance and not shared with re-weightings.
+        Memoized; callers must not mutate the result."""
+        if self._weighted_top is None:
+            terms = []
+            for s in self.candidate_monomials(self.ambient_dim):
+                prod = math.prod((self.exponents[j] for j in s), start=Fraction(1))
+                if prod != 0:
+                    terms.append((prod, self.basis_coords(s)))
+            self._weighted_top = tuple(terms)
+        return self._weighted_top
+
     def dims(self) -> list[int]:
         return [len(self.basis(p)) for p in range(self.ambient_dim + 1)]
 
@@ -544,7 +560,7 @@ def with_exponents(arr: WeightedArrangement, exponents) -> WeightedArrangement:
     """Same hyperplanes with different exponents.  The result shares arr's
     exponent-free core, so circuits, bases and straightened coordinates are
     computed once for both; data that depends on the exponents, such as
-    osflag.d_A_matrix, is computed per instance."""
+    weighted_top() and osflag.d_A_matrix, is computed per instance."""
     out = WeightedArrangement(arr.ambient_dim, arr.hyperplanes, exponents)
     out._core = arr._core
     return out

@@ -13,29 +13,16 @@ from .osflag import FlagVector, check_length, sparse_dot
 from .scalars import Scalar
 
 
-def _weighted_top(arr: WeightedArrangement):
-    """(exponent product, nonzero straightened coordinates) of each
-    general-position k-subset whose exponent product is nonzero.  On a
-    generic arrangement every such subset is a basis monomial, so it has
-    one coordinate."""
-    for subset in arr.candidate_monomials(arr.ambient_dim):
-        prod = Fraction(1)
-        for j in subset:
-            prod = prod * arr.exponents[j]
-        if prod != 0:
-            yield prod, arr.basis_coords(subset)
-
-
 def shapovalov_form(arr: WeightedArrangement, f1: FlagVector, f2: FlagVector) -> Scalar:
-    """S^(a)(F1, F2): sum over general-position k-subsets of the exponent
-    product times both pairings, each taken over the subset's nonzero
-    straightened coordinates only."""
+    """S^(a)(F1, F2): sum over the terms of arr.weighted_top() of the
+    exponent product times both pairings, each taken over the subset's
+    nonzero straightened coordinates only."""
     if f1.degree != arr.ambient_dim or f2.degree != arr.ambient_dim:
         raise ValueError("Shapovalov form is defined on top-degree flags")
     for f in (f1, f2):
         check_length(f, arr.basis(arr.ambient_dim))
     total = Fraction(0)
-    for prod, coords in _weighted_top(arr):
+    for prod, coords in arr.weighted_top():
         total = total + prod * sparse_dot(coords, f1.coords) * sparse_dot(coords, f2.coords)
     return total
 

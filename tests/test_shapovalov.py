@@ -1,8 +1,10 @@
 """Shapovalov form, the closed-form pairing of special vectors, and the
 generic-arrangement operator oracle."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bethearr import linalg
-from bethearr.arrangement import with_exponents
+from bethearr.arrangement import WeightedArrangement, with_exponents
+from bethearr.gaudin import CartanDatum, GaudinProblem, build_discriminantal
 from bethearr.osflag import FlagVector
 from bethearr.master import chamber_critical_points
 from bethearr.shapovalov import shapovalov_form, special_gram, special_pairing
 from bethearr.special import orthogonality_checks, specialize
-from conftest import small_arrangements
+from conftest import line, small_arrangements
 from generic_ops import (dependency_constant, is_generic, k_operator,
                          l_operator, random_generic, standard_basis)
 import os_oracle
@@ -97,6 +100,82 @@ def test_form_and_map_match_the_dense_oracle(arr, data):
     got, expected = shapovalov_form(arr, v1, v2), os_oracle.shapovalov_form(arr, v1, v2)
     assert got == expected
     assert repr(got) == repr(expected)
+
+
+def assert_bitwise(got, want):
+    """Equal, and equal in repr: exact values, or complex ones to the last bit."""
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def random_flags(arr, rng, count):
+    """Top-degree flags with small random rational coordinates."""
+    size = len(arr.basis(arr.ambient_dim))
+    return [FlagVector(arr.ambient_dim,
+                       tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)))
+            for _ in range(count)]
+
+
+def complex_specials(arr, rng, count):
+    """specialize at random complex points off the arrangement."""
+    vectors = []
+    while len(vectors) < count:
+        t = tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                  for _ in range(arr.ambient_dim))
+        if not arr.contains_point(t):
+            vectors.append(specialize(arr, t))
+    return vectors
+
+
+class TestWeightedTop:
+    def test_each_reweighting_has_its_own_table(self):
+        """Three re-weightings of one arrangement, called in interleaved
+        order twice round, each match the dense oracle: a table shared
+        through the exponent-free core would give the first one's terms to
+        all three."""
+        base = WeightedArrangement(
+            2, [line(0, 1, 0), line(0, 0, 1), line(0, 1, 1), line(-3, 1, 2), line(-1, 1, 0)],
+            [F(1)] * 5)
+        arrs = [with_exponents(base, [F(1, 2), F(-3), F(2, 3), F(5), F(-1, 4)]),
+                with_exponents(base, [F(2), F(1), F(0), F(-7, 3), F(3)]),
+                with_exponents(base, [complex(1 + j, 0.5 - j / 4) for j in range(5)])]
+        rng = random.Random("reweightings")
+        flags = random_flags(base, rng, 2) + complex_specials(base, rng, 2)
+        for _ in range(2):
+            for arr in arrs:
+                for f1, f2 in itertools.combinations_with_replacement(flags, 2):
+                    assert_bitwise(shapovalov_form(arr, f1, f2),
+                                   os_oracle.shapovalov_form(arr, f1, f2))
+        assert len(arrs[1].weighted_top()) < len(arrs[0].weighted_top())
+
+    def test_table_does_not_keep_the_arrangement_alive(self, generic4):
+        """With the collector off, the last reference going frees a
+        re-weighting whose table is built: no module cache, no cycle."""
+        arr = with_exponents(generic4, [F(2), F(3), F(5), F(7)])
+        f = FlagVector(2, (F(1),) * 6)
+        ref = weakref.ref(arr)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            shapovalov_form(arr, f, f)
+            del arr
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_discriminantal(self):
+        """sl2 m=(1,1,1,1), k=2, whose basis comes from the levels: the form
+        equals the dense oracle exactly on rational flags and to the last
+        bit on complex special vectors."""
+        p = GaudinProblem(CartanDatum.sl2(), ((1,),) * 4, (2,), tuple(map(F, (0, 1, 3, 7))))
+        arr = build_discriminantal(p)
+        assert arr.basis_path(2) == "levels"
+        rng = random.Random("discriminantal")
+        for flags in (random_flags(arr, rng, 4), complex_specials(arr, rng, 4)):
+            for f1, f2 in itertools.combinations_with_replacement(flags, 2):
+                assert_bitwise(shapovalov_form(arr, f1, f2),
+                               os_oracle.shapovalov_form(arr, f1, f2))
 
 
 class TestSpecialPairing:
