@@ -15,6 +15,7 @@ scaled to integers, their residues modulo a large prime have full rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -24,14 +25,29 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
+from .linalg import sort_with_sign
 from .scalars import (Scalar, format_scalar, is_exact, parse_scalar, to_int, to_rational,
                       vanishes)
 
 
-def sort_with_sign(indices):
-    """(sorted tuple, (-1)^(number of inversions)) of a tuple of indices."""
-    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
-    return tuple(sorted(indices)), (-1) ** inversions
+def _memo(table: str):
+    """Decorator: keep a method's result in the instance's dict named table,
+    under (method name, *arguments), so that the body, checks included, runs
+    only on a miss and a raise keeps nothing.  Callers must not mutate what
+    a memoized method returns."""
+    def decorate(method):
+        @functools.wraps(method)
+        def memoized(self, *args):
+            memo, key = getattr(self, table), (method.__name__, *args)
+            if key not in memo:
+                memo[key] = method(self, *args)
+            return memo[key]
+        return memoized
+    return decorate
+
+
+# _core: what the hyperplanes fix, shared by re-weightings; _own: what needs the exponents
+_shared, _own = _memo("_core"), _memo("_own")
 
 
 def apply_permutation(sigma, t):
@@ -70,12 +86,12 @@ class Hyperplane:
         """The row (b0, *b) scaled to coprime integers with the first nonzero
         b entry positive: the same hyperplane and logarithmic form df / f,
         and equal rows exactly for proportional equations."""
-        return _primitive(linalg.integer_row((self.b0, *self.b))[0])
+        return primitive_row(linalg.integer_row((self.b0, *self.b))[0])
 
 
-def _primitive(ints) -> tuple:
+def primitive_row(ints) -> tuple:
     """An integer row (b0, *b) divided by its gcd and signed so that its
-    first nonzero b entry is positive."""
+    first nonzero b entry is positive: the integer_row of its hyperplane."""
     g = math.gcd(*ints) * (1 if next(x for x in ints[1:] if x) > 0 else -1)
     return tuple(x // g for x in ints)
 
@@ -88,32 +104,12 @@ class SubsetRankReport:
     general_position: bool
 
 
-class _Core:
-    """What the hyperplanes of an arrangement determine, whatever its
-    exponents.  Filled lazily, only ever appended to, and shared by every
-    re-weighting made with with_exponents."""
-
-    def __init__(self):
-        self.circuits = None    # minimal dependent subsets, by size then lex
-        self.candidates = None  # p -> general-position p-subsets, lex order
-        self.general = {}       # p -> the same subsets as a set, for look-ups
-        self.relations = None   # circuits with a common point, in circuits order
-        self.top_minors = None  # general-position k-subset -> det of its b-rows
-        self.levels = None      # hyperplanes of each level, or False: see levels()
-        self.nbc = {}           # p -> nbc p-subsets, lex order
-        self.bases = {}       # p -> nbc basis of A^p
-        self.basis_index = {}  # p -> {basis monomial: its position in bases[p]}
-        self.basis_paths = {}  # p -> how bases[p] was found: see basis_path()
-        self.coords = {}      # sorted monomial -> coordinates over its basis
-        self.equations = None  # (b0, B) as float arrays
-        self.integer_rows = None  # Hyperplane.integer_row of each hyperplane
-
-
 class WeightedArrangement:
     """An ordered weighted arrangement; immutable after construction.
 
-    Combinatorial data (circuits, bases, straightening) lives in an
-    exponent-free core that is filled lazily.
+    Its tables are memoized: combinatorial data (circuits, bases,
+    straightening) in an exponent-free memo shared with every re-weighting
+    (with_exponents), data that depends on the exponents per instance.
     """
 
     def __init__(self, ambient_dim: int, hyperplanes, exponents):
@@ -129,12 +125,11 @@ class WeightedArrangement:
         self.ambient_dim = ambient_dim
         self.hyperplanes = tuple(hyperplanes)
         self.exponents = tuple(exponents)
-        self._core = _Core()
+        self._core, self._own = {}, {}
         self._check_distinct()
         if not self.has_vertex():
             raise ValueError("arrangement has no vertex")
-        self._exponent_array = np.array(self.exponents, dtype=complex)
-        self._weighted_top = None
+        self.exponent_array(complex)  # exponents that are not numbers raise here
 
     # -- construction checks ------------------------------------------------
 
@@ -161,24 +156,30 @@ class WeightedArrangement:
     def n(self) -> int:
         return len(self.hyperplanes)
 
+    @_shared
     def integer_rows(self) -> tuple:
-        """Hyperplane.integer_row of each hyperplane, computed once and
-        shared with every re-weighting."""
-        if self._core.integer_rows is None:
-            self._core.integer_rows = tuple(h.integer_row() for h in self.hyperplanes)
-        return self._core.integer_rows
+        """Hyperplane.integer_row of each hyperplane."""
+        return tuple(h.integer_row() for h in self.hyperplanes)
 
     def evaluate_all(self, t):
         return [h.evaluate(t) for h in self.hyperplanes]
 
+    @_shared
+    def equations(self, dtype) -> tuple:
+        """(b0, B): the offsets and the normals (n x k) as read-only arrays
+        of dtype, float or object (exact)."""
+        rows = np.array([[h.b0, *h.b] for h in self.hyperplanes], dtype=dtype)
+        rows.setflags(write=False)
+        return rows[:, 0], rows[:, 1:]
+
+    @_own
+    def exponent_array(self, dtype):
+        """The exponents as an array of dtype, complex or object (exact)."""
+        return np.array(self.exponents, dtype=dtype)
+
     def numeric(self):
-        """(b0, B, a): offsets and normals (n x k) as read-only float arrays,
-        shared with every re-weighting, and the exponents as a complex array."""
-        if self._core.equations is None:
-            rows = np.array([[h.b0, *h.b] for h in self.hyperplanes], dtype=float)
-            rows.setflags(write=False)
-            self._core.equations = rows[:, 0], rows[:, 1:]
-        return (*self._core.equations, self._exponent_array)
+        """(b0, B, a): equations(float) and exponent_array(complex)."""
+        return (*self.equations(float), self.exponent_array(complex))
 
     def at(self, points):
         """(f, B, a): the values f_j(t_i) as an n x len(points) array, the
@@ -190,8 +191,7 @@ class WeightedArrangement:
         if all(map(is_exact, itertools.chain(self.exponents, *points))):
             f = np.array([list(map(Fraction, self.evaluate_all(t))) for t in points],
                          dtype=object).reshape(len(points), self.n).T
-            B = np.array([h.b for h in self.hyperplanes], dtype=object)
-            a = np.array(self.exponents, dtype=object)
+            B, a = self.equations(object)[1], self.exponent_array(object)
         else:
             b0, B, a = self.numeric()
             t = np.array(points, dtype=complex).reshape(len(points), self.ambient_dim)
@@ -227,8 +227,7 @@ class WeightedArrangement:
 
     def general_position(self, subset) -> bool:
         """A look-up among the general-position subsets circuits() records."""
-        self.circuits()
-        return tuple(sorted(subset)) in self._core.general.get(len(subset), ())
+        return tuple(sorted(subset)) in self._recorded("general").get(len(subset), ())
 
     def closure(self, subset) -> frozenset:
         """All hyperplane indices containing the intersection stratum of the
@@ -239,38 +238,43 @@ class WeightedArrangement:
             raise ValueError(f"subset {tuple(subset)} has empty intersection")
         return frozenset(j for j in range(self.n) if equations.spans(self._row(j)))
 
+    @_shared
     def circuits(self) -> list[tuple]:
-        """Minimal dependent subsets (2 to k+1 members), by size then lex; the same
-        pass records the candidates and the relations, at most one rank_report per subset."""
-        core = self._core
-        if core.circuits is None:
-            core.candidates = {0: [()]}
-            core.relations = []
-            found = []
-            for size in range(1, self.ambient_dim + 2):
-                below = core.general[size - 1] = set(core.candidates[size - 1])
-                for subset in itertools.combinations(range(self.n), size):
-                    if not all(f in below for f in itertools.combinations(subset, size - 1)):
-                        continue
-                    report = self.rank_report(subset)
-                    if report.general_position:
-                        core.candidates.setdefault(size, []).append(subset)
-                    else:
-                        found.append(subset)
-                        if report.consistent:
-                            core.relations.append(subset)
-            core.circuits = found
-        return core.circuits
+        """Minimal dependent subsets (2 to k+1 members), by size then lex.  The
+        same pass, at most one rank_report per subset, records the
+        general-position subsets of each size, in lex order ("candidates") and
+        as a set ("general"), and the circuits with a common point
+        ("relations"), in circuits order: see _recorded."""
+        candidates, general, relations, found = {0: [()]}, {}, [], []
+        for size in range(1, self.ambient_dim + 2):
+            below = general[size - 1] = set(candidates[size - 1])
+            for subset in itertools.combinations(range(self.n), size):
+                if not all(f in below for f in itertools.combinations(subset, size - 1)):
+                    continue
+                report = self.rank_report(subset)
+                if report.general_position:
+                    candidates.setdefault(size, []).append(subset)
+                else:
+                    found.append(subset)
+                    if report.consistent:
+                        relations.append(subset)
+        self._core.update(candidates=candidates, general=general, relations=relations)
+        return found
+
+    def _recorded(self, table: str):
+        """A table of the circuits() pass, which runs if it has not."""
+        self.circuits()
+        return self._core[table]
 
     def broken_circuits(self) -> list[tuple]:
         """Sorted tails of the relations; a circuit with empty intersection
         gives no relation in the affine algebra, so no broken circuit."""
-        self.circuits()
-        return sorted({c[1:] for c in self._core.relations})
+        return sorted({c[1:] for c in self._recorded("relations")})
 
+    @_shared
     def levels(self) -> tuple | None:
         """The hyperplane indices of each level 0..k-1 when the order
-        satisfies the witness rule, else None.  Memoized.
+        satisfies the witness rule, else None.
 
         The level of a hyperplane is the last coordinate with a nonzero
         entry in its normal.  For each pair i < j of one level L whose
@@ -302,46 +306,37 @@ class WeightedArrangement:
           C - {c_0, c_a} inside S, and top level below L.  Repeating this
           reaches a top level 0, whose hyperplanes are all parallel, so no
           two of them lie in a consistent circuit: a contradiction."""
-        core = self._core
-        if core.levels is None:
-            k, rows = self.ambient_dim, self.integer_rows()
-            index = {row: j for j, row in enumerate(rows)}
-            levels = [[] for _ in range(k)]
-            for j, h in enumerate(self.hyperplanes):
-                levels[max(c for c, x in enumerate(h.b) if x)].append(j)
+        k, rows = self.ambient_dim, self.integer_rows()
+        index = {row: j for j, row in enumerate(rows)}
+        levels = [[] for _ in range(k)]
+        for j, h in enumerate(self.hyperplanes):
+            levels[max(c for c, x in enumerate(h.b) if x)].append(j)
 
-            def witnessed(i, j, L):
-                ci, cj = rows[i][1 + L], rows[j][1 + L]
-                meet = [cj * x - ci * y for x, y in zip(rows[i], rows[j])]
-                return not any(meet[1:]) or index.get(_primitive(meet), i) < i
+        def witnessed(i, j, L):
+            ci, cj = rows[i][1 + L], rows[j][1 + L]
+            meet = [cj * x - ci * y for x, y in zip(rows[i], rows[j])]
+            return not any(meet[1:]) or index.get(primitive_row(meet), i) < i
 
-            ok = all(witnessed(i, j, L) for L, members in enumerate(levels)
-                     for i, j in itertools.combinations(members, 2))
-            core.levels = tuple(map(tuple, levels)) if ok else False
-        return core.levels or None
+        ok = all(witnessed(i, j, L) for L, members in enumerate(levels)
+                 for i, j in itertools.combinations(members, 2))
+        return tuple(map(tuple, levels)) if ok else None
 
+    @_shared
     def nbc_sets(self, p: int) -> list[tuple]:
         """General-position p-subsets containing no broken circuit, lex order.
         When levels() holds, the product of p distinct levels, sorted, with
         no circuits() pass; otherwise the candidate_monomials(p) with no
-        subset among the broken circuits.  Memoized; callers must not
-        mutate the result."""
+        subset among the broken circuits."""
         if not 0 <= p <= self.ambient_dim:
             raise ValueError(f"degree {p} out of range 0..{self.ambient_dim}")
-        core = self._core
-        if p not in core.nbc:
-            levels = self.levels()
-            if levels is not None:
-                core.nbc[p] = sorted(tuple(sorted(s))
-                                     for chosen in itertools.combinations(levels, p)
-                                     for s in itertools.product(*chosen))
-            else:
-                broken = set(self.broken_circuits())
-                sizes = sorted({len(b) for b in broken if len(b) <= p})
-                core.nbc[p] = [s for s in self.candidate_monomials(p)
-                               if not any(b in broken for r in sizes
-                                          for b in itertools.combinations(s, r))]
-        return core.nbc[p]
+        levels = self.levels()
+        if levels is not None:
+            return sorted(tuple(sorted(s)) for chosen in itertools.combinations(levels, p)
+                          for s in itertools.product(*chosen))
+        broken = set(self.broken_circuits())
+        sizes = sorted({len(b) for b in broken if len(b) <= p})
+        return [s for s in self.candidate_monomials(p)
+                if not any(b in broken for r in sizes for b in itertools.combinations(s, r))]
 
     # -- certified basis and straightening -------------------------------------
 
@@ -369,19 +364,26 @@ class WeightedArrangement:
 
     def candidate_monomials(self, p: int) -> list[tuple]:
         """General-position p-subsets, lex order, from circuits(); none for p > k."""
-        self.circuits()
-        return self._core.candidates.get(p, [])
+        return self._recorded("candidates").get(p, [])
 
+    @_shared
     def top_minors(self) -> dict:
         """det of the b-rows of each general-position k-subset (every other
-        k-subset's is zero).  Memoized; callers must not mutate the result."""
-        core = self._core
-        if core.top_minors is None:
-            core.top_minors = {
-                s: linalg.det([list(self.hyperplanes[j].b) for j in s])
-                for s in self.candidate_monomials(self.ambient_dim)
-            }
-        return core.top_minors
+        k-subset's is zero)."""
+        return {s: linalg.det([list(self.hyperplanes[j].b) for j in s])
+                for s in self.candidate_monomials(self.ambient_dim)}
+
+    @_shared
+    def top_index(self) -> dict:
+        """{subset: position} over top_minors(), the row order of shapovalov.top_forms."""
+        return {s: i for i, s in enumerate(self.top_minors())}
+
+    @_shared
+    def top_arrays(self, dtype) -> tuple:
+        """(members, d): the subsets of top_minors() as the rows of an int
+        array and their minors as an array of dtype."""
+        minors = self.top_minors()
+        return np.array(list(minors), dtype=int), np.array(list(minors.values()), dtype=dtype)
 
     def certificate_samples(self, p: int, prime: int = linalg.PRIME):
         """The endless stream of samples (t, w, inv) of the degree-p basis
@@ -432,43 +434,33 @@ class WeightedArrangement:
 
     def basis(self, p: int) -> list[tuple]:
         """The nbc sets of degree p, a basis of A^p (basis_coords shows that
-        they span).  When levels() holds they are the one-per-level sets,
-        independent by the nbc basis theorem, and nothing is certified.
-        Otherwise full rank of evaluation_matrix modulo one of linalg.PRIMES
-        shows that they are independent.  The second prime is tried only
-        when the first falls short.  A shortfall at both, which the nbc
-        basis theorem leaves only to degenerate reductions modulo both
-        primes (say, two hyperplanes that coincide there) or to unlucky
-        samples, raises CertificateError."""
-        core = self._core
-        if p not in core.bases:
-            if self.levels() is not None:
-                nbc, path = self.nbc_sets(p), "levels"
-            else:
-                for prime in linalg.PRIMES:
-                    nbc, rows = self.evaluation_matrix(p, prime)
-                    if linalg.rank_mod_p(rows, prime) == len(nbc):
-                        break
-                else:
-                    raise CertificateError(
-                        f"degree {p}: the nbc rows fall short of full rank modulo "
-                        + " and ".join(map(str, linalg.PRIMES)))
-                path = f"certificate mod {prime}"
-            core.bases[p], core.basis_paths[p] = nbc, path
-        return core.bases[p]
+        they span), once basis_path(p) has shown that they are independent."""
+        self.basis_path(p)
+        return self.nbc_sets(p)
 
+    @_shared
     def basis_path(self, p: int) -> str:
-        """How basis(p) was found: "levels", or "certificate mod <prime>"."""
-        self.basis(p)
-        return self._core.basis_paths[p]
+        """How basis(p) is shown independent: "levels", when levels() holds,
+        so that the nbc sets are the one-per-level sets, independent by the
+        nbc basis theorem, and nothing is certified; else "certificate mod
+        <prime>", full rank of evaluation_matrix modulo one of linalg.PRIMES.
+        The second prime is tried only when the first falls short.  A
+        shortfall at both, which the nbc basis theorem leaves only to
+        degenerate reductions modulo both primes (say, two hyperplanes that
+        coincide there) or to unlucky samples, raises CertificateError."""
+        nbc = self.nbc_sets(p)
+        if self.levels() is not None:
+            return "levels"
+        for prime in linalg.PRIMES:
+            if linalg.rank_mod_p(self.evaluation_matrix(p, prime)[1], prime) == len(nbc):
+                return f"certificate mod {prime}"
+        raise CertificateError(f"degree {p}: the nbc rows fall short of full rank modulo "
+                               + " and ".join(map(str, linalg.PRIMES)))
 
+    @_shared
     def basis_index(self, p: int) -> dict:
-        """{monomial: position} over basis(p).  Memoized; callers must not
-        mutate the result."""
-        core = self._core
-        if p not in core.basis_index:
-            core.basis_index[p] = {s: i for i, s in enumerate(self.basis(p))}
-        return core.basis_index[p]
+        """{monomial: position} over basis(p)."""
+        return {s: i for i, s in enumerate(self.basis(p))}
 
     def basis_coords(self, subset) -> dict:
         """Coordinates of a sorted monomial e_S over basis(p), p = len(S), as
@@ -481,43 +473,41 @@ class WeightedArrangement:
         e_B = sum_{i>=1} (-1)^(i+1) e_{C - c_i}.  Each resulting monomial
         is S with some c_i replaced by c_0 < c_i, so the index sum falls and
         the recursion is less than p * n deep.  An unsorted S, or one with
-        an index outside 0..n-1, raises ValueError.
-        Memoized; callers must not mutate the result."""
-        subset = tuple(subset)
-        core = self._core
-        if subset not in core.coords:
-            if list(subset) != sorted(subset) or not all(0 <= j < self.n for j in subset):
-                raise ValueError(f"monomial {subset} is not sorted within 0..{self.n - 1}")
-            index = self.basis_index(len(subset))
-            coords = {}
-            if subset in index:
-                coords[index[subset]] = Fraction(1)
-            elif self.general_position(subset):
-                circuit = next(c for c in core.relations if set(c[1:]) <= set(subset))
-                rest = tuple(j for j in subset if j not in circuit)
-                _, sign = sort_with_sign(circuit[1:] + rest)
-                for i in range(1, len(circuit)):
-                    term, term_sign = sort_with_sign(circuit[:i] + circuit[i + 1:] + rest)
-                    w = (-1) ** (i + 1) * sign * term_sign
-                    for row, c in self.basis_coords(term).items():
-                        coords[row] = coords.get(row, Fraction(0)) + w * c
-            core.coords[subset] = {row: c for row, c in sorted(coords.items()) if c}
-        return core.coords[subset]
+        an index outside 0..n-1, raises ValueError."""
+        return self._coords(tuple(subset))
 
+    @_shared
+    def _coords(self, subset: tuple) -> dict:
+        """basis_coords of a tuple."""
+        if list(subset) != sorted(subset) or not all(0 <= j < self.n for j in subset):
+            raise ValueError(f"monomial {subset} is not sorted within 0..{self.n - 1}")
+        index = self.basis_index(len(subset))
+        coords = {}
+        if subset in index:
+            coords[index[subset]] = Fraction(1)
+        elif self.general_position(subset):
+            circuit = next(c for c in self._recorded("relations") if set(c[1:]) <= set(subset))
+            rest = tuple(j for j in subset if j not in circuit)
+            _, sign = sort_with_sign(circuit[1:] + rest)
+            for i in range(1, len(circuit)):
+                term, term_sign = sort_with_sign(circuit[:i] + circuit[i + 1:] + rest)
+                w = (-1) ** (i + 1) * sign * term_sign
+                for row, c in self._coords(term).items():
+                    coords[row] = coords.get(row, Fraction(0)) + w * c
+        return {row: c for row, c in sorted(coords.items()) if c}
+
+    @_own
     def weighted_top(self) -> tuple:
         """(prod_{j in S} a_j, basis_coords(S)) of each general-position
         k-subset S whose exponent product is nonzero, in candidate_monomials(k)
         order: the terms of the Shapovalov form.  It depends on the exponents,
-        so it is held on this instance and not shared with re-weightings.
-        Memoized; callers must not mutate the result."""
-        if self._weighted_top is None:
-            terms = []
-            for s in self.candidate_monomials(self.ambient_dim):
-                prod = math.prod((self.exponents[j] for j in s), start=Fraction(1))
-                if prod != 0:
-                    terms.append((prod, self.basis_coords(s)))
-            self._weighted_top = tuple(terms)
-        return self._weighted_top
+        so it is kept per instance and not shared with re-weightings."""
+        terms = []
+        for s in self.candidate_monomials(self.ambient_dim):
+            prod = math.prod((self.exponents[j] for j in s), start=Fraction(1))
+            if prod != 0:
+                terms.append((prod, self.basis_coords(s)))
+        return tuple(terms)
 
     def dims(self) -> list[int]:
         return [len(self.basis(p)) for p in range(self.ambient_dim + 1)]
@@ -558,7 +548,7 @@ class WeightedArrangement:
 
 def with_exponents(arr: WeightedArrangement, exponents) -> WeightedArrangement:
     """Same hyperplanes with different exponents.  The result shares arr's
-    exponent-free core, so circuits, bases and straightened coordinates are
+    exponent-free memo, so circuits, bases and straightened coordinates are
     computed once for both; data that depends on the exponents, such as
     weighted_top() and osflag.d_A_matrix, is computed per instance."""
     out = WeightedArrangement(arr.ambient_dim, arr.hyperplanes, exponents)

@@ -131,6 +131,11 @@ class GaudinProblem:
         return tuple(int(w[0]) for w in self.weights)
 
     @cached_property
+    def k_factorials(self) -> int:
+        """k_1!...k_r!, the normalization of the composition flags."""
+        return math.prod(map(math.factorial, self.kvec))
+
+    @cached_property
     def arrangement(self) -> WeightedArrangement:
         """build_discriminantal(self), built on first use."""
         return build_discriminantal(self)
@@ -438,8 +443,8 @@ def composition_flag(p: GaudinProblem, arr: WeightedArrangement, comp) -> FlagVe
     """f_I: the skew-symmetrized flag of the composition I, normalized by
     1/(k_1!...k_r!), over basis(k) (_composition_pairings)."""
     total = _composition_pairings(p, arr, comp)
-    factor = math.prod(map(math.factorial, p.kvec))
-    return FlagVector(p.k, tuple(Fraction(total.get(s, 0), factor) for s in arr.basis(p.k)))
+    return FlagVector(p.k, tuple(Fraction(total.get(s, 0), p.k_factorials)
+                                 for s in arr.basis(p.k)))
 
 
 # -- verification reports -----------------------------------------------------
@@ -513,7 +518,7 @@ def composition_gram(p: GaudinProblem) -> list:
     on the top subsets S that some f_I reaches (each in general position:
     see chain_pairing), with the exponent products c_S = prod_{j in S} a_j
     times their common denominator, divided once."""
-    arr, factor = p.arrangement, math.prod(map(math.factorial, p.kvec))
+    arr, factor = p.arrangement, p.k_factorials
     columns = [_composition_pairings(p, arr, comp) for comp in weight_basis(p)]
     rows = sorted(set().union(*columns))
     x = np.array([[pairs.get(s, 0) for pairs in columns] for s in rows],
@@ -539,7 +544,7 @@ def verify_shap_correspondence(p: GaudinProblem) -> dict:
             ratios.append(module_side / arr_side)
         elif (arr_side == 0) != (module_side == 0):
             ratios.append(None)
-    expected = Fraction(math.prod(map(math.factorial, p.kvec)))
+    expected = Fraction(p.k_factorials)
     ok = bool(ratios) and all(r == expected for r in ratios)
     return check("shapovalov_correspondence", ratios[0] if ratios else None, expected,
                  0 if ok else 1, ok)
@@ -554,7 +559,7 @@ def verify_canonical_element(p: GaudinProblem, t, t2=None, tol=1e-10) -> list[di
     max(|lhs|, |rhs|, 1)."""
     arr = p.arrangement
     action = full_symmetric_action(arr, "sign")
-    factor = Fraction(math.prod(map(math.factorial, p.kvec))) * (-1) ** p.k
+    factor = Fraction(p.k_factorials) * (-1) ** p.k
 
     points = [tuple(t)] + ([tuple(t2)] if t2 is not None else [])
     omegas, weights = _weight_function_columns(p, points)

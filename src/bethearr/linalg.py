@@ -28,6 +28,7 @@ pivot at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -40,6 +41,12 @@ _FLOAT_TOL = 1e-9
 
 def _matrix_exact(rows) -> bool:
     return all(is_exact(x) for row in rows for x in row)
+
+
+def sort_with_sign(indices):
+    """(sorted tuple, (-1)^(number of inversions)) of a tuple of indices."""
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+    return tuple(sorted(indices)), (-1) ** inversions
 
 
 def transpose(rows):
@@ -326,7 +333,6 @@ def det(rows):
         ints, ech = [integer_row(row) for row in rows], Echelon()
         if not all(ech.add(row) for row, _ in ints):
             return Fraction(0)
-        p = ech.pivots
-        sign = (-1) ** sum(a > b for i, a in enumerate(p) for b in p[i + 1:])
-        return Fraction(sign * ech.rows[-1][p[-1]], math.prod(d for _, d in ints))
+        sign, last = sort_with_sign(ech.pivots)[1], ech.pivots[-1]
+        return Fraction(sign * ech.rows[-1][last], math.prod(d for _, d in ints))
     return complex(np.linalg.det(np.array(rows, dtype=complex)))

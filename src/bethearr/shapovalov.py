@@ -1,6 +1,6 @@
 """Shapovalov form of a weighted arrangement on flags, top-form values on
-the general-position top subsets (top_forms, top_index), and `gram`: the
-Gram matrix of vectors known by their values, on which S^(a) and S_V are diagonal."""
+the general-position top subsets (top_forms), and `gram`: the Gram matrix
+of vectors known by their values, on which S^(a) and S_V are diagonal."""
 
 from __future__ import annotations
 
@@ -27,20 +27,13 @@ def shapovalov_form(arr: WeightedArrangement, f1: FlagVector, f2: FlagVector) ->
     return total
 
 
-def top_index(arr: WeightedArrangement) -> dict:
-    """{subset: position} over top_minors(), the row order of top_forms."""
-    return {s: i for i, s in enumerate(arr.top_minors())}
-
-
 def top_forms(arr: WeightedArrangement, points):
     """(u, c, (f, B, a)) over the subsets S of top_minors(), in its order:
     u_{S,i} = D_S / prod_{j in S} f_j(t_i), the top logarithmic form of S at
     t_i against dt_1^...^dt_k, c_S = prod_{j in S} a_j, and (f, B, a) =
     WeightedArrangement.at(points), which decides exact or complex."""
     f, B, a = arr.at(points)
-    minors = arr.top_minors()
-    members = np.array(list(minors), dtype=int)
-    d = np.array(list(minors.values()), dtype=f.dtype)
+    members, d = arr.top_arrays(f.dtype)
     return d[:, None] / np.prod(f[members], axis=1), np.prod(a[members], axis=1), (f, B, a)
 
 

