@@ -63,6 +63,10 @@ class CertificateError(RuntimeError):
     linalg.PRIMES, so the basis certificate cannot decide."""
 
 
+class NoVertexError(ValueError):
+    """The hyperplanes' normals do not span C^k: the arrangement has no vertex."""
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Affine hyperplane b0 + b[0]*t_1 + ... + b[k-1]*t_k = 0 with rational
@@ -128,7 +132,7 @@ class WeightedArrangement:
         self._core, self._own = {}, {}
         self._check_distinct()
         if not self.has_vertex():
-            raise ValueError("arrangement has no vertex")
+            raise NoVertexError("arrangement has no vertex")
         self.exponent_array(complex)  # exponents that are not numbers raise here
 
     # -- construction checks ------------------------------------------------

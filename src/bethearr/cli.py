@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import gaudin as gd
-from .arrangement import CertificateError, WeightedArrangement
+from .arrangement import CertificateError, NoVertexError, WeightedArrangement
 from .master import (CriticalPoint, chamber_critical_points, find_critical_points,
                      newton_solve, point_key)
 from .scalars import format_scalar
@@ -38,49 +38,33 @@ class PreconditionError(Exception):
     pass
 
 
-def _render(value):
-    """JSON-ready rendering: rationals as "p/q", complex as [re, im];
+def _scalar(value):
+    """json's default hook: rationals as "p/q", complex as [re, im];
     TypeError on a value of any type a report does not hold."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     if isinstance(value, (Fraction, complex)):
         return format_scalar(value)
-    if isinstance(value, dict):
-        return {str(k): _render(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_render(v) for v in value]
     raise TypeError(f"cannot render a {type(value).__name__} in a report")
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse):
+    """parse applied to the JSON read from path: an arrangement with no
+    vertex is a precondition violation, any other ValueError an input error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
-
-
-def _load_arrangement(path: str) -> WeightedArrangement:
-    data = _load_json(path)
     try:
-        return WeightedArrangement.from_json(data)
-    except ValueError as exc:
-        if "no vertex" in str(exc):
-            raise PreconditionError(str(exc)) from exc
-        raise InputError(str(exc)) from exc
-
-
-def _load_gaudin(path: str) -> gd.GaudinProblem:
-    data = _load_json(path)
-    try:
-        return gd.GaudinProblem.from_json(data)
+        return parse(data)
+    except NoVertexError as exc:
+        raise PreconditionError(str(exc)) from exc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
 def _emit(report: dict, args) -> None:
     report = {"schema_version": SCHEMA_VERSION, **report}
-    text = json.dumps(_render(report), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_scalar)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -89,6 +73,17 @@ def _emit(report: dict, args) -> None:
             raise InputError(f"cannot write report to {args.out}: {exc}") from exc
     else:
         print(text)
+
+
+def _emit_checks(report: dict, checks: list, args) -> int:
+    """Emit report with its check rows and their verdict, summarize them on
+    stderr, and return the exit code."""
+    report["checks"] = checks
+    report["pass"] = ok = all(c["pass"] for c in checks)
+    _emit(report, args)
+    print(f"{report['command']}: {sum(c['pass'] for c in checks)}/{len(checks)} checks passed",
+          file=sys.stderr)
+    return EXIT_PASS if ok else EXIT_VERIFY_FAIL
 
 
 def _critical_points(arr, args):
@@ -105,7 +100,7 @@ def _critical_points(arr, args):
 
 
 def cmd_analyze(args) -> int:
-    arr = _load_arrangement(args.file)
+    arr = _load(args.file, WeightedArrangement.from_json)
     report = {
         "command": "analyze",
         "n_hyperplanes": arr.n,
@@ -123,7 +118,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    arr = _load_arrangement(args.file)
+    arr = _load(args.file, WeightedArrangement.from_json)
     points = _critical_points(arr, args)
     report = {
         "command": "critical",
@@ -139,7 +134,7 @@ def cmd_critical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    arr = _load_arrangement(args.file)
+    arr = _load(args.file, WeightedArrangement.from_json)
     points = [cp.t for cp in _critical_points(arr, args)]
     # the standard library's generator: numpy.random would add ~6 MB to the process
     rng = random.Random(args.seed + 1)
@@ -150,23 +145,16 @@ def cmd_verify(args) -> int:
         if not arr.contains_point(t):
             controls.append(t)
     checks = point_checks(arr, points, controls, args.tol_verify)
-
-    ok = all(c["pass"] for c in checks)
     report = {
         "command": "verify",
         "seed": args.seed,
         "n_points": len(points),
-        "checks": checks,
-        "pass": ok,
     }
-    _emit(report, args)
-    print(f"verify: {sum(c['pass'] for c in checks)}/{len(checks)} checks passed",
-          file=sys.stderr)
-    return EXIT_PASS if ok else EXIT_VERIFY_FAIL
+    return _emit_checks(report, checks, args)
 
 
 def cmd_gaudin(args) -> int:
-    problem = _load_gaudin(args.file)
+    problem = _load(args.file, gd.GaudinProblem.from_json)
     if not problem.is_sl2:
         raise PreconditionError("module-level checks require sl2 data")
     if not gd.weight_basis(problem):
@@ -197,14 +185,7 @@ def cmd_gaudin(args) -> int:
                 representatives[1].t if len(representatives) > 1 else None,
                 tol=args.tol_verify,
             ))
-
-    ok = all(c["pass"] for c in checks)
-    report["checks"] = checks
-    report["pass"] = ok
-    _emit(report, args)
-    print(f"gaudin: {sum(c['pass'] for c in checks)}/{len(checks)} checks passed",
-          file=sys.stderr)
-    return EXIT_PASS if ok else EXIT_VERIFY_FAIL
+    return _emit_checks(report, checks, args)
 
 
 # -- argument parsing --------------------------------------------------------

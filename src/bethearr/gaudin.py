@@ -339,31 +339,20 @@ def gaudin_hamiltonian(p: GaudinProblem, i: int):
     pos = {comp: idx for idx, comp in enumerate(basis)}
     size = len(basis)
     mat = [[0] * size for _ in range(size)]
-
-    def add(row_comp, col, value):
-        if row_comp in pos:
-            mat[pos[row_comp]][col] = mat[pos[row_comp]][col] + value
-
     for col, comp in enumerate(basis):
         for j in range(p.n):
             if j == i:
                 continue
             w = 1 / (p.z[i] - p.z[j])
-            pi, pj = comp[i], comp[j]
-            # e in slot i, f in slot j
-            if pi > 0 and pj < m[j]:
-                img = list(comp)
-                img[i] -= 1
-                img[j] += 1
-                add(tuple(img), col, w * pi * (m[i] - pi + 1))
-            # f in slot i, e in slot j
-            if pj > 0 and pi < m[i]:
-                img = list(comp)
-                img[i] += 1
-                img[j] -= 1
-                add(tuple(img), col, w * pj * (m[j] - pj + 1))
+            # e x f + f x e: one F moves from slot a to slot b, within the weight basis
+            for a, b in ((i, j), (j, i)):
+                if comp[a] > 0 and comp[b] < m[b]:
+                    img = list(comp)
+                    img[a] -= 1
+                    img[b] += 1
+                    mat[pos[tuple(img)]][col] += w * comp[a] * (m[a] - comp[a] + 1)
             # h x h / 2
-            add(comp, col, w * Fraction(m[i] - 2 * pi) * (m[j] - 2 * pj) / 2)
+            mat[col][col] += w * Fraction(m[i] - 2 * comp[i]) * (m[j] - 2 * comp[j]) / 2
     return mat
 
 

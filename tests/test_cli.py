@@ -13,7 +13,7 @@ import pytest
 from bethearr import gaudin as gd
 from bethearr import linalg, osflag, shapovalov, special
 from bethearr.arrangement import Hyperplane, WeightedArrangement
-from bethearr.cli import _render, main
+from bethearr.cli import _scalar, main
 from bethearr.master import find_critical_points
 from conftest import line
 
@@ -147,6 +147,26 @@ class TestAnalyze:
         code, _, _ = run_main(["analyze", str(path)], capsys)
         assert code == 2
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dim": "\xe9"}')
+        code, out, err = run_main(["analyze", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "critical", "verify"])
+    def test_malformed_field_reading_no_vertex_exits_2(self, command, generic4, tmp_path,
+                                                       capsys):
+        """The exit code follows the error's type, not its text."""
+        data = generic4.to_json()
+        data["hyperplanes"][0]["b0"] = "no vertex"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_main([command, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: malformed arrangement JSON: ")
+        assert "no vertex" in err
+
     def test_float_coefficients_are_read_exactly(self, tmp_path, capsys):
         """A generic k=2, n=7 arrangement spelled with JSON floats has the
         generic dims C(7, p) and chi = 15 (Orlik-Terao)."""
@@ -189,12 +209,12 @@ class TestAnalyze:
 @pytest.mark.parametrize("value", [np.bool_(True), object()])
 def test_render_rejects_what_a_report_does_not_hold(value):
     with pytest.raises(TypeError):
-        _render({"x": [value]})
+        json.dumps({"x": [value]}, default=_scalar)
 
 
 def test_render_passes_none_and_strings_through():
-    assert _render({"a": None, "b": "x", "c": (F(1, 2), 1j)}) == {
-        "a": None, "b": "x", "c": ["1/2", [0.0, 1.0]]}
+    text = json.dumps({"a": None, "b": "x", "c": (F(1, 2), 1j)}, default=_scalar)
+    assert json.loads(text) == {"a": None, "b": "x", "c": ["1/2", [0.0, 1.0]]}
 
 
 class TestCritical:

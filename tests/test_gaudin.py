@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bethearr import gaudin as gd
 from bethearr.gaudin import (CartanDatum, GaudinProblem, bethe_eigenvalue,
                              bethe_roots, build_discriminantal,
                              canonical_weight_function, composition_flag,
@@ -287,6 +288,20 @@ class TestHamiltonians:
             k_small = gaudin_hamiltonian(smaller, i)
             assert os_oracle.mat_mul(e, k_big) == os_oracle.mat_mul(k_small, e)
 
+    @pytest.mark.parametrize("weights, k", [((2, 1, 2), 2), ((1,) * 6, 3), ((3, 1, 2), 3),
+                                            ((2,) * 4, 4)])
+    def test_self_adjoint_and_summing_to_zero(self, weights, k):
+        """Each K_s is self-adjoint under S_V, which is diagonal on the weight
+        basis, and sum_s K_s = 0, since sum_s Omega^(s,u)/(z_s - z_u) cancels
+        pairwise; both exactly."""
+        p = _sl2_problem(weights, k, (0, 1, 3, 7, -2, 5)[:len(weights)])
+        w = list(p.shapovalov_weights.values())
+        mats = [gaudin_hamiltonian(p, s) for s in range(p.n)]
+        for mat in mats:
+            assert all(w[r] * mat[r][c] == w[c] * mat[c][r]
+                       for r, c in itertools.combinations(range(len(w)), 2))
+        assert all(sum(entries) == 0 for row in zip(*mats) for entries in zip(*row))
+
     @pytest.mark.parametrize("weights, k", [((2, 2, 2), 2), ((1,) * 6, 3)])
     def test_complex_arrays_are_the_exact_matrices_converted(self, sl2, weights, k):
         """hamiltonians converts each exact K_s with one np.array call; it is
@@ -389,6 +404,13 @@ class TestVerifyBethe:
         gram = rows.pop("gram_rank_vs_sing_dim")
         assert (gram["lhs"], gram["rhs"], gram["pass"]) == (1, 2, False)
         assert all(r["pass"] for r in rows.values())
+
+    def test_a_vanishing_weight_function_raises(self):
+        """At m = (1, 1), k = 2, z = (0, 1) the one coordinate of omega(t) is
+        zero exactly at t = (2, 2/3)."""
+        p = _sl2_problem((1, 1), 2, (0, 1))
+        with pytest.raises(ValueError, match="weight function vanished at the given point"):
+            verify_bethe(p, [(F(2), F(2, 3))])
 
     def test_no_points_fail_the_gram_row(self, gaudin_3x1):
         rows = verify_bethe(gaudin_3x1, [])
@@ -533,6 +555,17 @@ class TestShapCorrespondence:
         summing to 2; anything else raises instead of giving another flag."""
         with pytest.raises(ValueError, match="composition"):
             composition_flag(gaudin_2x2, gaudin_2x2.arrangement, comp)
+
+    def test_a_pair_nonzero_on_one_side_only_fails(self, gaudin_2x2, monkeypatch):
+        """S_V(F_I v, F_J v) = 0 for I != J, so an arrangement-side value
+        there breaks the correspondence."""
+        def perturbed(p):
+            g = composition_gram(p)
+            g[0][1] += 1
+            return g
+        monkeypatch.setattr(gd, "composition_gram", perturbed)
+        row = verify_shap_correspondence(gaudin_2x2)
+        assert (row["pass"], row["abs_err"]) == (False, 1)
 
     def test_negated_diagonal_convention_fails(self, gaudin_2x2):
         """The correspondence pins the diagonal exponent sign: with the
