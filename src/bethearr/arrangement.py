@@ -185,6 +185,12 @@ class WeightedArrangement:
         """(b0, B, a): equations(float) and exponent_array(complex)."""
         return (*self.equations(float), self.exponent_array(complex))
 
+    @_shared
+    def box_radius(self) -> float:
+        """2 max(1, |b0_j|, |b^i_j|): the half-width of the multi-start box."""
+        b0, B = self.equations(float)
+        return 2.0 * float(max(1.0, np.max(np.abs(b0)), np.max(np.abs(B))))
+
     def at(self, points):
         """(f, B, a): the values f_j(t_i) as an n x len(points) array, the
         normals B (n x k) and the exponents a.  Exact (dtype object, f of
@@ -210,16 +216,17 @@ class WeightedArrangement:
 
     # -- ranks and circuits -------------------------------------------------
 
-    def _row(self, j) -> tuple:
-        """integer_rows()[j] in the order (b, b0)."""
-        row = self.integer_rows()[j]
-        return (*row[1:], row[0])
+    @_shared
+    def _rows(self) -> tuple:
+        """integer_rows() in the order (b, b0)."""
+        return tuple((*row[1:], row[0]) for row in self.integer_rows())
 
     def _equations(self, subset) -> linalg.Echelon:
         """One echelon of the integer rows (b, b0) of the subset's
         hyperplanes; the b0 column, last, holds a pivot exactly when they
         have no common point."""
-        return linalg.Echelon(map(self._row, subset))
+        rows = self._rows()
+        return linalg.Echelon(rows[j] for j in subset)
 
     def rank_report(self, subset) -> SubsetRankReport:
         subset = tuple(subset)
@@ -240,7 +247,7 @@ class WeightedArrangement:
         equations = self._equations(subset)
         if self.ambient_dim in equations.pivots:
             raise ValueError(f"subset {tuple(subset)} has empty intersection")
-        return frozenset(j for j in range(self.n) if equations.spans(self._row(j)))
+        return frozenset(j for j, row in enumerate(self._rows()) if equations.spans(row))
 
     @_shared
     def circuits(self) -> list[tuple]:
@@ -378,9 +385,11 @@ class WeightedArrangement:
                 for s in self.candidate_monomials(self.ambient_dim)}
 
     @_shared
-    def top_index(self) -> dict:
-        """{subset: position} over top_minors(), the row order of shapovalov.top_forms."""
-        return {s: i for i, s in enumerate(self.top_minors())}
+    def basis_rows(self) -> list[int]:
+        """The position in top_minors() of each basis(k) monomial: the rows of
+        shapovalov.top_forms that are the basis top forms."""
+        index = {s: i for i, s in enumerate(self.top_minors())}
+        return [index[s] for s in self.basis(self.ambient_dim)]
 
     @_shared
     def top_arrays(self, dtype) -> tuple:
@@ -413,9 +422,10 @@ class WeightedArrangement:
         vanishes just because they are all multiples of the prime): a
         rational combination of the values at t of the logarithmic form of
         S.  So full rank modulo the prime proves the nbc forms independent
-        over Q.  The rows are the minors times the weights, whose 16-bit
-        halves keep the int64 products below 2^47 * C(k, p), times inv[S_q]
-        for each position q, linalg.CHUNK rows at a time."""
+        over Q.  The rows are the minors times the weights, one
+        linalg.mul_mod per 256 of the C(k, p) subsets I summed modulo the
+        prime, times inv[S_q] for each position q, linalg.CHUNK rows at a
+        time."""
         nbc, eqs = self.nbc_sets(p), self.integer_rows()
         samples = list(itertools.islice(self.certificate_samples(p, prime), len(nbc) + 3))
         minors = np.empty((len(nbc), math.comb(self.ambient_dim, p)), dtype=np.int64)
@@ -424,13 +434,14 @@ class WeightedArrangement:
                  for cols in itertools.combinations(range(self.ambient_dim), p)]
             g = math.gcd(*m)
             minors[i] = [x // g % prime for x in m]
-        high, low = np.divmod(np.array([w for _, w, _ in samples], dtype=np.int64).T, 1 << 16)
+        weights = np.array([w for _, w, _ in samples], dtype=np.int64).T
         inverses = np.array([inv for _, _, inv in samples], dtype=np.int64).T
         members = np.array(nbc, dtype=np.intp).reshape(len(nbc), p)
         rows = np.empty((len(nbc), len(samples)), dtype=np.int64)
         for i in range(0, len(nbc), linalg.CHUNK):
             m = minors[i:i + linalg.CHUNK]
-            x = ((m @ high % prime << 16) + m @ low) % prime
+            x = sum(linalg.mul_mod(m[:, c:c + 256], weights[c:c + 256], prime)
+                    for c in range(0, m.shape[1], 256)) % prime
             for j in members[i:i + linalg.CHUNK].T:
                 x = x * inverses[j] % prime
             rows[i:i + linalg.CHUNK] = x

@@ -162,15 +162,14 @@ def cmd_gaudin(args) -> int:
             f"the weight space is zero: k = {problem.k} exceeds the sum of the "
             "highest weights")
     k = problem.k
-    report = {"command": "gaudin", "seed": args.seed, "k": k,
+    report = {"command": "gaudin", "k": k,
               "sing_dim": gd.singular_dimension(problem)}
     representatives = []
     if k:
-        arr = problem.arrangement
-        seeds = gd.bethe_roots(problem)[:args.starts]
-        points = [cp for cp in (newton_solve(arr, t, tol=args.tol_newton) for t in seeds)
-                  if isinstance(cp, CriticalPoint)]
-        # one orbit per polished seed; keep those with k distinct coordinates
+        polished = [newton_solve(problem.arrangement, t, tol=args.tol_newton)
+                    for t in gd.bethe_roots(problem)]
+        points = [cp for cp in polished if isinstance(cp, CriticalPoint)]
+        # one orbit per polished root tuple; keep those with k distinct coordinates
         representatives = [cp for cp in points
                            if cp.nondegenerate and len(set(point_key(cp.t))) == k]
         report["n_points"] = len(points)
@@ -206,10 +205,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="input JSON file")
-        p.add_argument("--seed", type=int, default=0, help="multi-start and control-point seed")
-        p.add_argument("--starts", type=int, default=100, help="multi-start starts")
-        p.add_argument("--tol-newton", type=float, default=1e-12)
-        p.add_argument("--tol-verify", type=float, default=1e-8)
+        if name in ("critical", "verify"):
+            p.add_argument("--seed", type=int, default=0, help="multi-start and control-point seed")
+            p.add_argument("--starts", type=int, default=100, help="multi-start starts")
+        if name != "analyze":
+            p.add_argument("--tol-newton", type=float, default=1e-12)
+        if name in ("verify", "gaudin"):
+            p.add_argument("--tol-verify", type=float, default=1e-8)
         p.add_argument("--out", default=None, help="write the report here")
         p.set_defaults(func=func)
     return parser
@@ -217,10 +219,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.tol_newton <= 0 or args.tol_verify <= 0:
+    if any(getattr(args, name, 1) <= 0 for name in ("tol_newton", "tol_verify")):
         print("error: tolerances must be positive", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.seed < 0 or args.starts < 0:
+    if any(getattr(args, name, 0) < 0 for name in ("seed", "starts")):
         print("error: --seed and --starts must be nonnegative", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:

@@ -155,11 +155,15 @@ class GaudinProblem:
                      for s in range(self.n))
 
     @cached_property
+    def raising(self) -> list:
+        """raising_matrix(self), built on first use."""
+        return raising_matrix(self)
+
+    @cached_property
     def singular_vectors(self) -> list:
         """An exact basis of Sing V[Lambda - k alpha], the kernel of
-        raising_matrix; all of the weight space at k = 0."""
-        rows = raising_matrix(self) if self.k else []
-        return linalg.nullspace(rows, len(weight_basis(self)))
+        raising; all of the weight space at k = 0."""
+        return linalg.nullspace(self.raising if self.k else [], len(weight_basis(self)))
 
     @cached_property
     def hamiltonians(self) -> list:
@@ -470,7 +474,7 @@ def verify_bethe(p: GaudinProblem, points, tol=1e-8) -> list[dict]:
         omega = canonical_weight_function(p, ())
         norm = tensor_shapovalov(p, omega, omega)
         return [check("trivial_norm", norm, Fraction(1), abs(complex(norm) - 1), norm == 1)]
-    raising = np.array(raising_matrix(p), dtype=complex)
+    raising = np.array(p.raising, dtype=complex)
     omegas, weights = _weight_function_columns(p, points, complex)
     values = gram(omegas, weights, omegas).tolist()
     rows = []

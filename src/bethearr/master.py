@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ class CriticalPoint:
     grad_residual: float
     hess_det: complex
     nondegenerate: bool
-    orbit_id: Optional[int] = None
 
 
 @dataclass
@@ -85,7 +83,7 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
     infinity, so a plain norm test would accept bogus points there.
     """
     start = tuple(map(complex, t0))
-    escape = 1e6 * _start_box_radius(arr)
+    escape = 1e6 * arr.box_radius()
     b0, B, a = arr.numeric()
     t = np.array(start)
     f = b0 + B @ t
@@ -127,11 +125,6 @@ def newton_solve(arr: WeightedArrangement, t0, tol=1e-12):
     return DivergenceReport(start, "max iterations exceeded", MAX_ITER)
 
 
-def _start_box_radius(arr: WeightedArrangement) -> float:
-    b0, B, _ = arr.numeric()
-    return 2.0 * float(max(1.0, np.max(np.abs(b0)), np.max(np.abs(B))))
-
-
 def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
                          tol=1e-12) -> list[CriticalPoint]:
     """Multi-start Newton search; deduplicated, deterministically ordered.
@@ -139,7 +132,7 @@ def find_critical_points(arr: WeightedArrangement, seed=0, n_starts=100,
     May return fewer points than |chi(U)|; the caller compares counts.  The
     CLI takes chamber_critical_points instead wherever that applies.
     """
-    radius = _start_box_radius(arr)
+    radius = arr.box_radius()
     rng = np.random.default_rng(seed)
     k = arr.ambient_dim
     found: list[CriticalPoint] = []
@@ -187,7 +180,7 @@ def chamber_critical_points(arr: WeightedArrangement, tol=1e-12) -> list[Critica
             side = fv > 0
             side[subset] = np.array(s) > 0
             seeds.setdefault(side.tobytes(), v + eps * (inv @ s))
-    escape, found = 1e6 * _start_box_radius(arr), []
+    escape, found = 1e6 * arr.box_radius(), []
     for x in seeds.values():
         for _ in range(CHAMBER_MAX_ITER):
             f = b0 + B @ x
@@ -204,29 +197,25 @@ def chamber_critical_points(arr: WeightedArrangement, tol=1e-12) -> list[Critica
     return sorted(found, key=lambda cp: point_key(cp.t))
 
 
-def group_orbits(points: list[CriticalPoint], group, tol=1e-6) -> list[CriticalPoint]:
-    """Assign orbit ids under a coordinate-permutation group.
+def group_orbits(points: list[CriticalPoint], group, tol=1e-6) -> list[int]:
+    """The orbit id of each point under a coordinate-permutation group, ids
+    0, 1, ... in order of first appearance.
 
     group is an iterable of permutations sigma (tuples), acting by
     (sigma . t)_{sigma(i)} = t_i.  Points p, q share an orbit iff some group
-    element maps p within tol of q.  Returns the same list with orbit_id set.
+    element maps p within tol of q.
     """
     perms = [tuple(g) for g in group]
-    n = len(points)
-    orbit = [-1] * n
-    next_id = 0
-    for i in range(n):
+    orbit = [-1] * len(points)
+    for i, p in enumerate(points):
         if orbit[i] != -1:
             continue
-        orbit[i] = next_id
+        orbit[i] = max(orbit) + 1
         for g in perms:
-            gt = apply_permutation(g, points[i].t)
-            for j in range(i + 1, n):
+            gt = apply_permutation(g, p.t)
+            for j in range(i + 1, len(points)):
                 if orbit[j] == -1 and max(
                     abs(a - b) for a, b in zip(gt, points[j].t)
                 ) < tol:
-                    orbit[j] = next_id
-        next_id += 1
-    for cp, oid in zip(points, orbit):
-        cp.orbit_id = oid
-    return points
+                    orbit[j] = orbit[i]
+    return orbit

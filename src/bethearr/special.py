@@ -19,17 +19,11 @@ from .scalars import scalar_abs
 from .shapovalov import gram, special_gram, top_forms
 
 
-def _basis_rows(arr: WeightedArrangement) -> list[int]:
-    """The position in top_minors() of each top-degree basis monomial."""
-    index = arr.top_index()
-    return [index[s] for s in arr.basis(arr.ambient_dim)]
-
-
 def specialize(arr: WeightedArrangement, t) -> FlagVector:
     """v(t): dual coordinates are the values at t of the basis top forms, the
     basis rows of top_forms."""
     u = top_forms(arr, [t])[0]
-    return FlagVector(arr.ambient_dim, tuple(u[_basis_rows(arr), 0].tolist()))
+    return FlagVector(arr.ambient_dim, tuple(u[arr.basis_rows(), 0].tolist()))
 
 
 def _column_norms(x) -> list[float]:
@@ -78,7 +72,7 @@ def point_checks(arr: WeightedArrangement, points, controls, tol=1e-8) -> list[d
     the norm and orthogonality rows read one gram of u."""
     k, m = arr.ambient_dim, len(points)
     u, c, (f, B, a) = top_forms(arr, [*points, *controls])
-    v = u[_basis_rows(arr)]
+    v = u[arr.basis_rows()]
     delta = np.array(delta_F_matrix(arr, k), dtype=u.dtype)
     delta_norm = [d / max(1.0, n) for d, n in zip(_column_norms(delta @ v), _column_norms(v))]
     grad_norm = _column_norms(B.T @ (a[:, None] / f))
@@ -194,7 +188,7 @@ def isotypic_values(arr: WeightedArrangement, action: SymmetryAction, points):
 def isotypic_project(arr: WeightedArrangement, action: SymmetryAction, t) -> FlagVector:
     """v_chi(t) as a flag: the basis rows of isotypic_values."""
     x, _ = isotypic_values(arr, action, [t])
-    return FlagVector(arr.ambient_dim, tuple(x[_basis_rows(arr), 0].tolist()))
+    return FlagVector(arr.ambient_dim, tuple(x[arr.basis_rows(), 0].tolist()))
 
 
 def verify_isotypic_norm(arr: WeightedArrangement, action: SymmetryAction, t,

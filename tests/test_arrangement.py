@@ -597,13 +597,15 @@ def test_with_exponents_shares_the_exponent_free_core(concurrent3):
 
 
 def test_with_exponents_shares_only_the_exponent_free_tables(generic4):
-    """top_index(), the equation arrays of numeric() and at(), top_arrays and
-    basis_index(p) are the same objects across re-weightings; weighted_top()
-    and the exponent arrays are each instance's own, even at equal exponents."""
+    """basis_rows(), box_radius(), the equation arrays of numeric() and at(),
+    top_arrays and basis_index(p) are the same objects across re-weightings;
+    weighted_top() and the exponent arrays are each instance's own, even at
+    equal exponents."""
     same, other = with_exponents(generic4, generic4.exponents), with_exponents(generic4, [2] * 4)
     point = generic4.sample_points(1)
     for arr in (same, other):
-        assert arr.top_index() is generic4.top_index()
+        assert arr.basis_rows() is generic4.basis_rows()
+        assert arr.box_radius() is generic4.box_radius()
         assert all(x is y for x, y in zip(arr.numeric()[:2], generic4.numeric()[:2]))
         assert arr.at(point)[1] is generic4.at(point)[1]
         assert arr.top_arrays(complex) is generic4.top_arrays(complex)

@@ -244,10 +244,9 @@ class TestCritical:
 
 
     @pytest.mark.parametrize("starts", ["0", "40"])
-    def test_point_fields_are_json_bool_and_null(self, gen4_file, generic4, tmp_path,
-                                                  capsys, starts):
-        """Each point is its CriticalPoint record: nondegenerate a JSON
-        boolean and orbit_id null, on the chamber and the multi-start path."""
+    def test_point_fields_are_the_record(self, gen4_file, generic4, tmp_path, capsys, starts):
+        """Each point is its CriticalPoint record, with nondegenerate a JSON
+        boolean and no orbit_id, on the chamber and the multi-start path."""
         path = gen4_file
         if starts != "0":
             arr = WeightedArrangement(2, generic4.hyperplanes, [F(1), F(-1), F(1), F(1)])
@@ -257,9 +256,8 @@ class TestCritical:
         points = json.loads(out)["points"]
         assert points
         for p in points:
-            assert set(p) == {"t", "grad_residual", "hess_det", "nondegenerate", "orbit_id"}
+            assert set(p) == {"t", "grad_residual", "hess_det", "nondegenerate"}
             assert type(p["nondegenerate"]) is bool
-            assert p["orbit_id"] is None
 
     def test_chamber_path_ignores_the_starts(self, gen4_file, capsys):
         """Unit exponents and simple vertices: one point per bounded chamber,
@@ -358,12 +356,11 @@ class TestVerify:
 
 class TestGaudin:
     def test_end_to_end(self, gaudin_file, capsys):
-        code, out, _ = run_main(
-            ["gaudin", gaudin_file, "--starts", "60"], capsys
-        )
+        code, out, _ = run_main(["gaudin", gaudin_file], capsys)
         report = json.loads(out)
         assert code == 0
         assert report["pass"]
+        assert "seed" not in report
         assert report["sing_dim"] == 2
         assert report["n_orbits"] == 2
         names = [c["name"] for c in report["checks"]]
@@ -408,19 +405,19 @@ class TestGaudin:
 
     def test_one_arrangement_and_one_set_of_hamiltonians(self, gaudin_file, capsys,
                                                            monkeypatch):
-        """A run builds the discriminantal arrangement once and each of the
-        n = 3 Hamiltonians once, however many checks read them."""
+        """A run builds the discriminantal arrangement, the raising matrix
+        and each of the n = 3 Hamiltonians once, however many checks read them."""
         calls = Counter()
 
         def counted(name):
             original = getattr(gd, name)
             return lambda *args: calls.update([name]) or original(*args)
 
-        for name in ("build_discriminantal", "gaudin_hamiltonian"):
+        for name in ("build_discriminantal", "gaudin_hamiltonian", "raising_matrix"):
             monkeypatch.setattr(gd, name, counted(name))
         code, _, _ = run_main(["gaudin", gaudin_file], capsys)
         assert code == 0
-        assert calls == {"build_discriminantal": 1, "gaudin_hamiltonian": 3}
+        assert calls == {"build_discriminantal": 1, "gaudin_hamiltonian": 3, "raising_matrix": 1}
 
     def test_one_elimination_of_the_raising_matrix(self, gaudin_file, capsys, monkeypatch):
         """sing_dim, bethe_roots and the Gram row all read the problem's one
@@ -437,16 +434,29 @@ class TestGaudin:
         assert code == 0
         assert calls == {"nullspace": 1}
 
-    def test_missing_bethe_vectors_exit_1(self, gaudin_file, capsys):
-        """With no Newton starts no Bethe vector is found, so the Gram row
+    def test_missing_bethe_vectors_exit_1(self, gaudin_file, capsys, monkeypatch):
+        """With no root tuple no Bethe vector is found, so the Gram row
         compares rank 0 with dim Sing = 2 and fails."""
-        code, out, _ = run_main(["gaudin", gaudin_file, "--starts", "0"], capsys)
+        monkeypatch.setattr(gd, "bethe_roots", lambda problem: [])
+        code, out, _ = run_main(["gaudin", gaudin_file], capsys)
         report = json.loads(out)
         assert code == 1
         assert not report["pass"]
         assert (report["n_orbits"], report["sing_dim"]) == (0, 2)
         gram = next(c for c in report["checks"] if c["name"] == "gram_rank_vs_sing_dim")
         assert (gram["lhs"], gram["rhs"], gram["pass"]) == (0, 2, False)
+
+    def test_every_root_tuple_is_polished(self, gaudin_file, capsys, monkeypatch):
+        """No cap on the tuples polished: 101 copies of one root give 101
+        points, and as 101 orbits of one vector they fail the Gram row."""
+        roots = gd.bethe_roots
+        monkeypatch.setattr(gd, "bethe_roots", lambda problem: roots(problem)[:1] * 101)
+        code, out, _ = run_main(["gaudin", gaudin_file], capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert report["n_points"] == report["n_orbits"] == 101
+        gram = next(c for c in report["checks"] if c["name"] == "gram_rank_vs_sing_dim")
+        assert (gram["lhs"], gram["rhs"], gram["pass"]) == (1, 2, False)
 
     def test_k3_orbit_from_the_spectrum(self, tmp_path, capsys):
         """m = (2, 2, 2), k = 3, z = (0, 1, 3), where multi-start Newton finds
@@ -561,6 +571,16 @@ class TestFlags:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "arrangement", "--tol-verify", "0"],
+        ["gaudin", "problem", "--tol-verify", "-1"],
+        ["gaudin", "problem", "--tol-newton", "0"],
+    ], ids=["verify-tol-verify", "gaudin-tol-verify", "gaudin-tol-newton"])
+    def test_each_command_checks_its_tolerances(self, gen4_file, gaudin_file, capsys, argv):
+        path = gen4_file if argv[1] == "arrangement" else gaudin_file
+        code, out, err = run_main([argv[0], path, *argv[2:]], capsys)
+        assert (code, out, err) == (2, "", "error: tolerances must be positive\n")
+
     @pytest.mark.parametrize("flags", [
         ["--seed", "-1"],
         ["--starts", "-1"],
@@ -579,6 +599,19 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", gen4_file, "--float"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seed", "0"],
+        ["critical", "--tol-verify", "1e-8"],
+        ["gaudin", "--starts", "5"],
+        ["gaudin", "--seed", "0"],
+    ], ids=["analyze-seed", "critical-tol-verify", "gaudin-starts", "gaudin-seed"])
+    def test_an_option_the_command_does_not_read_exits_2(self, gen4_file, capsys, argv):
+        """Each command takes only the options it reads."""
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], gen4_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
     def test_console_script_entry_point(self, gen4_file):
         result = subprocess.run(

@@ -468,9 +468,9 @@ class TestBetheRoots:
         for cp in polished:
             residual = os_oracle.bethe_residual(problem, cp.t)
             assert max(abs(complex(r)) for r in residual) < 1e-10
-        found = group_orbits(find_critical_points(arr, seed=0, n_starts=200),
-                             symmetric_group(problem.k))
-        orbits = {cp.orbit_id: cp.t for cp in found if cp.nondegenerate}
+        found = find_critical_points(arr, seed=0, n_starts=200)
+        orbit = group_orbits(found, symmetric_group(problem.k))
+        orbits = {oid: cp.t for oid, cp in zip(orbit, found) if cp.nondegenerate}
         assert len(polished) == len(orbits) == singular_dimension(problem)
         for t in orbits.values():
             assert sum(_same_orbit(cp.t, t, 1e-8) for cp in polished) == 1
